@@ -89,6 +89,7 @@ from .polyring import (
     span_equal,
     span_reduce,
     substitute,
+    substitute_all,
     substitute_linear,
     variables,
     zero_poly,

@@ -26,8 +26,8 @@ from .grammar import format_poly, omega_names, parse_field_spec
 from .twisting import (model_to_json, picard_generator, picard_to_json,
                        surface_model, verify_theorem1_equations)
 from .verify import (ALL_SUITES, Check, EXHAUSTIVE_MAX_P, Report,
-                     VerifyConfig, count_points, report_to_json, run_all,
-                     smoothness_spot)
+                     VerifyConfig, count_points, projective_point_count,
+                     report_to_json, run_all, smoothness_spot)
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
@@ -96,7 +96,7 @@ def _check_report_for_surface(model, seed: int) -> Report:
     p = model.extension.base.p
     if p is not None:
         cnt = count_points(model, p)
-        expected = p * p + p + 1
+        expected = projective_point_count(model.n, p)
         checks.append(Check(f"count-p{p}", "pass" if cnt == expected else "fail",
                             str(cnt)))
         if p <= EXHAUSTIVE_MAX_P:

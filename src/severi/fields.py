@@ -780,13 +780,17 @@ def _nth_root_fraction(r: Fraction, n: int) -> Optional[Fraction]:
 
 
 def _int_nth_root(x: int, n: int) -> Optional[int]:
-    if x == 0:
-        return 0
-    r = round(x ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == x:
-            return c
-    return None
+    """The integer r >= 0 with r^n = x, if there is one (x >= 0)."""
+    if x < 2:
+        return x
+    # Newton's iteration on integers from above converges to floor(x^(1/n))
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == x else None
 
 
 @dataclass

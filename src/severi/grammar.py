@@ -335,7 +335,8 @@ def parse_field_spec(spec: str, degree: int = 3,
 
     Forms: `shanks:t=1` (simplest cubic over Q), `finite:p=7` (degree from
     the `degree` argument, Frobenius generator), and
-    `poly:<f>;galois:<g>` with both polynomials over Q in `x`.
+    `poly:<f>;galois:<g>` with both polynomials over Q in `x`.  A spec whose
+    extension degree is not `degree` raises GrammarError.
     """
     from .fields import (QQ, frobenius_extension, make_extension,
                          make_shanks_cubic)
@@ -344,6 +345,7 @@ def parse_field_spec(spec: str, degree: int = 3,
         raise GrammarError(f"field spec needs a kind prefix: {spec!r}")
     kind = head.strip().lower()
     if kind == "shanks":
+        _check_degree(spec, 3, degree)
         L = make_shanks_cubic(_parse_assign(rest, "t"))
         if character_convention is not None:
             L = make_extension(QQ, L.f, L.g, character_convention)
@@ -358,6 +360,13 @@ def parse_field_spec(spec: str, degree: int = 3,
         if not sep2 or not gpart.strip().lower().startswith("galois:"):
             raise GrammarError("poly spec needs ';galois:<g>' after the polynomial")
         f = parse_univariate(QQ, _unquote(fpart))
+        _check_degree(spec, len(f) - 1, degree)
         g = parse_univariate(QQ, _unquote(gpart.strip()[len("galois:"):]))
         return make_extension(QQ, f, g, character_convention)
     raise GrammarError(f"unknown field spec kind {head!r}")
+
+
+def _check_degree(spec: str, found: int, degree: int) -> None:
+    if found != degree:
+        raise GrammarError(f"field spec {spec!r} has degree {found}, "
+                           f"but n = {degree - 1} needs degree {degree}")

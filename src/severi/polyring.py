@@ -121,6 +121,12 @@ def make_poly(ext: CyclicExtension, nvars: int,
             raise InputError(f"bad exponent vector {e}")
         cur = acc.get(e)
         acc[e] = c if cur is None else cur + c
+    return _canonical(ext, nvars, acc)
+
+
+def _canonical(ext: CyclicExtension, nvars: int,
+               acc: Mapping[Exponents, ExtElement]) -> MultiPoly:
+    """The polynomial of an already validated exponent -> coefficient map."""
     cleaned = tuple(sorted(((e, c) for e, c in acc.items() if not c.is_zero()),
                            key=lambda t: t[0], reverse=True))
     return MultiPoly(ext, nvars, cleaned)
@@ -158,42 +164,74 @@ def monomial(ext: CyclicExtension, exps: Sequence[int], coeff=None) -> MultiPoly
 
 def substitute(F: MultiPoly, polys: Sequence[MultiPoly]) -> MultiPoly:
     """F with variable i replaced by polys[i]; all polys share one target ring."""
-    if len(polys) != F.nvars:
-        raise ShapeMismatch(f"{F.nvars} variables, {len(polys)} substitution polynomials")
+    return substitute_all([F], polys)[0]
+
+
+def substitute_all(S: Sequence[MultiPoly], polys: Sequence[MultiPoly]
+                   ) -> list[MultiPoly]:
+    """`substitute(F, polys)` for every F in S.
+
+    Each result is accumulated in one dict from the images of F's
+    monomials.  The image of x^e is the image of x^(e - e_i) times
+    polys[i], for the first variable i in x^e; images are memoised for the
+    duration of the call, so the family shares them.
+    """
+    for F in S:
+        if len(polys) != F.nvars:
+            raise ShapeMismatch(f"{F.nvars} variables, {len(polys)} substitution polynomials")
     if not polys:
-        return F
+        return list(S)
     ext, nv = polys[0].ext, polys[0].nvars
-    power_memo: dict[tuple[int, int], MultiPoly] = {}
+    factors = [P.terms for P in polys]
+    images: dict[Exponents, dict[Exponents, ExtElement]] = {
+        (0,) * len(polys): {(0,) * nv: ext.one()}}
 
-    def power(i: int, k: int) -> MultiPoly:
-        key = (i, k)
-        if key not in power_memo:
-            power_memo[key] = polys[i] ** k
-        return power_memo[key]
+    def image(e: Exponents) -> dict[Exponents, ExtElement]:
+        img = images.get(e)
+        if img is not None:
+            return img
+        i = next(i for i, k in enumerate(e) if k)
+        rest = image(e[:i] + (e[i] - 1,) + e[i + 1:])
+        img = {}
+        for e1, c1 in rest.items():
+            for e2, c2 in factors[i]:
+                t = tuple(a + b for a, b in zip(e1, e2))
+                prod = c1 * c2
+                cur = img.get(t)
+                img[t] = prod if cur is None else cur + prod
+        img = {t: c for t, c in img.items() if not c.is_zero()}
+        images[e] = img
+        return img
 
-    out = zero_poly(ext, nv)
-    for e, c in F.terms:
-        term = constant(ext, nv, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        out = out + term
+    out = []
+    for F in S:
+        acc: dict[Exponents, ExtElement] = {}
+        for e, c in F.terms:
+            for t, v in image(e).items():
+                prod = c * v
+                cur = acc.get(t)
+                acc[t] = prod if cur is None else cur + prod
+        out.append(_canonical(ext, nv, acc))
     return out
 
 
 def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
-    """F(A x): variable i becomes the linear form sum_j A[i][j] x_j."""
+    """F(A x): variable i becomes the linear form sum_j A[i][j] x_j.
+
+    Only the forms of variables that occur in F are built; the others are
+    never read.
+    """
     if A.rows != A.cols or A.rows != F.nvars:
         raise ShapeMismatch(f"need a {F.nvars}x{F.nvars} matrix")
-    xs = variables(F.ext, F.nvars)
-    forms = []
-    for i in range(F.nvars):
-        form = zero_poly(F.ext, F.nvars)
-        for j in range(F.nvars):
-            c = A.at(i, j)
-            if not c.is_zero():
-                form = form + xs[j] * c
-        forms.append(form)
+    m = F.nvars
+    units = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    used = {i for e, _ in F.terms for i, k in enumerate(e) if k}
+    forms = [zero_poly(F.ext, m)] * m
+    for i in used:
+        # unit vectors in ascending j are already in canonical (descending) order
+        forms[i] = MultiPoly(F.ext, m, tuple(
+            (units[j], c) for j in range(m)
+            if not (c := A.at(i, j)).is_zero()))
     return substitute(F, forms)
 
 

@@ -4,9 +4,10 @@ Fermat-type Picard generators.
 
 The splitting matrix M maps the model to the standard Veronese image, so
 model points are M^{-1} (Veronese points) and model equations are the
-ideal quadrics composed with M: Q(M w) = 0.  Descent to k replaces each
-L-coefficient family by its trace forms against a normal basis; the two
-families span the same space over L.
+ideal quadrics composed with M: Q(M w) = 0.  Descent to k is one row
+reduction of the twisted family over L: the reduced row-echelon basis of a
+subspace is unique, so it is fixed by sigma, and has its coefficients in k,
+exactly when the subspace is Galois stable.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ from .grammar import format_poly, omega_names, plane_names
 from .linalg import Matrix, inverse, matrix_from_json, matrix_to_json
 from .polyring import (
     MultiPoly,
-    galois_poly,
     poly_from_json,
     poly_to_json,
     make_poly,
-    span_equal,
     span_reduce,
     substitute,
+    substitute_all,
     substitute_linear,
     zero_poly,
 )
@@ -119,36 +119,22 @@ class SurfaceModel:
     normal_basis: NormalBasis
 
 
-def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly],
-                    nb: NormalBasis) -> list[MultiPoly]:
-    """Trace forms sum_j sigma^j(l_i F) for F in the family, reduced to a
-    spanning set with base-field coefficients.
+def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
+                    ) -> list[MultiPoly]:
+    """The reduced row-echelon basis of the family's L-span, which has
+    base-field coefficients exactly when that span is Galois stable.
 
-    The family's L-span must be Galois stable; the output spans the same
-    space over L.
+    The reduced basis of a subspace is unique, so sigma maps it to the
+    reduced basis of the sigma-image of the span; it is sigma-fixed, hence
+    has entries in k, exactly when the span is sigma-stable.  A coefficient
+    outside k therefore means the span is not stable, and raises
+    NotGaloisStable.
     """
-    family = [F for F in family if not F.is_zero()]
-    if not family:
-        return []
-    sig_image = [galois_poly(L, F, 1) for F in family]
-    if not span_equal(family, sig_image):
-        raise NotGaloisStable("the family's span is not preserved by sigma")
-    out = []
-    for F in family:
-        for li in nb.elements:
-            acc = zero_poly(L, F.nvars)
-            for j in range(L.degree):
-                acc = acc + galois_poly(L, F * li, j)
-            if acc.is_zero():
-                continue
-            for _, c in acc.terms:
-                if not c.in_base():
-                    raise InternalDescentFailure(
-                        "trace form has a coefficient outside the base field")
-            out.append(acc)
-    reduced = span_reduce(out)
-    if not span_equal(reduced, family):
-        raise InternalDescentFailure("descended span differs from the input span")
+    reduced = span_reduce(family)
+    for F in reduced:
+        for _, c in F.terms:
+            if not c.in_base():
+                raise NotGaloisStable("the family's span is not preserved by sigma")
     return reduced
 
 
@@ -170,7 +156,7 @@ def _build_model(L: CyclicExtension, a, basis: MonomialBasis, provenance: str,
                 "structured and generic splits do not differ by a GL_m(k) factor")
     quads = veronese_ideal(basis, L)
     twisted = [substitute_linear(Q, M) for Q in quads]
-    equations = descend_to_base(L, twisted, nb)
+    equations = descend_to_base(L, twisted)
     param = ParametrizationMap(basis, post_compose=inverse(M))
     model = SurfaceModel(L, a, n, basis.m, M, tuple(equations), param,
                          provenance, nb)
@@ -186,7 +172,8 @@ def _validate_model(model: SurfaceModel) -> None:
         for _, c in eq.terms:
             if not c.in_base():
                 raise InternalDescentFailure("model equation has non-k coefficient")
-        if not substitute(eq, list(coords)).is_zero():
+    for residual in substitute_all(model.equations_over_k, list(coords)):
+        if not residual.is_zero():
             raise InternalDescentFailure(
                 "model equation does not vanish on the parametrization")
 
@@ -232,6 +219,8 @@ def picard_generator(L: CyclicExtension, a, nb: NormalBasis,
     the pure-power Veronese coordinates; its coefficients land in k."""
     if dprime < 1:
         raise InputError("d' must be >= 1")
+    if L.base.is_zero(L.base.coerce(a)):
+        raise ZeroA("a must be nonzero")
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
     pure = basis.pure_power_indices()
@@ -362,16 +351,17 @@ def verify_theorem1_equations(L: CyclicExtension, a,
     if model is None:
         model = surface_model(L, a, nb=nb)
     coords = list(model.parametrization.symbolic(L))
+    relations = theorem1_equations(L, a, nb)
+    recon = theorem1_equation7_reconstruction(L, a, nb)
+    *residuals, recon_res = substitute_all(
+        [poly for _, poly, _ in relations] + [recon], coords)
     report = []
-    for name, poly, homogeneous in theorem1_equations(L, a, nb):
+    for (name, poly, homogeneous), residual in zip(relations, residuals):
         entry: dict = {"name": name, "homogeneous": homogeneous}
-        residual = substitute(poly, coords)
         if not homogeneous:
             entry["status"] = "flagged"
             entry["note"] = "degree-inhomogeneous as printed (3 vs 4)"
             entry["residual"] = format_poly(residual, plane_names(2))
-            recon = theorem1_equation7_reconstruction(L, a, nb)
-            recon_res = substitute(recon, coords)
             entry["reconstruction"] = format_poly(recon, omega_names(10))
             entry["reconstruction_vanishes"] = recon_res.is_zero()
         elif residual.is_zero():

@@ -79,6 +79,12 @@ def genus_plane(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
+def projective_point_count(n: int, p: int) -> int:
+    """|P^n(F_p)| = (p^(n+1) - 1)/(p - 1), the point count of a
+    Brauer-Severi variety of dimension n that has a rational point."""
+    return (p ** (n + 1) - 1) // (p - 1)
+
+
 # ---------------------------------------------------------------------------
 # Point counting
 # ---------------------------------------------------------------------------
@@ -260,12 +266,13 @@ def jacobian_rank_at(equations: Sequence[MultiPoly], point: Sequence[int],
 
 def smoothness_spot(model: SurfaceModel, p: int,
                     sample: Optional[int] = None) -> Report:
-    """Jacobian rank m-3 at each (or the first `sample`) F_p-points."""
+    """Jacobian rank m-1-n, the codimension of the n-dimensional model in
+    P^{m-1}, at each (or the first `sample`) F_p-points."""
     t0 = time.perf_counter()
     pts = rational_points(model, p)
     if sample is not None:
         pts = pts[:sample]
-    target = model.m - 3
+    target = model.m - 1 - model.n
     checks = []
     for pt in pts:
         r = jacobian_rank_at(model.equations_over_k, pt, p)
@@ -387,12 +394,13 @@ def _suite_counts(L, a, cfg) -> list[Check]:
         F = frobenius_extension(p, 3)
         model = surface_model(F, ap, rng_seed=cfg.seed)
         cnt = count_points(model, p)
-        expected = p * p + p + 1
+        expected = projective_point_count(model.n, p)
         checks.append(_ok(f"count-p{p}-is-{expected}", cnt == expected,
                           f"counted {cnt}"))
         if p <= EXHAUSTIVE_MAX_P:
             rep = smoothness_spot(model, p)
-            checks.append(_ok(f"smooth-p{p}-rank-{model.m - 3}", rep.ok))
+            checks.append(_ok(f"smooth-p{p}-rank-{model.m - 1 - model.n}",
+                              rep.ok))
     return checks
 
 

@@ -36,10 +36,28 @@ def test_surface_check_exhaustive(capsys):
     assert "PASS smooth-p2" in out
 
 
+def test_surface_check_conic_targets_follow_n(capsys):
+    # a conic over F_3 is smooth with |P^1(F_3)| = 4 points, Jacobian rank 1
+    code, out, _ = run(capsys, "surface", "--field", "finite:p=3", "--n", "1",
+                       "--a", "2", "--check")
+    assert code == 0
+    assert "PASS count-p3  [4]" in out
+    assert "PASS smooth-p3" in out
+
+
 def test_zero_a_exit_2(capsys):
-    code, _, err = run(capsys, "surface", "--a", "0")
-    assert code == 2
-    assert "ZeroA" in err
+    for command in ("surface", "picard"):
+        code, _, err = run(capsys, command, "--a", "0")
+        assert code == 2
+        assert "ZeroA" in err
+
+
+def test_field_spec_degree_must_match_n(capsys):
+    for spec in ("shanks:t=1", "poly:x^3 - 3*x - 1;galois:x^2 - 2"):
+        code, out, err = run(capsys, "surface", "--field", spec, "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "GrammarError" in err
 
 
 def test_bad_field_spec_exit_2(capsys):

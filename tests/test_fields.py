@@ -234,3 +234,9 @@ def test_base_field_coerce_fraction_mod_p():
 def test_base_field_prime_required():
     with pytest.raises(InputError):
         GF(6)
+
+
+def test_nth_root_exact_beyond_float_range():
+    from severi.fields import _nth_root_fraction
+    assert _nth_root_fraction(Fraction(10 ** 399), 3) == 10 ** 133
+    assert _nth_root_fraction(Fraction(10 ** 400), 3) is None

@@ -131,6 +131,14 @@ def test_field_spec_character_convention():
     assert Lf.character_convention == 1
 
 
+def test_field_spec_degree_must_match():
+    zeta5 = "poly:x^4 + x^3 + x^2 + x + 1;galois:x^2"
+    assert parse_field_spec(zeta5, degree=4).degree == 4
+    for spec, degree in (("shanks:t=1", 4), ("shanks:t=1", 2), (zeta5, 3)):
+        with pytest.raises(GrammarError):
+            parse_field_spec(spec, degree=degree)
+
+
 def test_field_spec_errors():
     with pytest.raises(GrammarError):
         parse_field_spec("unknown:t=1")

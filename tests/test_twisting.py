@@ -1,4 +1,5 @@
 """End-to-end constructions: Fermat family, descent, models, Picard forms."""
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from severi import (
     descend_to_base,
     fermat,
     find_normal_basis,
+    format_poly,
     make_poly,
     model_from_json,
     model_to_json,
+    omega_names,
     picard_generator,
     pullback_to_plane,
     substitute_linear,
@@ -20,8 +23,16 @@ from severi import (
     verify_theorem1_equations,
 )
 from severi.errors import InputError, NotGaloisStable, ZeroA
-from severi.polyring import galois_poly, in_span, span_equal, span_reduce, substitute
+from severi.polyring import (
+    galois_poly,
+    in_span,
+    poly_to_json,
+    span_equal,
+    span_reduce,
+    substitute,
+)
 from severi.twisting import picard_from_json, picard_to_json, proportional
+from severi.veronese import monomial_basis, veronese_ideal
 
 
 def F(x):
@@ -82,40 +93,81 @@ def test_fermat_rejects_bad_input(shanks1):
 # descent
 # ---------------------------------------------------------------------------
 
-def test_descend_base_family_unchanged_span(shanks1, nb1):
+def test_descend_base_family_unchanged_span(shanks1):
     f1 = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 6)
-    out = descend_to_base(shanks1, [f1], nb1)
+    out = descend_to_base(shanks1, [f1])
     assert span_equal(out, [f1])
 
 
 def test_descend_scaled_hyperplane(shanks1, nb1):
     h = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 6) + w_mono(shanks1, 10, 9)
     fam = [h * nb1.elements[0]]
-    out = descend_to_base(shanks1, fam, nb1)
+    out = descend_to_base(shanks1, fam)
     assert span_equal(out, [h])
     for G in out:
         for _, c in G.terms:
             assert c.in_base()
 
 
-def test_descend_galois_orbit_of_quadric(shanks1, nb1, model_q):
+def test_descend_galois_orbit_of_quadric(shanks1, model_q):
     # undo the descent on one equation, re-descend its Galois orbit
     q = model_q.equations_over_k[0]
     orbit = [galois_poly(shanks1, q, j) for j in range(3)]
-    out = descend_to_base(shanks1, orbit, nb1)
+    out = descend_to_base(shanks1, orbit)
     assert span_equal(out, orbit)
 
 
-def test_descend_rejects_unstable_family(shanks1, nb1):
+def test_descend_scaled_k_family_is_its_reduced_basis(shanks1):
+    # L-multiples of k-quadrics span the L-span of the k-family, whose
+    # reduced basis is the descent
+    G = list(veronese_ideal(monomial_basis(2, 3), shanks1))
+    lams = [shanks1.theta() + shanks1.from_base(F(i)) for i in range(len(G))]
+    out = descend_to_base(shanks1, [Q * lam for Q, lam in zip(G, lams)])
+    assert out == span_reduce(G)
+
+
+def test_descend_rejects_unstable_family(shanks1):
     # sigma sends w0 + theta w1 outside the line it spans
     f1 = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 1, shanks1.theta())
     with pytest.raises(NotGaloisStable):
-        descend_to_base(shanks1, [f1], nb1)
+        descend_to_base(shanks1, [f1])
 
 
 # ---------------------------------------------------------------------------
 # surface models
 # ---------------------------------------------------------------------------
+
+def _equations_digest(model):
+    text = json.dumps([poly_to_json(G) for G in model.equations_over_k])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,digest,first,last", [
+    ("model_q",
+     "817b4dc686cb9d9f0e277b5d1fa86a4a640abec346a351ea29fb2bcf8d080c09",
+     "w0^2 - (37/4)*w3*w5 + (17/2)*w3*w7 - (13/8)*w4^2 + (13/4)*w4*w6"
+     " - (23/4)*w4*w9 + (21/4)*w5*w8 + 16*w6^2 - 35*w6*w9 + (19/4)*w7*w8"
+     " + 11*w9^2",
+     "w2*w9 + (1/4)*w3*w4 + 5*w3*w6 - (19/2)*w3*w9 + (1/2)*w4*w8"
+     " + (9/4)*w5^2 - (15/2)*w5*w7 - (3/2)*w6*w8 + (11/2)*w7^2 + 3*w8*w9"),
+    ("model_f7",
+     "e7487b1d87d3e1a99c0e3b299dba7c1c5a9fe143ea4b0755f594e3091ec22f68",
+     "w0^2 + 5*w3*w5 + 2*w4^2 + 3*w4*w6 + 5*w4*w9 + w5*w8 + w6^2"
+     " + 6*w7*w8 + w9^2",
+     "w2*w9 + w3*w4 + w3*w6 + 4*w3*w9 + w4*w8 + 6*w5^2 + 4*w5*w7"
+     " + 2*w6*w8 + 3*w7^2 + 5*w8*w9"),
+])
+def test_equations_over_k_pinned(request, name, digest, first, last):
+    # shanks t=1 a=2 and F_7 a=3: the JSON digest and the first and last
+    # equations pin the descended model byte for byte
+    model = request.getfixturevalue(name)
+    eqs = model.equations_over_k
+    names = omega_names(10)
+    assert len(eqs) == 27
+    assert format_poly(eqs[0], names) == first
+    assert format_poly(eqs[-1], names) == last
+    assert _equations_digest(model) == digest
+
 
 def test_model_q_shape(model_q, shanks1):
     assert model_q.provenance == "main_path"
