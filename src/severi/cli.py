@@ -23,11 +23,13 @@ from .fields import (extension_to_json, find_normal_basis, format_element,
                      format_scalar, format_univariate, galois_apply,
                      scalar_to_json)
 from .grammar import format_poly, omega_names, parse_field_spec
-from .twisting import (model_to_json, picard_generator, picard_to_json,
-                       surface_model, verify_theorem1_equations)
+from .twisting import (model_to_json, parametrization_residuals,
+                       picard_generator, picard_to_json, surface_model,
+                       verify_theorem1_equations)
 from .verify import (ALL_SUITES, Check, EXHAUSTIVE_MAX_P, Report,
                      VerifyConfig, count_points, projective_point_count,
                      report_to_json, run_all, smoothness_spot)
+from .veronese import ideal_quadric_count
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
@@ -103,10 +105,17 @@ def _check_report_for_surface(model, seed: int) -> Report:
             rep = smoothness_spot(model, p)
             checks.append(Check(f"smooth-p{p}",
                                 "pass" if rep.ok else "fail"))
-    else:
+    elif model.n == 2:
         for row in verify_theorem1_equations(model.extension, model.a,
                                              model=model):
             checks.append(Check(row["name"], row["status"], row.get("note")))
+    else:
+        count = len(model.equations_over_k)
+        expected = ideal_quadric_count(model.parametrization.basis)
+        checks.append(Check("equation-count",
+                            "pass" if count == expected else "fail", str(count)))
+        vanish = all(r.is_zero() for r in parametrization_residuals(model))
+        checks.append(Check("equations-vanish", "pass" if vanish else "fail"))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report("surface-check", tuple(checks), elapsed)
 

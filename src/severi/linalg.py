@@ -1,9 +1,11 @@
 """Exact dense matrices over cyclic-extension elements.
 
-Determinants use fraction-free (Bareiss) elimination to keep intermediate
-coefficients small over Q-extensions; inverses use Gauss-Jordan with exact
-field division.  A scaled-permutation recognizer supports the structured
-Hilbert 90 split, whose input matrices are monomial.
+Determinants, inverses and row echelon forms share one elimination: each
+pivot is inverted once and multiples of its row are subtracted from the
+others, skipping the zero entries of the pivot row, with exact field
+arithmetic in L (see severi.fields for the integer product kernel).  A
+scaled-permutation recognizer supports the structured Hilbert 90 split,
+whose input matrices are monomial.
 """
 
 from __future__ import annotations
@@ -129,29 +131,30 @@ def mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def det(A: Matrix) -> ExtElement:
-    """Fraction-free elimination; every division is exact."""
+    """Gaussian elimination over the field: each pivot is inverted once and
+    multiples of its row are subtracted below it; the determinant is the
+    product of the pivots, negated once per row swap."""
     if A.rows != A.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     n = A.rows
-    if n == 0:
-        return A.ext.one()
     m = A.as_rows()
-    sign = 1
-    prev = A.ext.one()
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+    d = A.ext.one()
+    for c in range(n):
+        piv = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
         if piv is None:
             return A.ext.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = A.ext.zero()
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d = d * m[c][c]
+        inv = m[c][c].inverse()
+        for r in range(c + 1, n):
+            if m[r][c].is_zero():
+                continue
+            f = m[r][c] * inv
+            m[r][c + 1:] = [x - f * y if y else x
+                            for x, y in zip(m[r][c + 1:], m[c][c + 1:])]
+    return d
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -159,19 +162,20 @@ def inverse(A: Matrix) -> Matrix:
         raise ShapeMismatch("inverse of a non-square matrix")
     n = A.rows
     ext = A.ext
-    aug = [list(A.row(i)) + list(identity(ext, n).row(i)) for i in range(n)]
+    eye = identity(ext, n)
+    aug = [list(A.row(i)) + list(eye.row(i)) for i in range(n)]
     for c in range(n):
         piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
         if piv is None:
             raise Singular("matrix is not invertible")
         aug[c], aug[piv] = aug[piv], aug[c]
         inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
+        aug[c] = [x * inv if x else x for x in aug[c]]
         for r in range(n):
             if r == c or aug[r][c].is_zero():
                 continue
             f = aug[r][c]
-            aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+            aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[c])]
     ent = tuple(aug[i][n + j] for i in range(n) for j in range(n))
     return Matrix(ext, n, n, ent)
 
@@ -228,12 +232,12 @@ def rref(A: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(A.rows):
             if i == r or m[i][c].is_zero():
                 continue
             f = m[i][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     ent = tuple(x for row in m for x in row)

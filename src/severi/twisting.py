@@ -20,6 +20,7 @@ from .errors import (
     InputError,
     InternalDescentFailure,
     NotGaloisStable,
+    Singular,
     ZeroA,
 )
 from .fields import (
@@ -52,6 +53,7 @@ from .veronese import (
     MonomialBasis,
     ParametrizationMap,
     canonical_embedding,
+    ideal_quadric_count,
     monomial_basis,
     veronese_ideal,
 )
@@ -165,14 +167,19 @@ def _build_model(L: CyclicExtension, a, basis: MonomialBasis, provenance: str,
     return model
 
 
+def parametrization_residuals(model: SurfaceModel) -> list[MultiPoly]:
+    """Each model equation composed with the model's parametrization; all
+    are zero exactly when the equations vanish on the model."""
+    coords = model.parametrization.symbolic(model.extension)
+    return substitute_all(model.equations_over_k, list(coords))
+
+
 def _validate_model(model: SurfaceModel) -> None:
-    L = model.extension
-    coords = model.parametrization.symbolic(L)
     for eq in model.equations_over_k:
         for _, c in eq.terms:
             if not c.in_base():
                 raise InternalDescentFailure("model equation has non-k coefficient")
-    for residual in substitute_all(model.equations_over_k, list(coords)):
+    for residual in parametrization_residuals(model):
         if not residual.is_zero():
             raise InternalDescentFailure(
                 "model equation does not vanish on the parametrization")
@@ -394,21 +401,43 @@ def model_to_json(model: SurfaceModel) -> dict:
 
 
 def model_from_json(obj: dict) -> SurfaceModel:
+    """Rebuild a model and check that its equations are exactly the
+    degree-2 part of the ideal of its image: the right number of distinct
+    leading monomials, homogeneous quadrics over k, all vanishing on the
+    parametrization.  Anything else raises InputError."""
     if obj.get("kind") != "surface_model":
         raise InputError("not a surface_model emission")
     L = extension_from_json(obj["field"])
     a = L.base.coerce(scalar_from_json(obj["a"]))
-    basis = monomial_basis(obj["n"], obj["veronese_degree"])
+    n, m = obj["n"], obj["m"]
+    if n != L.degree - 1:
+        raise InputError(f"n = {n} but the field has degree {L.degree}")
+    basis = monomial_basis(n, obj["veronese_degree"])
+    if m != basis.m:
+        raise InputError(f"m = {m} but the Veronese basis has {basis.m} monomials")
     orbit = tuple(element_from_json(L, v) for v in obj["normal_basis"])
     tr = L.zero()
     for e in orbit:
         tr = tr + e
     nb = NormalBasis(orbit, tr.base_value())
     M = matrix_from_json(L, obj["splitting_matrix"])
-    eqs = tuple(poly_from_json(L, obj["m"], f) for f in obj["equations_over_k"])
-    param = ParametrizationMap(basis, inverse(M))
-    return SurfaceModel(L, a, obj["n"], obj["m"], M, eqs, param,
-                        obj["provenance"], nb)
+    if (M.rows, M.cols) != (m, m):
+        raise InputError(f"splitting matrix is {M.rows}x{M.cols}, expected {m}x{m}")
+    eqs = tuple(poly_from_json(L, m, f) for f in obj["equations_over_k"])
+    expected = ideal_quadric_count(basis)
+    if len(eqs) != expected:
+        raise InputError(f"{len(eqs)} equations, expected {expected}")
+    if any(F.is_zero() or F.degree() != 2 or not F.is_homogeneous() for F in eqs):
+        raise InputError("every equation must be a nonzero homogeneous quadric")
+    if len({F.terms[0][0] for F in eqs}) != len(eqs):
+        raise InputError("equations do not have distinct leading monomials")
+    try:
+        param = ParametrizationMap(basis, inverse(M))
+        model = SurfaceModel(L, a, n, m, M, eqs, param, obj["provenance"], nb)
+        _validate_model(model)
+    except (Singular, InternalDescentFailure) as e:
+        raise InputError(f"invalid surface model: {e}") from None
+    return model
 
 
 def picard_to_json(g: PicardGenerator, L: CyclicExtension) -> dict:

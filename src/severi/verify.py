@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .algebra import (build_algebra, center_dimension, diagonal_table,
                       is_associative, left_multiplication_is_singular,
                       table_center_dimension, zero_divisor_from_witness)
@@ -118,6 +116,8 @@ def solve_points_exhaustive(model: SurfaceModel, p: int) -> list[tuple[int, ...]
     _require_prime_model(model, p)
     if p > EXHAUSTIVE_MAX_P:
         raise TooLarge(f"exhaustive enumeration capped at p = {EXHAUSTIVE_MAX_P}")
+    import numpy as np  # imported here: the only user, and slow to import
+
     m = model.m
     arr = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
     nonzero = arr.any(axis=1)

@@ -135,6 +135,13 @@ def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix
     return B
 
 
+def ideal_quadric_count(basis: MonomialBasis) -> int:
+    """Dimension C(m+1, 2) - C(2d+n, n) of the degree-2 part of the ideal of
+    the degree-d Veronese image of P^n: quadrics in the m coordinates minus
+    the degree-2d forms on P^n they restrict to."""
+    return comb(basis.m + 1, 2) - comb(2 * basis.degree + basis.n, basis.n)
+
+
 def veronese_ideal(basis: MonomialBasis, ext: CyclicExtension) -> list[MultiPoly]:
     """Binomial quadric generators of the degree-2 part of the Veronese ideal.
 

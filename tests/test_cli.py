@@ -1,6 +1,11 @@
 """CLI surface: emissions, exit codes, determinism, env seed override."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from severi import model_from_json, surface_model
 from severi.cli import main
@@ -43,6 +48,36 @@ def test_surface_check_conic_targets_follow_n(capsys):
     assert code == 0
     assert "PASS count-p3  [4]" in out
     assert "PASS smooth-p3" in out
+
+
+def test_surface_check_conic_over_q(capsys):
+    # n = 1 over Q(i): dimension-generic checks, not the n = 2 paper equations
+    code, out, _ = run(capsys, "surface", "--field", "poly:x^2 + 1;galois:-x",
+                       "--n", "1", "--a", "2", "--check")
+    assert code == 0
+    assert "PASS equation-count  [1]" in out
+    assert "PASS equations-vanish" in out
+    assert "2 checks: 2 pass, 0 flagged, 0 fail" in out
+
+
+def test_surface_json_digest_denominator_8_field(capsys):
+    # theta-power table of this field has denominator 8; digest of the
+    # emission recorded before the integer product kernel
+    code, out, _ = run(capsys, "surface", "--field",
+                       "poly:x^3 - 3/4*x + 1/8;galois:2*x^2 - 1", "--a", "5/3",
+                       "--check", "--emit", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "27fec3e1773d9adb47a153d0e2f9e345a81eb3667a8397e492382527d03b4867")
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, severi, severi.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_zero_a_exit_2(capsys):

@@ -10,6 +10,7 @@ from severi import (
     QQ,
     InputError,
     find_normal_basis,
+    frobenius_extension,
     galois_apply,
     make_extension,
     make_shanks_cubic,
@@ -240,3 +241,67 @@ def test_nth_root_exact_beyond_float_range():
     from severi.fields import _nth_root_fraction
     assert _nth_root_fraction(Fraction(10 ** 399), 3) == 10 ** 133
     assert _nth_root_fraction(Fraction(10 ** 400), 3) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel against a schoolbook reference
+# ---------------------------------------------------------------------------
+
+def _kernel_fields():
+    fields = [make_shanks_cubic(t) for t in range(1, 9)]
+    # theta-power table with denominator 8
+    fields.append(make_extension(QQ, [F(1) / 8, F(-3) / 4, 0, 1], [-1, 0, 2]))
+    fields.append(make_extension(QQ, [1, 1, 1, 1, 1], [0, 0, 1]))  # zeta5
+    fields += [frobenius_extension(p, 4) for p in (5, 7)]
+    return fields
+
+
+KERNEL_FIELDS = _kernel_fields()
+
+
+def _schoolbook_mul(x, y):
+    L = x.ext
+    k = L.base
+    acc = [k.zero()] * L.degree
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            ab = k.mul(a, b)
+            for t, r in enumerate(L._theta_pow_table[i + j]):
+                acc[t] = k.add(acc[t], k.mul(ab, r))
+    return tuple(acc)
+
+
+def _same_scalars(got, want):
+    return got == want and all(type(g) is type(w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_arithmetic_matches_schoolbook(L, data):
+    if L.base.p is None:
+        scalars = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    else:
+        scalars = st.integers(min_value=-40, max_value=40)
+    vec = st.lists(scalars, min_size=L.degree, max_size=L.degree)
+    x, y = L.el(data.draw(vec)), L.el(data.draw(vec))
+    k = L.base
+    assert _same_scalars((x * y).coeffs, _schoolbook_mul(x, y))
+    assert _same_scalars((x + y).coeffs,
+                         tuple(k.add(a, b) for a, b in zip(x.coeffs, y.coeffs)))
+    assert _same_scalars((x - y).coeffs,
+                         tuple(k.sub(a, b) for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def test_arithmetic_with_base_scalars(shanks1):
+    x = shanks1.el([F(1) / 3, -2, F(5) / 7])
+    assert (2 * x).coeffs == (x + x).coeffs
+    assert (x - 1).coeffs == (F(-2) / 3, -2, F(5) / 7)
+    assert (1 - x).coeffs == (-x + 1).coeffs
+
+
+def test_elements_of_equal_extensions_combine():
+    L1, L2 = make_shanks_cubic(2), make_shanks_cubic(2)
+    assert L1 is not L2
+    assert (L1.theta() * L2.theta()).coeffs == (L1.theta() ** 2).coeffs
+    with pytest.raises(InputError):
+        L1.theta() + make_shanks_cubic(3).theta()

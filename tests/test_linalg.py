@@ -1,4 +1,5 @@
 """Exact matrices over extension elements: product, inverse, det, Galois."""
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -166,3 +167,61 @@ def test_inverse_involutive(seed):
     if det(A).is_zero():
         return
     assert inverse(inverse(A)) == A
+
+
+# ---------------------------------------------------------------------------
+# det against independent references
+# ---------------------------------------------------------------------------
+
+def _leibniz(A):
+    """Signed sum over permutations; the 0x0 determinant is 1."""
+    total = A.ext.zero()
+    for perm in itertools.permutations(range(A.rows)):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                         if perm[i] > perm[j])
+        term = A.ext.one()
+        for i, j in enumerate(perm):
+            term = term * A.at(i, j)
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4])  # 0x0 has determinant 1
+def test_det_matches_leibniz(shanks1, f5, size):
+    rng = random.Random(size)
+    for L in (shanks1, f5):
+        for _ in range(3):
+            A = from_rows(L, [[L.el([rng.randint(-3, 3) for _ in range(3)])
+                               for _ in range(size)] for _ in range(size)])
+            assert det(A) == _leibniz(A)
+
+
+def test_det_singular_and_row_swaps(shanks1):
+    t = shanks1.theta()
+    S = from_rows(shanks1, [[1, t, 2], [t, t * t, 2 * t], [0, 1, t]])  # row 2 = t * row 1
+    assert det(S).is_zero() and _leibniz(S).is_zero()
+    P = from_rows(shanks1, [[0, 1, t], [1, 0, 0], [t, 2, 0]])  # needs pivoting
+    assert det(P) == _leibniz(P)
+    assert not det(P).is_zero()
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_det_matches_sympy_on_base_field_matrices(shanks1, f7, p):
+    sympy = pytest.importorskip("sympy")
+    L = shanks1 if p is None else f7
+    rng = random.Random(11)
+    for size in range(1, 7):
+        for _ in range(4):
+            if p is None:
+                vals = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(size)] for _ in range(size)]
+            else:
+                vals = [[rng.randint(0, p - 1) for _ in range(size)]
+                        for _ in range(size)]
+            want = sympy.Matrix(vals).det()
+            got = det(from_rows(L, vals))
+            assert got.in_base()
+            if p is None:
+                assert got.base_value() == Fraction(int(want.p), int(want.q))
+            else:
+                assert got.base_value() == int(want) % p

@@ -319,6 +319,34 @@ def test_model_json_round_trip_finite(model_f7):
     assert model_from_json(blob) == model_f7
 
 
+def test_model_json_rejects_truncated_equations(model_f3):
+    blob = json.loads(json.dumps(model_to_json(model_f3)))
+    blob["equations_over_k"] = blob["equations_over_k"][:3]
+    with pytest.raises(InputError, match="3 equations, expected 27"):
+        model_from_json(blob)
+
+
+def test_model_json_rejects_tampered_coefficient(model_q):
+    blob = json.loads(json.dumps(model_to_json(model_q)))
+    term = blob["equations_over_k"][5][-1]
+    term[1][0] = str(Fraction(term[1][0]) + 1)
+    with pytest.raises(InputError, match="does not vanish"):
+        model_from_json(blob)
+
+
+def test_model_json_rejects_shape_errors(model_f3):
+    blob = json.loads(json.dumps(model_to_json(model_f3)))
+    for key, value in (("m", 9), ("n", 3)):
+        with pytest.raises(InputError):
+            model_from_json({**blob, key: value})
+    eqs = blob["equations_over_k"]
+    with pytest.raises(InputError, match="distinct leading monomials"):
+        model_from_json({**blob, "equations_over_k": eqs[:-1] + [eqs[0]]})
+    cubic = [[[3] + [0] * 9, [1, 0, 0]]]
+    with pytest.raises(InputError, match="homogeneous quadric"):
+        model_from_json({**blob, "equations_over_k": eqs[:-1] + [cubic]})
+
+
 def test_picard_json_round_trip(shanks1, nb1):
     g = picard_generator(shanks1, F(2), nb1, 2)
     blob = json.loads(json.dumps(picard_to_json(g, shanks1)))
