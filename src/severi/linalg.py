@@ -11,6 +11,7 @@ whose input matrices are monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
@@ -36,6 +37,12 @@ class Matrix:
 
     def row(self, i: int) -> tuple[ExtElement, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, ExtElement], ...], ...]:
+        """The nonzero entries of each row as (column, entry) pairs, by column."""
+        return tuple(tuple((j, a) for j, a in enumerate(self.row(i)) if not a.is_zero())
+                     for i in range(self.rows))
 
     def col(self, j: int) -> tuple[ExtElement, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))

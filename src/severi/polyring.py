@@ -218,21 +218,43 @@ def substitute_all(S: Sequence[MultiPoly], polys: Sequence[MultiPoly]
 def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     """F(A x): variable i becomes the linear form sum_j A[i][j] x_j.
 
-    Only the forms of variables that occur in F are built; the others are
-    never read.
+    A sparse kernel that never builds the linear forms.  Each term c x^e is
+    expanded variable by variable over the nonzero entries of the rows of A
+    it uses (`Matrix.sparse_rows`), starting from c, so c is multiplied in
+    once per row entry.  Partial products are keyed by the sorted tuple of
+    the indices j they have picked up (a multiset of size deg x^e) and
+    summed over all terms in one dict; each distinct key becomes an
+    exponent vector once, at the end.
     """
     if A.rows != A.cols or A.rows != F.nvars:
         raise ShapeMismatch(f"need a {F.nvars}x{F.nvars} matrix")
+    rows = A.sparse_rows
+    acc: dict[tuple[int, ...], ExtElement] = {}
+    for e, c in F.terms:
+        partial = {(): c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                grown: dict[tuple[int, ...], ExtElement] = {}
+                for key, v in partial.items():
+                    for j, a in rows[i]:
+                        t = key + (j,)
+                        if key and key[-1] > j:
+                            t = tuple(sorted(t))
+                        prod = v * a
+                        cur = grown.get(t)
+                        grown[t] = prod if cur is None else cur + prod
+                partial = grown
+        for key, v in partial.items():
+            cur = acc.get(key)
+            acc[key] = v if cur is None else cur + v
     m = F.nvars
-    units = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    used = {i for e, _ in F.terms for i, k in enumerate(e) if k}
-    forms = [zero_poly(F.ext, m)] * m
-    for i in used:
-        # unit vectors in ascending j are already in canonical (descending) order
-        forms[i] = MultiPoly(F.ext, m, tuple(
-            (units[j], c) for j in range(m)
-            if not (c := A.at(i, j)).is_zero()))
-    return substitute(F, forms)
+    terms: dict[Exponents, ExtElement] = {}
+    for key, v in acc.items():
+        e = [0] * m
+        for j in key:
+            e[j] += 1
+        terms[tuple(e)] = v
+    return _canonical(F.ext, m, terms)
 
 
 def jacobian(F: MultiPoly) -> tuple[MultiPoly, ...]:

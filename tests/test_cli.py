@@ -80,6 +80,15 @@ def test_import_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_python_dash_m_severi():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "severi", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "usage: severi" in done.stdout
+
+
 def test_zero_a_exit_2(capsys):
     for command in ("surface", "picard"):
         code, _, err = run(capsys, command, "--a", "0")
@@ -191,3 +200,31 @@ def test_verify_suite_dedup_and_exit(capsys):
     assert code == 0
     names = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(names) == 2  # two checks, suite ran once
+
+
+QI_CONIC = ("--field", "poly:x^2 + 1;galois:-x", "--n", "1", "--a", "2")
+
+
+def test_verify_picard_conic_over_q(capsys):
+    # the genus formula is stated for plane curves; at n = 1 it is not checked
+    code, out, _ = run(capsys, "verify", *QI_CONIC, "--suite", "picard")
+    assert code == 0
+    assert "genus" not in out
+    assert "3 checks: 3 pass, 0 flagged, 0 fail" in out
+
+
+def test_verify_triviality_conic_over_q(capsys):
+    # over Q(i) norms are sums of two squares: -1 is not one, and need not be
+    code, out, _ = run(capsys, "verify", *QI_CONIC, "--suite", "triviality")
+    assert code == 0
+    assert ("FLAG triviality:norm-minus1-coboundary  [no witness found; "
+            "-1 need not be a norm in even degree]") in out
+    assert "PASS triviality:witness-transports-model-to-veronese" in out
+
+
+def test_verify_picard_n2_emission_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "picard")
+    assert code == 0
+    assert "PASS picard:dprime2-genus-formula" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a0732fcb3a086d053446dd0af07a62de6585e72e80c71742ee81b34986e1fa2b"

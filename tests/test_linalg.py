@@ -130,6 +130,21 @@ def test_matrix_json_round_trip(shanks1):
     assert matrix_from_json(shanks1, blob) == A
 
 
+def test_sparse_rows_match_dense_entries(shanks1, f5):
+    rng = random.Random(3)
+    for L in (shanks1, f5):
+        for rows, cols in ((3, 3), (2, 4), (4, 1)):
+            A = from_rows(L, [[L.el([rng.randint(-1, 1) for _ in range(L.degree)])
+                               if rng.random() < 0.5 else 0 for _ in range(cols)]
+                              for _ in range(rows)])
+            assert A.sparse_rows == tuple(
+                tuple((j, A.at(i, j)) for j in range(cols) if not A.at(i, j).is_zero())
+                for i in range(rows))
+    Z = from_rows(f5, [[0, 0], [0, 0]])
+    assert Z.sparse_rows == ((), ())
+    assert identity(f5, 3).sparse_rows == tuple(((i, f5.one()),) for i in range(3))
+
+
 # ---------------------------------------------------------------------------
 # sampled laws
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Sparse homogeneous polynomials: substitution, Jacobian, span comparison."""
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from severi import (
     cyclic_cocycle,
+    frobenius_extension,
     from_rows,
     make_poly,
     make_shanks_cubic,
@@ -243,17 +245,46 @@ def test_substitute_all_matches_naive_expansion(seed):
     assert [substitute(Fp, polys) for Fp in S] == expected
 
 
-@settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_substitute_linear_matches_all_forms(seed):
+@functools.cache
+def twist_field(name):
+    return make_shanks_cubic(1) if name == "shanks1" else frobenius_extension(name, 4)
+
+
+def rand_mixed_poly(L, rng, nvars):
+    """A constant term, a term of degree 3 or 4 and up to three more terms of
+    degree 0..4, with random (possibly zero) coefficients."""
+    terms = {}
+    for d in [0, rng.randint(3, 4)] + [rng.randint(0, 4) for _ in range(rng.randint(0, 3))]:
+        e = [0] * nvars
+        for _ in range(d):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = L.el([rng.randint(-3, 3) for _ in range(L.degree)])
+    return make_poly(L, nvars, terms)
+
+
+def rand_twist_matrix(L, rng, m, kind):
+    """`sparse`: entries nonzero with probability 0.6 and one all-zero row;
+    `monomial`: a scaled permutation matrix."""
+    def entry():
+        return L.el([rng.randint(-2, 2) for _ in range(L.degree)])
+    if kind == "monomial":
+        perm = rng.sample(range(m), m)
+        return from_rows(L, [[entry() if j == perm[i] else 0 for j in range(m)]
+                             for i in range(m)])
+    zero_row = rng.randrange(m)
+    return from_rows(L, [[entry() if i != zero_row and rng.random() < 0.6 else 0
+                          for _ in range(m)] for i in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(["shanks1", 5, 7]), st.sampled_from(["sparse", "monomial"]))
+def test_substitute_linear_matches_all_forms(seed, field, kind):
     # F uses only some of its five variables; every form is built here
-    L = make_shanks_cubic(1)
+    L = twist_field(field)
     rng = random.Random(seed)
     m = 5
-    Fp = rand_any_poly(L, rng, m, 2)
-    A = from_rows(L, [[L.el([F(rng.randint(-2, 2)) for _ in range(3)])
-                       if rng.random() < 0.6 else 0 for _ in range(m)]
-                      for _ in range(m)])
+    Fp = rand_mixed_poly(L, rng, m)
+    A = rand_twist_matrix(L, rng, m, kind)
     xs = variables(L, m)
     forms = []
     for i in range(m):

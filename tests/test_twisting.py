@@ -7,16 +7,20 @@ import pytest
 
 from severi import (
     appendix_model,
+    cyclic_cocycle,
     descend_to_base,
     fermat,
     find_normal_basis,
     format_poly,
+    frobenius_extension,
+    lift_to_veronese,
     make_poly,
     model_from_json,
     model_to_json,
     omega_names,
     picard_generator,
     pullback_to_plane,
+    split_structured,
     substitute_linear,
     surface_model,
     twisted_curve_model,
@@ -167,6 +171,22 @@ def test_equations_over_k_pinned(request, name, digest, first, last):
     assert format_poly(eqs[0], names) == first
     assert format_poly(eqs[-1], names) == last
     assert _equations_digest(model) == digest
+
+
+def test_n3_twist_pinned():
+    # the n = 3 twist over F_{5^4}, a = 2: all 465 quadrics Q(M w), one line
+    # per quadric of `i.j:c0,c1,c2,c3` terms, pinned byte for byte
+    L = frobenius_extension(5, 4)
+    lift = lift_to_veronese(cyclic_cocycle(L, 2))
+    M = split_structured(lift, find_normal_basis(L, seed=L.theta()))
+    quads = veronese_ideal(monomial_basis(3, 4), L)
+    text = "".join(
+        " ".join(".".join(str(i) for i, k in enumerate(e) for _ in range(k))
+                 + ":" + ",".join(map(str, c.coeffs)) for e, c in G.terms) + "\n"
+        for G in (substitute_linear(Q, M) for Q in quads))
+    assert len(quads) == 465
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3e17cc94d0d875c5cb6f3eaa67166390954200ddb84de24abd90b8dabeb21add"
 
 
 def test_model_q_shape(model_q, shanks1):

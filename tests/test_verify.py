@@ -159,6 +159,13 @@ def test_run_all_nontrivial_class_documented():
     assert "not a proof" in note
 
 
+def test_run_all_minus1_without_witness_fails_in_odd_degree():
+    # N(-1) = -1 in degree 3, so a search that finds no witness is a failure
+    rep = run_all(VerifyConfig(suites=("triviality",), witness_bound=1))
+    statuses = {c.name: c.status for c in rep.checks}
+    assert statuses["triviality:norm-minus1-coboundary"] == "fail"
+
+
 def test_run_all_paper_eqs_flag():
     rep = run_all(VerifyConfig(suites=("paper-eqs",)))
     assert rep.ok
