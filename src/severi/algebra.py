@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalDescentFailure, LengthMismatch, ZeroA
-from .fields import BaseField, CyclicExtension, Scalar, galois_apply
+from .fields import BaseField, CyclicExtension, Scalar, galois_apply, row_reduce
 
 Table = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
@@ -55,28 +55,6 @@ def multiply_table(field: BaseField, table: Table,
                 if not field.is_zero(row[t]):
                     out[t] = field.add(out[t], field.mul(c, row[t]))
     return tuple(out)
-
-
-def _rank(field: BaseField, rows: list[list[Scalar]]) -> int:
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if not field.is_zero(m[r][c])), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = field.inv(m[rank][c])
-        m[rank] = [field.mul(v, inv) for v in m[rank]]
-        for r in range(len(m)):
-            if r == rank or field.is_zero(m[r][c]):
-                continue
-            f = m[r][c]
-            m[r] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def build_algebra(L: CyclicExtension, a) -> CyclicAlgebra:
@@ -192,7 +170,7 @@ def table_center_dimension(field: BaseField, table: Table) -> int:
             for i in range(dim):
                 row.append(field.sub(table[i][g][t], table[g][i][t]))
             rows.append(row)
-    return dim - _rank(field, rows)
+    return dim - len(row_reduce(field, rows)[1])
 
 
 def diagonal_table(field: BaseField, copies: int) -> Table:
@@ -232,7 +210,7 @@ def zero_divisor_from_witness(A: CyclicAlgebra, lam) -> tuple[Scalar, ...]:
 
 def left_multiplication_is_singular(A: CyclicAlgebra, x: Sequence[Scalar]) -> bool:
     M = left_multiplication_matrix(A, x)
-    return _rank(A.extension.base, M) < A.dim
+    return len(row_reduce(A.extension.base, M)[1]) < A.dim
 
 
 def table_to_json(A: CyclicAlgebra) -> list:

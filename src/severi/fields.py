@@ -15,6 +15,11 @@ over one common denominator).  Each output coordinate is then built once,
 as Fraction(v, d) over Q or v % p over F_p, so a product runs n+1 gcds
 instead of one per scalar operation.  Sums and differences work on the
 coordinate tuples directly.
+
+All exact linear algebra of the package, over k and over L, is one
+Gauss-Jordan elimination, `row_reduce`; a CyclicExtension offers the
+BaseField operations it uses.  The plain-text term joiner `format_terms`
+is shared with severi.grammar.
 """
 
 from __future__ import annotations
@@ -521,6 +526,20 @@ class CyclicExtension:
                 little = tup[::-1]  # first coordinate varies fastest
                 yield self.el([seq[i] for i in little])
 
+    # -- the BaseField operations row_reduce uses ---------------------------
+
+    def mul(self, a: "ExtElement", b: "ExtElement") -> "ExtElement":
+        return a * b
+
+    def sub(self, a: "ExtElement", b: "ExtElement") -> "ExtElement":
+        return a - b
+
+    def neg(self, a: "ExtElement") -> "ExtElement":
+        return -a
+
+    def inv(self, a: "ExtElement") -> "ExtElement":
+        return a.inverse()
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, CyclicExtension) and self.base == other.base
                 and self.f == other.f and self.g == other.g)
@@ -724,27 +743,41 @@ def trace(L: CyclicExtension, x: ExtElement) -> Scalar:
     return out.base_value()
 
 
-def _base_det(field: BaseField, rows: list[list[Scalar]]) -> Scalar:
-    """Determinant over the base field, plain elimination with pivoting."""
-    n = len(rows)
+def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]
+               ) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension.
+
+    Returns the reduced row echelon form, its pivot columns, and the product
+    of the pivots negated once per row swap, which is the determinant of a
+    square input of full rank.  Each pivot is inverted once, and zero
+    entries of the pivot row are skipped; zero tests use truthiness, which
+    is false for Fraction(0), the int 0 and a zero ExtElement.
+    """
     m = [list(r) for r in rows]
-    det = field.one()
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not field.is_zero(m[r][c])), None)
+    ncols = len(m[0]) if m else 0
+    mul, sub = field.mul, field.sub
+    pivots: list[int] = []
+    d = field.one()
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
-            return field.zero()
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for r in range(c + 1, n):
-            if field.is_zero(m[r][c]):
-                continue
-            factor = field.mul(m[r][c], inv)
-            for cc in range(c, n):
-                m[r][cc] = field.sub(m[r][cc], field.mul(factor, m[c][cc]))
-    return det
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = field.neg(d)
+        d = mul(d, m[r][c])
+        inv = field.inv(m[r][c])
+        m[r] = [mul(x, inv) if x else x for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots, d
 
 
 @dataclass(frozen=True)
@@ -762,8 +795,7 @@ class NormalBasis:
             nxt = self.elements[(i + 1) % L.degree]
             if galois_apply(L, self.elements[i], 1) != nxt:
                 raise InputError("orbit is not sigma-cyclic")
-        rows = [list(e.coeffs) for e in self.elements]
-        if L.base.is_zero(_base_det(L.base, rows)):
+        if len(row_reduce(L.base, [e.coeffs for e in self.elements])[1]) < L.degree:
             raise InputError("orbit is linearly dependent")
         if L.base.is_zero(self.trace_value):
             raise InputError("orbit has zero trace")
@@ -777,8 +809,7 @@ def _normal_basis_candidate(L: CyclicExtension, x: ExtElement) -> Optional[Norma
     if x.is_zero():
         return None
     orbit = conjugates(L, x)
-    rows = [list(e.coeffs) for e in orbit]
-    if L.base.is_zero(_base_det(L.base, rows)):
+    if len(row_reduce(L.base, [e.coeffs for e in orbit])[1]) < L.degree:
         return None
     s = L.zero()
     for e in orbit:
@@ -893,18 +924,27 @@ def format_scalar(x: Scalar) -> str:
     return str(int(x))
 
 
-def _format_terms(pairs: list[tuple[Scalar, str]]) -> str:
+def signed_scalar(x: Scalar) -> tuple[str, bool]:
+    """The text of |x| and whether x is negative (an F_p scalar never is)."""
+    neg = isinstance(x, Fraction) and x < 0
+    return format_scalar(-x if neg else x), neg
+
+
+def format_terms(terms: Iterable[tuple[str, bool, str]]) -> str:
+    """Join (coefficient text, negated, monomial) terms into a signed sum.
+
+    A coefficient of 1 before a monomial is dropped, and one with a "/"
+    that is not already parenthesized gets parentheses; the empty sum is 0.
+    """
     out = []
-    for c, mono in pairs:
-        if c == 0:
-            continue
-        neg = c < 0 if isinstance(c, Fraction) else False
-        mag = -c if neg else c
-        body = format_scalar(mag)
-        if "/" in body and mono:
-            body = f"({body})"
+    for body, neg, mono in terms:
         if mono:
-            body = mono if body == "1" else f"{body}*{mono}"
+            if body == "1":
+                body = mono
+            else:
+                if "/" in body and not body.startswith("("):
+                    body = f"({body})"
+                body = f"{body}*{mono}"
         if not out:
             out.append(f"-{body}" if neg else body)
         else:
@@ -912,20 +952,18 @@ def _format_terms(pairs: list[tuple[Scalar, str]]) -> str:
     return " ".join(out) if out else "0"
 
 
+def _power(var: str, i: int) -> str:
+    return "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+
+
 def format_univariate(f: Sequence[Scalar], var: str = "x") -> str:
-    pairs = []
-    for i in range(len(f) - 1, -1, -1):
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        pairs.append((f[i], mono))
-    return _format_terms(pairs)
+    return format_terms((*signed_scalar(f[i]), _power(var, i))
+                        for i in range(len(f) - 1, -1, -1) if f[i])
 
 
 def format_element(x: ExtElement, var: str = "t") -> str:
-    pairs = []
-    for i, c in enumerate(x.coeffs):
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-        pairs.append((c, mono))
-    return _format_terms(pairs)
+    return format_terms((*signed_scalar(c), _power(var, i))
+                        for i, c in enumerate(x.coeffs) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +987,10 @@ def element_to_json(x: ExtElement) -> list:
 
 
 def element_from_json(L: CyclicExtension, v: Sequence) -> ExtElement:
+    """An element from its [L:k] power-basis coordinates; any other length
+    raises InputError instead of being reduced mod f or padded."""
+    if len(v) != L.degree:
+        raise InputError(f"element has {len(v)} coordinates, expected {L.degree}")
     return L.el([scalar_from_json(c) for c in v])
 
 

@@ -19,8 +19,9 @@ from .fields import (
     ExtElement,
     Scalar,
     format_element,
-    format_scalar,
+    format_terms,
     poly_trim,
+    signed_scalar,
 )
 from .polyring import MultiPoly, constant, make_poly
 
@@ -274,10 +275,7 @@ class _UniParser:
 def _coeff_str(c: ExtElement) -> tuple[str, bool]:
     """(text, negated): base-field scalars may pull their sign out front."""
     if c.in_base():
-        v = c.base_value()
-        neg = isinstance(v, Fraction) and v < 0
-        body = format_scalar(-v if neg else v)
-        return body, neg
+        return signed_scalar(c.base_value())
     return f"({format_element(c)})", False
 
 
@@ -286,26 +284,10 @@ def format_poly(F: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
         names = default_names(F.nvars)
     if len(names) != F.nvars:
         raise InputError("name list length mismatch")
-    if F.is_zero():
-        return "0"
-    parts = []
-    for e, c in F.terms:
-        mono = "*".join(
-            names[i] if k == 1 else f"{names[i]}^{k}"
-            for i, k in enumerate(e) if k)
-        body, neg = _coeff_str(c)
-        if mono:
-            if body == "1":
-                body = mono
-            else:
-                if "/" in body and not body.startswith("("):
-                    body = f"({body})"
-                body = f"{body}*{mono}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    return format_terms(
+        (*_coeff_str(c), "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
+                                  for i, k in enumerate(e) if k))
+        for e, c in F.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Exact dense matrices over cyclic-extension elements.
 
-Determinants, inverses and row echelon forms share one elimination: each
-pivot is inverted once and multiples of its row are subtracted from the
-others, skipping the zero entries of the pivot row, with exact field
+Determinants, inverses and row echelon forms are all read off one
+Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
 arithmetic in L (see severi.fields for the integer product kernel).  A
 scaled-permutation recognizer supports the structured Hilbert 90 split,
 whose input matrices are monomial.
@@ -15,8 +14,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
-from .fields import CyclicExtension, ExtElement, galois_apply
-from .fields import scalar_from_json as _scalar_from_json
+from .fields import (CyclicExtension, ExtElement, element_from_json, galois_apply,
+                     row_reduce)
 from .fields import scalar_to_json as _scalar_to_json
 
 
@@ -138,53 +137,24 @@ def mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def det(A: Matrix) -> ExtElement:
-    """Gaussian elimination over the field: each pivot is inverted once and
-    multiples of its row are subtracted below it; the determinant is the
-    product of the pivots, negated once per row swap."""
+    """The signed product of the pivots of fields.row_reduce when A has
+    full rank, else zero."""
     if A.rows != A.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    n = A.rows
-    m = A.as_rows()
-    d = A.ext.one()
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
-        if piv is None:
-            return A.ext.zero()
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d = d * m[c][c]
-        inv = m[c][c].inverse()
-        for r in range(c + 1, n):
-            if m[r][c].is_zero():
-                continue
-            f = m[r][c] * inv
-            m[r][c + 1:] = [x - f * y if y else x
-                            for x, y in zip(m[r][c + 1:], m[c][c + 1:])]
-    return d
+    _, pivots, d = row_reduce(A.ext, A.as_rows())
+    return d if len(pivots) == A.rows else A.ext.zero()
 
 
 def inverse(A: Matrix) -> Matrix:
+    """The right block of the reduced form of [A | I]."""
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
     n = A.rows
-    ext = A.ext
-    eye = identity(ext, n)
-    aug = [list(A.row(i)) + list(eye.row(i)) for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-        if piv is None:
-            raise Singular("matrix is not invertible")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv if x else x for x in aug[c]]
-        for r in range(n):
-            if r == c or aug[r][c].is_zero():
-                continue
-            f = aug[r][c]
-            aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[c])]
-    ent = tuple(aug[i][n + j] for i in range(n) for j in range(n))
-    return Matrix(ext, n, n, ent)
+    eye = identity(A.ext, n)
+    R, pivots, _ = row_reduce(A.ext, [A.row(i) + eye.row(i) for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise Singular("matrix is not invertible")
+    return Matrix(A.ext, n, n, tuple(x for row in R for x in row[n:]))
 
 
 def galois_matrix(L: CyclicExtension, A: Matrix, j: int) -> Matrix:
@@ -227,28 +197,8 @@ def as_scaled_permutation(A: Matrix) -> Optional[ScaledPermutation]:
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact field division."""
-    m = A.as_rows()
-    ext = A.ext
-    pivots: list[int] = []
-    r = 0
-    for c in range(A.cols):
-        if r == A.rows:
-            break
-        piv = next((i for i in range(r, A.rows) if not m[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(A.rows):
-            if i == r or m[i][c].is_zero():
-                continue
-            f = m[i][c]
-            m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    ent = tuple(x for row in m for x in row)
-    return Matrix(ext, A.rows, A.cols, ent), pivots
+    R, pivots, _ = row_reduce(A.ext, A.as_rows())
+    return Matrix(A.ext, A.rows, A.cols, tuple(x for row in R for x in row)), pivots
 
 
 def rank(A: Matrix) -> int:
@@ -287,6 +237,5 @@ def matrix_to_json(A: Matrix) -> dict:
 
 
 def matrix_from_json(L: CyclicExtension, obj: dict) -> Matrix:
-    ent = tuple(L.el([_scalar_from_json(c) for c in coeffs])
-                for coeffs in obj["entries"])
+    ent = tuple(element_from_json(L, coeffs) for coeffs in obj["entries"])
     return Matrix(L, obj["rows"], obj["cols"], ent)

@@ -362,7 +362,6 @@ def poly_to_json(F: MultiPoly) -> list:
 
 
 def poly_from_json(ext: CyclicExtension, nvars: int, obj: Sequence) -> MultiPoly:
-    from .fields import scalar_from_json
+    from .fields import element_from_json
     return make_poly(ext, nvars, {
-        tuple(e): ext.el([scalar_from_json(c) for c in coeffs])
-        for e, coeffs in obj})
+        tuple(e): element_from_json(ext, coeffs) for e, coeffs in obj})

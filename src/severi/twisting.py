@@ -12,7 +12,7 @@ exactly when the subspace is Galois stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_generic, split_structured
@@ -50,7 +50,6 @@ from .polyring import (
     zero_poly,
 )
 from .veronese import (
-    MonomialBasis,
     ParametrizationMap,
     canonical_embedding,
     ideal_quadric_count,
@@ -85,7 +84,7 @@ def fermat(L: CyclicExtension, dprime: int, a) -> FermatHypersurface:
     deg = (n + 1) * dprime
     terms = {}
     apow = L.base.one()
-    step = _pow(L.base, a, dprime)
+    step = L.base.coerce(a ** dprime)
     for i in range(n + 1):
         e = tuple(deg if j == i else 0 for j in range(n + 1))
         terms[e] = L.from_base(apow)
@@ -93,17 +92,10 @@ def fermat(L: CyclicExtension, dprime: int, a) -> FermatHypersurface:
     poly = make_poly(L, n + 1, terms)
     A_a = cyclic_cocycle(L, a).at_generator
     scaled = substitute_linear(poly, A_a)
-    if scaled != poly * L.from_base(_pow(L.base, a, dprime)):
+    if scaled != poly * L.from_base(step):
         raise InternalDescentFailure("Fermat invariance identity failed")
     genus = (3 * dprime - 1) * (3 * dprime - 2) // 2 if n == 2 else None
     return FermatHypersurface(n, dprime, a, poly, genus)
-
-
-def _pow(field, a, k: int):
-    out = field.one()
-    for _ in range(k):
-        out = field.mul(out, a)
-    return out
 
 
 @dataclass(frozen=True)
@@ -140,33 +132,6 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
     return reduced
 
 
-def _build_model(L: CyclicExtension, a, basis: MonomialBasis, provenance: str,
-                 nb: Optional[NormalBasis], cross_check: bool, rng_seed: int,
-                 validate: bool) -> SurfaceModel:
-    a = L.base.coerce(a)
-    n = L.degree - 1
-    xi = cyclic_cocycle(L, a)
-    lifted = lift_to_veronese(xi)
-    if nb is None:
-        nb = find_normal_basis(L, seed=L.theta())
-    M = split_structured(lifted, nb)
-    if cross_check:
-        M2 = split_generic(lifted, rng_seed=rng_seed)
-        D = inverse(M) * M2
-        if any(not e.in_base() for e in D.entries):
-            raise InternalDescentFailure(
-                "structured and generic splits do not differ by a GL_m(k) factor")
-    quads = veronese_ideal(basis, L)
-    twisted = [substitute_linear(Q, M) for Q in quads]
-    equations = descend_to_base(L, twisted)
-    param = ParametrizationMap(basis, post_compose=inverse(M))
-    model = SurfaceModel(L, a, n, basis.m, M, tuple(equations), param,
-                         provenance, nb)
-    if validate:
-        _validate_model(model)
-    return model
-
-
 def parametrization_residuals(model: SurfaceModel) -> list[MultiPoly]:
     """Each model equation composed with the model's parametrization; all
     are zero exactly when the equations vanish on the model."""
@@ -190,18 +155,38 @@ def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
                   validate: bool = True) -> SurfaceModel:
     """Main pipeline: companion cocycle, Veronese lift, structured split,
     twisted ideal quadrics, descent to the base field."""
+    a = L.base.coerce(a)
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
-    return _build_model(L, a, basis, "main_path", nb, cross_check, rng_seed, validate)
+    xi = cyclic_cocycle(L, a)
+    lifted = lift_to_veronese(xi)
+    if nb is None:
+        nb = find_normal_basis(L, seed=L.theta())
+    M = split_structured(lifted, nb)
+    if cross_check:
+        M2 = split_generic(lifted, rng_seed=rng_seed)
+        D = inverse(M) * M2
+        if any(not e.in_base() for e in D.entries):
+            raise InternalDescentFailure(
+                "structured and generic splits do not differ by a GL_m(k) factor")
+    quads = veronese_ideal(basis, L)
+    twisted = [substitute_linear(Q, M) for Q in quads]
+    equations = descend_to_base(L, twisted)
+    param = ParametrizationMap(basis, post_compose=inverse(M))
+    model = SurfaceModel(L, a, n, basis.m, M, tuple(equations), param,
+                         "main_path", nb)
+    if validate:
+        _validate_model(model)
+    return model
 
 
 def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
                    cross_check: bool = False, rng_seed: int = 0,
                    validate: bool = True) -> SurfaceModel:
-    """Alternative pipeline through the degree-6 plane curve (d' = 2): its
-    canonical embedding is the degree-3 Veronese on P^2, so the same lift
-    and split produce a model with appendix provenance.  Genus bookkeeping
-    is checked against the basis size."""
+    """The route through the degree-6 plane curve (d' = 2): its canonical
+    embedding is the degree-3 Veronese on P^2, so the model is the main
+    one, relabelled with appendix provenance.  The genus bookkeeping and
+    that identity of embeddings are checked."""
     if L.degree != 3:
         raise InputError("the appendix path requires a degree-3 extension (n = 2)")
     dprime = 2
@@ -209,8 +194,10 @@ def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
     basis = canonical_embedding(3 * dprime)
     if basis.m != curve.genus:
         raise InternalDescentFailure("canonical basis size differs from the genus")
-    return _build_model(L, a, basis, "appendix_path", nb, cross_check, rng_seed,
-                        validate)
+    if basis != monomial_basis(2, 3):
+        raise InternalDescentFailure("canonical embedding is not the degree-3 Veronese")
+    model = surface_model(L, a, nb, cross_check, rng_seed, validate)
+    return replace(model, provenance="appendix_path")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Base fields, cyclic extensions, Galois action, norm/trace, witnesses."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from severi import (
     trace,
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroInput
-from severi.fields import conjugates
+from severi.fields import (NormalBasis, conjugates, element_from_json,
+                           element_to_json, row_reduce)
 
 
 def F(x):
@@ -150,6 +152,15 @@ def test_find_normal_basis_shanks_accepts_theta(shanks1, nb1):
 
 def test_find_normal_basis_zero_seed_advances(shanks1, nb1):
     assert find_normal_basis(shanks1, seed=shanks1.zero()) == nb1
+
+
+@pytest.mark.parametrize("c", [1, -2])
+def test_normal_basis_rejects_dependent_orbit(shanks1, f5, c):
+    # a base-field element is its own sigma-orbit: cyclic, nonzero trace, rank 1
+    for L in (shanks1, f5):
+        x = L.from_base(c)
+        with pytest.raises(InputError, match="linearly dependent"):
+            NormalBasis((x, x, x), L.base.coerce(3 * c))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +310,83 @@ def test_arithmetic_with_base_scalars(shanks1):
     assert (1 - x).coeffs == (-x + 1).coeffs
 
 
+def test_element_from_json_requires_degree_coordinates(shanks1, f5):
+    x = shanks1.el([F(1) / 3, -2, 5])
+    assert element_from_json(shanks1, element_to_json(x)) == x
+    # [0, 0, 0, 1] would otherwise read as theta^3 mod f, and [5] be padded
+    for bad in ([0, 0, 0, 1], [5], []):
+        for L in (shanks1, f5):
+            with pytest.raises(InputError, match="coordinates"):
+                element_from_json(L, bad)
+
+
 def test_elements_of_equal_extensions_combine():
     L1, L2 = make_shanks_cubic(2), make_shanks_cubic(2)
     assert L1 is not L2
     assert (L1.theta() * L2.theta()).coeffs == (L1.theta() ** 2).coeffs
     with pytest.raises(InputError):
         L1.theta() + make_shanks_cubic(3).theta()
+
+
+# ---------------------------------------------------------------------------
+# row_reduce against sympy
+# ---------------------------------------------------------------------------
+
+def _sympy_scalar(x, p):
+    if p is None:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x) % p
+
+
+def _row_reduce_inputs(k, rng):
+    """Square, non-square, rank-deficient and zero-row inputs, the empty
+    ones, and one that needs a row swap."""
+    def entry():
+        if k.p is None:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(k.p)
+
+    def product(rows, inner, cols):
+        A = [[entry() for _ in range(inner)] for _ in range(rows)]
+        B = [[entry() for _ in range(cols)] for _ in range(inner)]
+        return [[k.coerce(sum(a * b for a, b in zip(r, col))) for col in zip(*B)]
+                for r in A]
+
+    out = [[], [[], []]]
+    for rows, cols in [(1, 1), (3, 3), (4, 4), (5, 5), (2, 5), (5, 2), (3, 6)]:
+        out.append([[entry() for _ in range(cols)] for _ in range(rows)])
+        out.append(product(rows, max(1, min(rows, cols) - 1), cols))
+        zero_row = [[entry() for _ in range(cols)] for _ in range(rows)]
+        zero_row[rng.randrange(rows)] = [k.zero()] * cols
+        out.append(zero_row)
+    out.append([[k.zero()] * 3 for _ in range(3)])
+    out.append([[k.zero(), k.one()], [k.coerce(2), k.coerce(3)]])  # needs a row swap
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_row_reduce_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    k = QQ if p is None else GF(p)
+    K = sympy.QQ if p is None else sympy.GF(p)
+    rng = random.Random(5)
+    for rows in _row_reduce_inputs(k, rng):
+        r, c = len(rows), len(rows[0]) if rows else 0
+        D = DomainMatrix([[K(int(x)) if p is not None else K(x.numerator, x.denominator)
+                           for x in row] for row in rows], (r, c), K)
+        R, pivots, d = row_reduce(k, rows)
+        want_R, want_pivots = D.rref()
+        assert pivots == list(want_pivots)
+        assert R == [[_sympy_scalar(x, p) for x in row] for row in want_R.to_list()]
+        if r != c:
+            continue
+        want_det = _sympy_scalar(D.det(), p)
+        assert (d if len(pivots) == r else k.zero()) == want_det
+        eye = [[k.one() if i == j else k.zero() for j in range(r)] for i in range(r)]
+        R2, pivots2, _ = row_reduce(k, [row + e for row, e in zip(rows, eye)])
+        assert (pivots2[:r] == list(range(r))) == (want_det != 0)
+        if want_det != 0:
+            want_inv = [[_sympy_scalar(x, p) for x in row] for row in D.inv().to_list()]
+            assert [row[r:] for row in R2] == want_inv

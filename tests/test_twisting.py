@@ -1,6 +1,7 @@
 """End-to-end constructions: Fermat family, descent, models, Picard forms."""
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -307,10 +308,11 @@ def test_displayed_equations_report(shanks1, model_q):
 # appendix path
 # ---------------------------------------------------------------------------
 
-def test_appendix_model_shape(appendix_q):
+def test_appendix_model_shape(appendix_q, model_q):
     assert appendix_q.provenance == "appendix_path"
     assert appendix_q.m == 10
     assert len(span_reduce(list(appendix_q.equations_over_k))) == 27
+    assert replace(appendix_q, provenance="main_path") == model_q
 
 
 def test_appendix_equations_vanish(appendix_q, shanks1):

@@ -131,6 +131,12 @@ def test_jacobian_rank_detects_singularity(f2):
     assert jacobian_rank_at([q], smooth_pt, 2) == 1
 
 
+def test_jacobian_rank_reads_rational_coefficients_mod_p(shanks1):
+    # (1/2) w0 w1 at (0, 1): the w0-partial is 1/2 = 2 mod 3, not int(1/2) = 0
+    q = make_poly(shanks1, 2, {(1, 1): shanks1.from_base(Fraction(1, 2))})
+    assert jacobian_rank_at([q], (0, 1), 3) == 1
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
