@@ -67,8 +67,9 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = other if isinstance(other, ExtElement) else self.ext.from_base(other)
+            scaled = ((e, x * c) for e, x in self.terms)
             return MultiPoly(self.ext, self.nvars,
-                             tuple((e, x * c) for e, x in self.terms if not (x * c).is_zero()))
+                             tuple((e, y) for e, y in scaled if not y.is_zero()))
         if other.nvars != self.nvars:
             raise ShapeMismatch("polynomials in different rings")
         acc: dict[Exponents, ExtElement] = {}
@@ -90,8 +91,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def _coerce(self, other) -> "MultiPoly":

@@ -8,6 +8,12 @@ ideal quadrics composed with M: Q(M w) = 0.  Descent to k is one row
 reduction of the twisted family over L: the reduced row-echelon basis of a
 subspace is unique, so it is fixed by sigma, and has its coefficients in k,
 exactly when the subspace is Galois stable.
+
+The paper's displayed n = 2 relations are products of ten linear forms.
+They are written once, over those factors; their residuals on a model are
+the same products of the pulled-back factors, which is exact because
+substitution is a ring homomorphism, so no relation is expanded in the ten
+w-coordinates before it is checked.
 """
 
 from __future__ import annotations
@@ -281,8 +287,9 @@ def twisted_curve_model(L: CyclicExtension, a, nb: NormalBasis, dprime: int,
 # the displayed n = 2 equation system
 # ---------------------------------------------------------------------------
 
-def _omega_form(L: CyclicExtension, m: int, labels: Sequence[ExtElement],
+def _omega_form(L: CyclicExtension, labels: Sequence[ExtElement],
                 cols: Sequence[int]) -> MultiPoly:
+    m = 10
     terms = {}
     for lab, c in zip(labels, cols):
         e = tuple(1 if t == c else 0 for t in range(m))
@@ -290,47 +297,72 @@ def _omega_form(L: CyclicExtension, m: int, labels: Sequence[ExtElement],
     return make_poly(L, m, terms)
 
 
+def _displayed_forms(L: CyclicExtension, nb: NormalBasis) -> list[MultiPoly]:
+    """The ten linear factors F1, ..., F9, w4 of the displayed system, as
+    forms in w0, ..., w9."""
+    if L.degree != 3:
+        raise InputError("the displayed system is for n = 2")
+    l1, l2, l3 = nb.elements
+    order1, order2, order3 = (l1, l2, l3), (l3, l1, l2), (l2, l3, l1)
+    return [
+        _omega_form(L, order1, (0, 6, 9)),  # F1
+        _omega_form(L, order2, (0, 6, 9)),  # F2
+        _omega_form(L, order2, (1, 5, 7)),  # F3
+        _omega_form(L, order1, (1, 5, 7)),  # F4
+        _omega_form(L, order2, (2, 3, 8)),  # F5
+        _omega_form(L, order1, (2, 3, 8)),  # F6
+        _omega_form(L, order3, (2, 3, 8)),  # F7
+        _omega_form(L, order3, (0, 6, 9)),  # F8
+        _omega_form(L, order3, (1, 5, 7)),  # F9
+        _omega_form(L, (L.one(),), (4,)),   # w4
+    ]
+
+
+def _displayed_relations(forms: Sequence[MultiPoly], a_el: ExtElement
+                         ) -> list[tuple[str, MultiPoly]]:
+    """The seven displayed relations, each left side minus right side, as
+    products of the given factors F1, ..., F9, w4.
+
+    Called on the forms themselves this gives the relations in the
+    w-coordinates.  Substitution is a ring homomorphism, so called on the
+    forms pulled back through a parametrization phi it gives exactly the
+    residuals phi(relation): phi(F1 F2^2 a^2 - F3^3) = phi(F1) phi(F2)^2 a^2
+    - phi(F3)^3, and no relation is expanded in the ten w-coordinates.
+    """
+    F1, F2, F3, F4, F5, F6, F7, F8, F9, w4 = forms
+    F22 = F2 * F2
+    return [
+        ("equation-1", F1 * F22 * a_el * a_el - F3 ** 3),
+        ("equation-2", F4 * F22 * a_el - F3 * F3 * F5),
+        ("equation-3", F6 * F22 * a_el - F3 * F3 * F2),
+        ("equation-4", F7 * F22 * a_el - F3 * F5 * F5),
+        ("equation-5", w4 * F22 - F3 * F5 * F2),
+        ("equation-6", F8 * F22 * a_el - F5 ** 3),
+        ("equation-7", F9 * F22 - F5 ** 3 * F2),
+    ]
+
+
+def _equation7_reconstruction(forms: Sequence[MultiPoly]) -> MultiPoly:
+    """The seventh relation with its cube lowered to a square, as a product
+    of the given factors, like `_displayed_relations`."""
+    F2, F5, F9 = forms[1], forms[4], forms[8]
+    return F9 * F2 * F2 - F5 * F5 * F2
+
+
 def theorem1_equations(L: CyclicExtension, a, nb: NormalBasis
                        ) -> list[tuple[str, MultiPoly, bool]]:
     """The seven displayed cubic relations for n = 2 as (name, poly, homogeneous)
     triples, each written as left side minus right side."""
-    if L.degree != 3:
-        raise InputError("the displayed system is for n = 2")
-    a_el = L.from_base(L.base.coerce(a))
-    l1, l2, l3 = nb.elements
-    m = 10
-    F1 = _omega_form(L, m, (l1, l2, l3), (0, 6, 9))
-    F2 = _omega_form(L, m, (l3, l1, l2), (0, 6, 9))
-    F3 = _omega_form(L, m, (l3, l1, l2), (1, 5, 7))
-    F4 = _omega_form(L, m, (l1, l2, l3), (1, 5, 7))
-    F5 = _omega_form(L, m, (l3, l1, l2), (2, 3, 8))
-    F6 = _omega_form(L, m, (l1, l2, l3), (2, 3, 8))
-    F7 = _omega_form(L, m, (l2, l3, l1), (2, 3, 8))
-    F8 = _omega_form(L, m, (l2, l3, l1), (0, 6, 9))
-    F9 = _omega_form(L, m, (l2, l3, l1), (1, 5, 7))
-    w4 = make_poly(L, m, {tuple(1 if t == 4 else 0 for t in range(m)): L.one()})
-    eqs = [
-        ("equation-1", F1 * F2 * F2 * a_el * a_el - F3 ** 3),
-        ("equation-2", F4 * F2 * F2 * a_el - F3 * F3 * F5),
-        ("equation-3", F6 * F2 * F2 * a_el - F3 * F3 * F2),
-        ("equation-4", F7 * F2 * F2 * a_el - F3 * F5 * F5),
-        ("equation-5", w4 * F2 * F2 - F3 * F5 * F2),
-        ("equation-6", F8 * F2 * F2 * a_el - F5 ** 3),
-        ("equation-7", F9 * F2 * F2 - F5 ** 3 * F2),
-    ]
-    return [(name, poly, poly.is_homogeneous()) for name, poly in eqs]
+    forms = _displayed_forms(L, nb)
+    relations = _displayed_relations(forms, L.from_base(L.base.coerce(a)))
+    return [(name, poly, poly.is_homogeneous()) for name, poly in relations]
 
 
 def theorem1_equation7_reconstruction(L: CyclicExtension, a, nb: NormalBasis
                                       ) -> MultiPoly:
     """Nearest homogeneous candidate for the seventh relation: lower the cube
     to a square so both sides have degree 3.  A reconstruction, not a quote."""
-    l1, l2, l3 = nb.elements
-    m = 10
-    F2 = _omega_form(L, m, (l3, l1, l2), (0, 6, 9))
-    F5 = _omega_form(L, m, (l3, l1, l2), (2, 3, 8))
-    F9 = _omega_form(L, m, (l2, l3, l1), (1, 5, 7))
-    return F9 * F2 * F2 - F5 * F5 * F2
+    return _equation7_reconstruction(_displayed_forms(L, nb))
 
 
 def verify_theorem1_equations(L: CyclicExtension, a,
@@ -339,25 +371,35 @@ def verify_theorem1_equations(L: CyclicExtension, a,
     """Substitute the parametrization into each displayed relation and report
     pass, fail, or flagged per equation.  The seventh relation mixes degrees
     3 and 4 and is reported as printed, flagged, with the residual and a
-    homogeneous reconstruction that does vanish."""
+    homogeneous reconstruction that does vanish.
+
+    Only the ten linear factors are substituted; each residual is then the
+    same product of the pulled-back factors (`_displayed_relations`), which
+    is exact because substitution is a ring homomorphism.  The splitting
+    matrix is invertible, so the parametrization sends each nonzero linear
+    form to a nonzero cubic form, and a product of d of them to a nonzero
+    form of degree 3d: a relation is homogeneous in the w's exactly when its
+    residual is homogeneous in the plane variables.
+    """
     if nb is None:
         nb = find_normal_basis(L, seed=L.theta())
+    forms = _displayed_forms(L, nb)
     if model is None:
         model = surface_model(L, a, nb=nb)
-    coords = list(model.parametrization.symbolic(L))
-    relations = theorem1_equations(L, a, nb)
-    recon = theorem1_equation7_reconstruction(L, a, nb)
-    *residuals, recon_res = substitute_all(
-        [poly for _, poly, _ in relations] + [recon], coords)
+    pulled = substitute_all(forms, list(model.parametrization.symbolic(L)))
+    a_el = L.from_base(L.base.coerce(a))
     report = []
-    for (name, poly, homogeneous), residual in zip(relations, residuals):
+    for name, residual in _displayed_relations(pulled, a_el):
+        homogeneous = residual.is_homogeneous()
         entry: dict = {"name": name, "homogeneous": homogeneous}
         if not homogeneous:
+            recon = _equation7_reconstruction(forms)
             entry["status"] = "flagged"
             entry["note"] = "degree-inhomogeneous as printed (3 vs 4)"
             entry["residual"] = format_poly(residual, plane_names(2))
             entry["reconstruction"] = format_poly(recon, omega_names(10))
-            entry["reconstruction_vanishes"] = recon_res.is_zero()
+            entry["reconstruction_vanishes"] = \
+                _equation7_reconstruction(pulled).is_zero()
         elif residual.is_zero():
             entry["status"] = "pass"
         else:

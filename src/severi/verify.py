@@ -2,9 +2,9 @@
 
 Point counts over small prime fields, Jacobian smoothness spot checks,
 genus formulas, and suite runners producing machine-readable reports.
-Exhaustive projective enumeration is capped at p = 3 for ten coordinates;
-larger primes are counted through a base-rational form of the
-parametrization obtained from a norm witness.
+Exhaustive projective enumeration is capped at p = 3 and at 3^10 tuples
+(ten coordinates); larger primes are counted through a base-rational form
+of the parametrization obtained from a norm witness.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .twisting import (SurfaceModel, appendix_model, fermat, picard_generator,
 from .veronese import monomial_basis, veronese_ideal
 
 EXHAUSTIVE_MAX_P = 3
+EXHAUSTIVE_MAX_TUPLES = 3 ** 10  # P^9(F_3), the largest space enumerated
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,12 @@ def solve_points_exhaustive(model: SurfaceModel, p: int) -> list[tuple[int, ...]
     _require_prime_model(model, p)
     if p > EXHAUSTIVE_MAX_P:
         raise TooLarge(f"exhaustive enumeration capped at p = {EXHAUSTIVE_MAX_P}")
+    m = model.m
+    if p ** m > EXHAUSTIVE_MAX_TUPLES:
+        raise TooLarge(f"exhaustive enumeration of P^{m - 1}(F_{p}) would list "
+                       f"{p}^{m} tuples, over the cap of {EXHAUSTIVE_MAX_TUPLES}")
     import numpy as np  # imported here: the only user, and slow to import
 
-    m = model.m
     arr = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
     nonzero = arr.any(axis=1)
     first = (arr != 0).argmax(axis=1)

@@ -5,8 +5,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from severi import (
+    QQ,
     appendix_model,
     cyclic_cocycle,
     descend_to_base,
@@ -15,7 +18,9 @@ from severi import (
     format_poly,
     frobenius_extension,
     lift_to_veronese,
+    make_extension,
     make_poly,
+    make_shanks_cubic,
     model_from_json,
     model_to_json,
     omega_names,
@@ -24,10 +29,12 @@ from severi import (
     split_structured,
     substitute_linear,
     surface_model,
+    theorem1_equations,
     twisted_curve_model,
     verify_theorem1_equations,
 )
 from severi.errors import InputError, NotGaloisStable, ZeroA
+from severi.grammar import plane_names
 from severi.polyring import (
     galois_poly,
     in_span,
@@ -35,8 +42,14 @@ from severi.polyring import (
     span_equal,
     span_reduce,
     substitute,
+    substitute_all,
 )
-from severi.twisting import picard_from_json, picard_to_json, proportional
+from severi.twisting import (
+    picard_from_json,
+    picard_to_json,
+    proportional,
+    theorem1_equation7_reconstruction,
+)
 from severi.veronese import monomial_basis, veronese_ideal
 
 
@@ -302,6 +315,81 @@ def test_displayed_equations_report(shanks1, model_q):
     assert not seventh["homogeneous"]
     assert "3 vs 4" in seventh["note"]
     assert seventh["reconstruction_vanishes"] is True
+
+
+def _expanded_route_report(L, a, nb, model):
+    # reference route: expand each relation in w0..w9, then substitute the
+    # parametrization into the expansions
+    coords = list(model.parametrization.symbolic(L))
+    relations = theorem1_equations(L, a, nb)
+    recon = theorem1_equation7_reconstruction(L, a, nb)
+    *residuals, recon_res = substitute_all(
+        [poly for _, poly, _ in relations] + [recon], coords)
+    report = []
+    for (name, _, homogeneous), residual in zip(relations, residuals):
+        entry = {"name": name, "homogeneous": homogeneous}
+        if not homogeneous:
+            entry["status"] = "flagged"
+            entry["note"] = "degree-inhomogeneous as printed (3 vs 4)"
+            entry["residual"] = format_poly(residual, plane_names(2))
+            entry["reconstruction"] = format_poly(recon, omega_names(10))
+            entry["reconstruction_vanishes"] = recon_res.is_zero()
+        elif residual.is_zero():
+            entry["status"] = "pass"
+        else:
+            entry["status"] = "fail"
+            entry["residual"] = format_poly(residual, plane_names(2))
+        report.append(entry)
+    return report
+
+
+def _factored_and_expanded(L, a, model_a=None):
+    nb = find_normal_basis(L, seed=L.theta())
+    model = surface_model(L, a if model_a is None else model_a, nb=nb)
+    return (verify_theorem1_equations(L, a, nb=nb, model=model),
+            _expanded_route_report(L, a, nb, model))
+
+
+def _report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+SHANKS = {t: make_shanks_cubic(t) for t in range(1, 9)}
+
+
+# each example builds a model, so a failure is reported as drawn, unshrunk
+@pytest.mark.parametrize("t", range(1, 9))
+@settings(max_examples=2, deadline=None, phases=(Phase.reuse, Phase.generate))
+@given(a=st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool))
+def test_displayed_report_matches_expanded_route(t, a):
+    factored, expanded = _factored_and_expanded(SHANKS[t], a)
+    assert factored == expanded
+
+
+def test_displayed_report_matches_expanded_route_denominator_8():
+    L = make_extension(QQ, [F(1) / 8, F(-3) / 4, 0, 1], [-1, 0, 2])
+    factored, expanded = _factored_and_expanded(L, F(5) / 3)
+    assert factored == expanded
+    assert [r["status"] for r in factored] == ["pass"] * 6 + ["flagged"]
+
+
+def test_displayed_report_mismatched_model(shanks1):
+    # a model built at a = 3 checked against the relations at a = 5: the
+    # failing residuals must be the same polynomials on both routes
+    factored, expanded = _factored_and_expanded(shanks1, F(5), model_a=F(3))
+    assert factored == expanded
+    fails = [r for r in factored if r["status"] == "fail"]
+    assert len(fails) == 5
+    assert [r["residual"] for r in fails] == \
+        [r["residual"] for r in expanded if r["status"] == "fail"]
+    assert _report_digest(factored) == \
+        "035a583065433fca08a8ae7fae425e4d444a28332a29ba1582918e961e3a941e"
+
+
+def test_displayed_report_pinned(shanks1):
+    # shanks t=1, a=2 with the default normal basis and model
+    assert _report_digest(verify_theorem1_equations(shanks1, F(2))) == \
+        "6e96fbafd000797ba2dc36a3bd177ad1bee06f63bebab3ce19a7cdb8a6676062"
 
 
 # ---------------------------------------------------------------------------

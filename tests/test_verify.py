@@ -1,6 +1,8 @@
 """Verification harness: genus, point counts, smoothness, suite runner."""
 import json
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from severi import (
     run_all,
     smoothness_spot,
 )
+from severi import verify
 from severi.errors import InputError, TooLarge
 from severi.polyring import make_poly
 from severi.verify import (
@@ -71,6 +74,18 @@ def test_exhaustive_cap(model_f7):
     assert EXHAUSTIVE_MAX_P == 3
     with pytest.raises(TooLarge):
         count_points(model_f7, 7, method="exhaustive")
+
+
+def test_exhaustive_guard_raises_before_enumerating(model_f2, monkeypatch):
+    # P^34(F_2) has 2^35 tuples: the guard must raise before any is listed,
+    # so a missing guard fails here instead of allocating them
+    def product(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(verify, "itertools", SimpleNamespace(product=product))
+    cap = verify.EXHAUSTIVE_MAX_TUPLES
+    with pytest.raises(TooLarge, match=rf"2\^35 tuples, over the cap of {cap}$"):
+        solve_points_exhaustive(replace(model_f2, m=35), 2)
 
 
 def test_methods_agree_p2(model_f2):
