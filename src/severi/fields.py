@@ -743,6 +743,38 @@ def trace(L: CyclicExtension, x: ExtElement) -> Scalar:
     return out.base_value()
 
 
+def split_primes(L: CyclicExtension) -> Iterator[tuple[int, int]]:
+    """The pairs (ell, t), in increasing order of the prime ell below
+    _CERTIFICATE_PRIMES, with ell split in L (f has [L:Q] distinct roots
+    mod ell, and ell divides no denominator of f) and t the least root.
+    Each gives the ring map theta |-> t from the elements of L with
+    ell-integral coordinates onto F_ell (see `residue`), and a ring map
+    does not raise the rank of a matrix."""
+    if L.base.p is not None:
+        raise InputError("split primes are taken over Q")
+    den = math.lcm(*(c.denominator for c in L.f))
+    for ell in _primes_below(_CERTIFICATE_PRIMES):
+        if den % ell == 0:
+            continue
+        k = GF(ell)
+        f = [k.coerce(c) for c in L.f]
+        roots = [t for t in range(ell) if poly_eval(k, f, t) == 0]
+        if len(roots) == L.degree:
+            yield ell, roots[0]
+
+
+def residue(x: ExtElement, ell: int, t: int) -> Optional[int]:
+    """The image of x under theta |-> t mod ell, for a pair from
+    `split_primes`; None when ell divides a coordinate denominator."""
+    xs, d = x._integer_coords
+    if d % ell == 0:
+        return None
+    v = 0
+    for c in reversed(xs):
+        v = (v * t + c) % ell
+    return v * pow(d, -1, ell) % ell
+
+
 def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]
                ) -> tuple[list[list], list[int], object]:
     """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension.

@@ -293,6 +293,11 @@ def galois_poly(L: CyclicExtension, F: MultiPoly, j: int) -> MultiPoly:
                      tuple((e, galois_apply(L, c, j)) for e, c in F.terms))
 
 
+def _one_ring(S: Sequence[MultiPoly]) -> None:
+    if len({F.nvars for F in S}) > 1:
+        raise ShapeMismatch("family mixes polynomials in different rings")
+
+
 def _common_degree(S: Sequence[MultiPoly]) -> Optional[int]:
     degs = set()
     for F in S:
@@ -304,6 +309,15 @@ def _common_degree(S: Sequence[MultiPoly]) -> Optional[int]:
     if len(degs) > 1:
         raise MixedDegrees(f"family mixes degrees {sorted(degs)}")
     return degs.pop() if degs else None
+
+
+def family_support(S: Sequence[MultiPoly]) -> list[Exponents]:
+    """The union monomial support of a homogeneous family in canonical
+    order.  Members in different rings raise ShapeMismatch, nonzero members
+    of different degrees MixedDegrees."""
+    _one_ring(S)
+    _common_degree(S)
+    return sorted({e for F in S for e, _ in F.terms}, reverse=True)
 
 
 def coefficient_matrix(S: Sequence[MultiPoly]) -> tuple[Matrix, list[Exponents]]:
@@ -324,6 +338,7 @@ def coefficient_matrix(S: Sequence[MultiPoly]) -> tuple[Matrix, list[Exponents]]
 
 def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
     """Canonical spanning set: nonzero rows of the reduced row echelon form."""
+    _one_ring(S)
     S = [F for F in S if not F.is_zero()]
     if not S:
         return []
@@ -341,6 +356,7 @@ def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
 
 def span_equal(S1: Sequence[MultiPoly], S2: Sequence[MultiPoly]) -> bool:
     """True iff the coefficient row spaces over L coincide."""
+    _one_ring([*S1, *S2])
     R1 = span_reduce(list(S1))
     R2 = span_reduce(list(S2))
     return R1 == R2

@@ -5,9 +5,13 @@ Fermat-type Picard generators.
 The splitting matrix M maps the model to the standard Veronese image, so
 model points are M^{-1} (Veronese points) and model equations are the
 ideal quadrics composed with M: Q(M w) = 0.  Descent to k is one row
-reduction of the twisted family over L: the reduced row-echelon basis of a
-subspace is unique, so it is fixed by sigma, and has its coefficients in k,
-exactly when the subspace is Galois stable.
+reduction over k, of the theta-coordinates F_i of every twisted quadric
+F = sum_i theta^i F_i.  The L-span V of the family lies in the L-span of
+the F_i, and equals it exactly when V is Galois stable (the conjugates of
+theta have an invertible Vandermonde matrix); the k-reduced basis of the
+F_i is then the unique reduced basis of V.  Stability is certified exactly,
+by the rank over L of the family's coefficients at the pivot columns,
+bounded from below at a split prime over Q.
 
 The paper's displayed n = 2 relations are products of ten linear forms.
 They are written once, over those factors; their residuals on a model are
@@ -19,7 +23,8 @@ w-coordinates before it is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_generic, split_structured
 from .errors import (
@@ -30,6 +35,7 @@ from .errors import (
     ZeroA,
 )
 from .fields import (
+    GF,
     CyclicExtension,
     ExtElement,
     NormalBasis,
@@ -39,17 +45,21 @@ from .fields import (
     extension_from_json,
     extension_to_json,
     find_normal_basis,
+    residue,
+    row_reduce,
     scalar_from_json,
     scalar_to_json,
+    split_primes,
 )
 from .grammar import format_poly, omega_names, plane_names
-from .linalg import Matrix, inverse, matrix_from_json, matrix_to_json
+from .linalg import Matrix, from_rows, inverse, matrix_from_json, matrix_to_json, rank
 from .polyring import (
+    Exponents,
     MultiPoly,
+    family_support,
     poly_from_json,
     poly_to_json,
     make_poly,
-    span_reduce,
     substitute,
     substitute_all,
     substitute_linear,
@@ -119,23 +129,88 @@ class SurfaceModel:
     normal_basis: NormalBasis
 
 
+# split primes tried before the exact rank over L
+_RESIDUE_ATTEMPTS = 3
+
+
 def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
                     ) -> list[MultiPoly]:
-    """The reduced row-echelon basis of the family's L-span, which has
-    base-field coefficients exactly when that span is Galois stable.
+    """The reduced row-echelon basis of the family's L-span V, which has
+    base-field coefficients exactly when V is Galois stable.
 
-    The reduced basis of a subspace is unique, so sigma maps it to the
-    reduced basis of the sigma-image of the span; it is sigma-fixed, hence
-    has entries in k, exactly when the span is sigma-stable.  A coefficient
-    outside k therefore means the span is not stable, and raises
-    NotGaloisStable.
+    Write each member as F = sum_i theta^i F_i with every F_i over k, and
+    let R be the reduced basis of the k-span W of the F_i, of rank rho.
+    V lies in L W, so dim_L V <= rho.  When V is sigma-stable each F_i lies
+    in V, since the F_i are L-combinations of the conjugates sigma^s(F)
+    (the Vandermonde matrix of the conjugates of theta is invertible); then
+    V = L W and R is the unique reduced basis of V.  Conversely
+    dim_L V = rho makes V = L W, which is sigma-stable.
+
+    dim_L V is the rank over L of C, the family's coefficients at the pivot
+    columns of R.  Over Q the ring map theta |-> t mod ell at a split prime
+    ell does not raise that rank, so rank rho mod ell proves stability with
+    no elimination over L; a few primes are tried, then the exact rank over
+    L decides, as it always does over F_p.  Rank below rho raises
+    NotGaloisStable.  A member over another extension raises InputError.
     """
-    reduced = span_reduce(family)
-    for F in reduced:
-        for _, c in F.terms:
-            if not c.in_base():
-                raise NotGaloisStable("the family's span is not preserved by sigma")
-    return reduced
+    for F in family:
+        if F.ext is not L and F.ext != L:
+            raise InputError("family member is not over the given extension")
+    support = family_support(family)
+    family = [F for F in family if not F.is_zero()]
+    if not family:
+        return []
+    R, pivots, _ = row_reduce(L.base, _coordinate_rows(L, family, support))
+    zero = L.zero()
+    C = []
+    for F in family:
+        coeffs = F.terms_dict()
+        C.append([coeffs.get(support[j], zero) for j in pivots])
+    if not _full_column_rank(L, C, len(pivots)):
+        raise NotGaloisStable("the family's span is not preserved by sigma")
+    nv = family[0].nvars
+    return [MultiPoly(L, nv, tuple((support[j], L.from_base(c))
+                                   for j, c in enumerate(row) if c))
+            for row in R[:len(pivots)]]
+
+
+def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
+                     support: Sequence[Exponents]) -> list[list[Scalar]]:
+    """The nonzero theta-coordinates F_i of every member, as rows over k on
+    the columns of `support`."""
+    col = {e: j for j, e in enumerate(support)}
+    zero = L.base.zero()
+    rows = []
+    for F in family:
+        parts = [[zero] * len(support) for _ in range(L.degree)]
+        for e, c in F.terms:
+            j = col[e]
+            for part, x in zip(parts, c.coeffs):
+                if x:
+                    part[j] = x
+        rows.extend(part for part in parts if any(part))
+    return rows
+
+
+def _full_column_rank(L: CyclicExtension, C: list[list[ExtElement]], rho: int) -> bool:
+    """Whether C, with rho columns, has rank rho over L.
+
+    Over Q the rank of C mod a split prime is a lower bound, so rank rho
+    there is a proof; otherwise, and over F_p, the exact rank decides.
+    """
+    if L.base.p is None:
+        ranks = islice(_residue_ranks(L, C), _RESIDUE_ATTEMPTS)
+        if any(r == rho for r in ranks):
+            return True
+    return rank(from_rows(L, C)) == rho
+
+
+def _residue_ranks(L: CyclicExtension, C: list[list[ExtElement]]) -> Iterator[int]:
+    """The rank of C mod each split prime dividing no denominator of C."""
+    for ell, t in split_primes(L):
+        rows = [[residue(x, ell, t) for x in row] for row in C]
+        if all(v is not None for row in rows for v in row):
+            yield len(row_reduce(GF(ell), rows)[1])
 
 
 def parametrization_residuals(model: SurfaceModel) -> list[MultiPoly]:

@@ -21,7 +21,7 @@ from severi import (
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroInput
 from severi.fields import (NormalBasis, conjugates, element_from_json,
-                           element_to_json, row_reduce)
+                           element_to_json, residue, row_reduce, split_primes)
 
 
 def F(x):
@@ -236,6 +236,39 @@ def test_galois_apply_order_and_norm_invariance(c):
     x = elem(L, c)
     assert galois_apply(L, x, 3) == x
     assert norm(L, galois_apply(L, x, 1)) == norm(L, x)
+
+
+fractions_ = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(fractions_, fractions_, fractions_),
+       st.tuples(fractions_, fractions_, fractions_))
+def test_residue_is_a_ring_map(c1, c2):
+    # theta -> t mod ell at the first split primes of the t = 1 field
+    L = make_shanks_cubic(1)
+    x, y = L.el(c1), L.el(c2)
+    for ell, t in list(split_primes(L))[:3]:
+        rx, ry, rxy = residue(x, ell, t), residue(y, ell, t), residue(x * y, ell, t)
+        if None in (rx, ry):
+            assert any(c.denominator % ell == 0 for c in (*x.coeffs, *y.coeffs))
+            continue
+        assert rxy == rx * ry % ell
+        assert residue(x + y, ell, t) == (rx + ry) % ell
+
+
+def test_split_primes():
+    # the t = 1 field has conductor 13: 13 ramifies, 2 and 3 stay inert
+    L = make_shanks_cubic(1)
+    pairs = list(split_primes(L))
+    assert [ell for ell, _ in pairs[:4]] == [5, 31, 47, 53]
+    for ell, t in pairs:
+        assert sum(int(c) * t ** i for i, c in enumerate(L.f)) % ell == 0
+    # denominators of f are skipped: x^3 - 3/4 x + 1/8 is not 2-integral
+    L8 = make_extension(QQ, [F(1) / 8, F(-3) / 4, 0, 1], [-1, 0, 2])
+    assert all(ell != 2 for ell, _ in split_primes(L8))
+    with pytest.raises(InputError):
+        next(split_primes(frobenius_extension(5, 3)))
 
 
 def test_base_field_coerce_fraction_mod_p():

@@ -121,6 +121,17 @@ def test_span_mixed_degrees_rejected(shanks1):
     assert not span_equal([x], [x * y])
 
 
+def test_span_mixed_rings_rejected(shanks1):
+    x2, _ = variables(shanks1, 2)
+    x3, _, _ = variables(shanks1, 3)
+    with pytest.raises(ShapeMismatch):
+        span_reduce([x2, x3])
+    with pytest.raises(ShapeMismatch):
+        span_reduce([x2, zero_poly(shanks1, 3)])
+    with pytest.raises(ShapeMismatch):
+        span_equal([x2], [x3])
+
+
 def test_span_reduce_and_in_span(shanks1):
     x, y = variables(shanks1, 2)
     reduced = span_reduce([x + y, x - y, x])

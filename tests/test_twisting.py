@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from severi import (
+    GF,
     QQ,
     appendix_model,
     cyclic_cocycle,
@@ -33,7 +34,7 @@ from severi import (
     twisted_curve_model,
     verify_theorem1_equations,
 )
-from severi.errors import InputError, NotGaloisStable, ZeroA
+from severi.errors import InputError, NotGaloisStable, ShapeMismatch, ZeroA
 from severi.grammar import plane_names
 from severi.polyring import (
     galois_poly,
@@ -43,6 +44,7 @@ from severi.polyring import (
     span_reduce,
     substitute,
     substitute_all,
+    zero_poly,
 )
 from severi.twisting import (
     picard_from_json,
@@ -51,6 +53,9 @@ from severi.twisting import (
     theorem1_equation7_reconstruction,
 )
 from severi.veronese import monomial_basis, veronese_ideal
+
+
+SHANKS = {t: make_shanks_cubic(t) for t in range(1, 9)}
 
 
 def F(x):
@@ -149,6 +154,145 @@ def test_descend_rejects_unstable_family(shanks1):
     f1 = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 1, shanks1.theta())
     with pytest.raises(NotGaloisStable):
         descend_to_base(shanks1, [f1])
+
+
+def _descend_over_L(L, family):
+    """The descent as one row reduction over L, kept as the reference: the
+    reduced basis of the L-span, whose coefficients lie in k exactly when
+    the span is sigma-stable."""
+    reduced = span_reduce(family)
+    if any(not c.in_base() for G in reduced for _, c in G.terms):
+        raise NotGaloisStable("reference: span is not sigma-stable")
+    return reduced
+
+
+def _twisted_family(L, a):
+    n = L.degree - 1
+    M = split_structured(lift_to_veronese(cyclic_cocycle(L, a)),
+                         find_normal_basis(L, seed=L.theta()))
+    return [substitute_linear(Q, M)
+            for Q in veronese_ideal(monomial_basis(n, n + 1), L)]
+
+
+def _assert_descent_matches_reference(L, a):
+    family = _twisted_family(L, a)
+    assert descend_to_base(L, family) == _descend_over_L(L, family)
+
+
+# each example twists and descends, so a failure is reported as drawn, unshrunk
+@pytest.mark.parametrize("t", range(1, 9))
+@settings(max_examples=3, deadline=None, phases=(Phase.reuse, Phase.generate))
+@given(a=st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(bool))
+def test_descent_matches_reference_shanks(t, a):
+    _assert_descent_matches_reference(SHANKS[t], a)
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 2), (7, 3), (53, 5)])
+def test_descent_matches_reference_finite(p, a):
+    _assert_descent_matches_reference(frobenius_extension(p, 3), a)
+
+
+def test_descent_matches_reference_denominator_8():
+    L = make_extension(QQ, [F(1) / 8, F(-3) / 4, 0, 1], [-1, 0, 2])
+    _assert_descent_matches_reference(L, F(5) / 3)
+
+
+def test_descent_matches_reference_conic_over_q_i():
+    _assert_descent_matches_reference(make_extension(QQ, [1, 0, 1], [0, -1]), F(2))
+
+
+@pytest.mark.parametrize("field", ["shanks1", "f7"])
+def test_descend_rejects_line_and_its_theta_multiple(request, field):
+    # F = w0 + theta w1 and theta F have theta-coordinates spanning
+    # <w0, w1> over k, of rank 2 = the family size, but span one line over L
+    L = request.getfixturevalue(field)
+    f = w_mono(L, 10, 0) + w_mono(L, 10, 1, L.theta())
+    with pytest.raises(NotGaloisStable):
+        descend_to_base(L, [f, f * L.theta()])
+
+
+def test_descend_duplicate_and_zero_members(shanks1, f7):
+    for L, a in ((shanks1, F(2)), (f7, 3)):
+        family = _twisted_family(L, a)
+        padded = [zero_poly(L, 10), *family, family[3] * L.theta(), family[0],
+                  zero_poly(L, 10)]
+        assert descend_to_base(L, padded) == descend_to_base(L, family)
+        assert descend_to_base(L, [zero_poly(L, 10)] * 2) == []
+        unstable = w_mono(L, 10, 0) + w_mono(L, 10, 1, L.theta())
+        with pytest.raises(NotGaloisStable):
+            descend_to_base(L, [unstable, zero_poly(L, 10), unstable])
+
+
+def _record_eliminations(monkeypatch):
+    """Fields of the row reductions the descent runs, and its calls of the
+    exact rank over L."""
+    import severi.twisting as tw
+    fields, ranks = [], []
+    row_reduce, rank = tw.row_reduce, tw.rank
+
+    def recording_row_reduce(field, rows):
+        fields.append(field)
+        return row_reduce(field, rows)
+
+    def recording_rank(A):
+        ranks.append((A.rows, A.cols))
+        return rank(A)
+
+    monkeypatch.setattr(tw, "row_reduce", recording_row_reduce)
+    monkeypatch.setattr(tw, "rank", recording_rank)
+    return fields, ranks
+
+
+def test_descent_certified_at_first_split_prime(shanks1, monkeypatch):
+    family = _twisted_family(shanks1, F(2))
+    fields, ranks = _record_eliminations(monkeypatch)
+    descend_to_base(shanks1, family)
+    assert fields == [QQ, GF(5)]   # 5 is the least prime split in Q(theta)
+    assert ranks == []
+
+
+def test_descent_retries_the_next_split_prime(shanks1, monkeypatch):
+    # a = 5/2 vanishes mod 5, where the pivot coefficients drop to rank 7
+    family = _twisted_family(shanks1, Fraction(5, 2))
+    fields, ranks = _record_eliminations(monkeypatch)
+    out = descend_to_base(shanks1, family)
+    assert fields == [QQ, GF(5), GF(31)]
+    assert ranks == []
+    monkeypatch.undo()
+    assert out == _descend_over_L(shanks1, family)
+
+
+def test_descent_exact_rank_when_no_prime_certifies(shanks1, monkeypatch):
+    import severi.twisting as tw
+    family = _twisted_family(shanks1, Fraction(5, 2))
+    monkeypatch.setattr(tw, "_RESIDUE_ATTEMPTS", 1)
+    fields, ranks = _record_eliminations(monkeypatch)
+    out = descend_to_base(shanks1, family)
+    assert fields == [QQ, GF(5)]
+    assert ranks == [(27, 27)]
+    monkeypatch.undo()
+    assert out == _descend_over_L(shanks1, family)
+
+
+def test_descent_over_finite_field_takes_exact_rank(f7, monkeypatch):
+    family = _twisted_family(f7, 3)
+    fields, ranks = _record_eliminations(monkeypatch)
+    descend_to_base(f7, family)
+    assert fields == [GF(7)]
+    assert ranks == [(27, 27)]
+
+
+def test_descend_rejects_member_over_another_extension(shanks1):
+    other = make_shanks_cubic(2)
+    with pytest.raises(InputError, match="given extension"):
+        descend_to_base(shanks1, [w_mono(other, 10, 0)])
+    with pytest.raises(InputError, match="given extension"):
+        descend_to_base(shanks1, [w_mono(shanks1, 10, 0), w_mono(other, 10, 1)])
+
+
+def test_descend_rejects_mixed_rings(shanks1):
+    with pytest.raises(ShapeMismatch):
+        descend_to_base(shanks1, [w_mono(shanks1, 10, 0), w_mono(shanks1, 3, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +496,6 @@ def _factored_and_expanded(L, a, model_a=None):
 
 def _report_digest(report):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-
-
-SHANKS = {t: make_shanks_cubic(t) for t in range(1, 9)}
 
 
 # each example builds a model, so a failure is reported as drawn, unshrunk
