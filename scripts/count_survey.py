@@ -46,7 +46,7 @@ def survey_prime(p: int) -> None:
         t0 = time.perf_counter()
         main = surface_model(L, a, nb=nb)
         appx = appendix_model(L, a, nb=nb)
-        n_main = count_points(main, p, method=method)
+        n_main = count_points(main, p)
         same = (main.equations_over_k == appx.equations_over_k
                 and main.parametrization.basis == appx.parametrization.basis)
         smooth = smoothness_spot(main, p).ok

@@ -67,7 +67,6 @@ from .linalg import (
     Matrix,
     ScaledPermutation,
     as_scaled_permutation,
-    det,
     from_rows,
     galois_matrix,
     identity,

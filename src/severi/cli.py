@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="character convention u with chi(sigma) = zeta^u "
                              "(1 or n; default n)")
     common.add_argument("--seed", type=int, default=0,
-                        help="rng seed (SEVERI_SEED overrides)")
+                        help="seed echoed in emissions (SEVERI_SEED overrides)")
     common.add_argument("--emit", choices=("text", "json"), default="text")
     common.add_argument("--output", default=None, help="file path (default stdout)")
 
@@ -92,7 +92,7 @@ def _parse_a(L, text: str):
     return L.base.coerce(value)
 
 
-def _check_report_for_surface(model, seed: int) -> Report:
+def _check_report_for_surface(model) -> Report:
     t0 = time.perf_counter()
     checks: list[Check] = []
     p = model.extension.base.p
@@ -142,8 +142,8 @@ def _report_json(rep: Report) -> dict:
 
 
 def cmd_surface(args, L, a, seed: int) -> tuple[str, int]:
-    model = surface_model(L, a, rng_seed=seed)
-    report = _check_report_for_surface(model, seed) if args.check else None
+    model = surface_model(L, a)
+    report = _check_report_for_surface(model) if args.check else None
     code = 0 if report is None or report.ok else 1
     if args.emit == "json":
         obj = model_to_json(model)
@@ -221,7 +221,7 @@ def cmd_verify(args, L, a, seed: int) -> tuple[str, int]:
     suites = tuple(dict.fromkeys(args.suite)) if args.suite else ALL_SUITES
     cfg = VerifyConfig(field_spec=args.field, a=args.a, n=args.n,
                        character_convention=args.chi,
-                       dprime=args.dprime, seed=seed, suites=suites)
+                       dprime=args.dprime, suites=suites)
     rep = run_all(cfg)
     print(f"verify: {len(rep.checks)} checks in {rep.elapsed_ms} ms",
           file=sys.stderr)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,14 +73,6 @@ class BaseField:
             raise InputError(f"{p} is not prime")
         self.p = p
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime_field"
-
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
-
     def coerce(self, x) -> Scalar:
         if self.p is None:
             if isinstance(x, Fraction):
@@ -118,17 +111,8 @@ class BaseField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
-
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements; only valid over a prime field."""
-        if self.p is None:
-            raise InputError("Q is infinite")
-        return iter(range(self.p))
 
     def value_sequence(self) -> Iterator[Scalar]:
         """Documented enumeration of scalars: 0,1,-1,2,-2,... over Q; 0..p-1 over F_p."""
@@ -497,13 +481,6 @@ class CyclicExtension:
     def theta(self) -> "ExtElement":
         return self.el([0, 1])
 
-    def elements(self) -> Iterator["ExtElement"]:
-        """All elements; finite fields only."""
-        if self.base.p is None:
-            raise InputError("infinite field")
-        for tup in itertools.product(range(self.base.p), repeat=self.degree):
-            yield self.el(tup)
-
     def enumerate_elements(self) -> Iterator["ExtElement"]:
         """Documented deterministic enumeration: coefficient vectors over the
         scalar sequence 0,1,-1,2,-2,... in little-endian odometer order by
@@ -533,9 +510,6 @@ class CyclicExtension:
 
     def sub(self, a: "ExtElement", b: "ExtElement") -> "ExtElement":
         return a - b
-
-    def neg(self, a: "ExtElement") -> "ExtElement":
-        return -a
 
     def inv(self, a: "ExtElement") -> "ExtElement":
         return a.inverse()
@@ -776,20 +750,18 @@ def residue(x: ExtElement, ell: int, t: int) -> Optional[int]:
 
 
 def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]
-               ) -> tuple[list[list], list[int], object]:
+               ) -> tuple[list[list], list[int]]:
     """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension.
 
-    Returns the reduced row echelon form, its pivot columns, and the product
-    of the pivots negated once per row swap, which is the determinant of a
-    square input of full rank.  Each pivot is inverted once, and zero
-    entries of the pivot row are skipped; zero tests use truthiness, which
-    is false for Fraction(0), the int 0 and a zero ExtElement.
+    Returns the reduced row echelon form and its pivot columns.  Each pivot
+    is inverted once, and zero entries of the pivot row are skipped; zero
+    tests use truthiness, which is false for Fraction(0), the int 0 and a
+    zero ExtElement.
     """
     m = [list(r) for r in rows]
     ncols = len(m[0]) if m else 0
     mul, sub = field.mul, field.sub
     pivots: list[int] = []
-    d = field.one()
     r = 0
     for c in range(ncols):
         if r == len(m):
@@ -799,8 +771,6 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            d = field.neg(d)
-        d = mul(d, m[r][c])
         inv = field.inv(m[r][c])
         m[r] = [mul(x, inv) if x else x for x in m[r]]
         for i in range(len(m)):
@@ -809,7 +779,7 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence
                 m[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m, pivots, d
+    return m, pivots
 
 
 @dataclass(frozen=True)
@@ -1009,9 +979,23 @@ def scalar_to_json(x: Scalar):
     return int(x)
 
 
+_JSON_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_from_json(v) -> Fraction:
-    """Always a Fraction; BaseField.coerce maps it into F_p when needed."""
-    return Fraction(v)
+    """Always a Fraction; BaseField.coerce maps it into F_p when needed.
+
+    Accepts only what scalar_to_json writes: an int, or a string
+    `-?digits` or `-?digits/digits` with a nonzero denominator.  Anything
+    else (floats, bools, exponents, None) raises InputError."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str) and _JSON_SCALAR.fullmatch(v):
+        num, _, den = v.partition("/")
+        if den and int(den) == 0:
+            raise InputError(f"scalar {v!r} has a zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise InputError(f"not a JSON scalar: {v!r}")
 
 
 def element_to_json(x: ExtElement) -> list:

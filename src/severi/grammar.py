@@ -165,107 +165,16 @@ def parse_element(L: CyclicExtension, s: str) -> ExtElement:
     return poly.terms[0][1]
 
 
-def parse_univariate(field: BaseField, s: str, var: str = "x") -> tuple[Scalar, ...]:
-    """Coefficient tuple (low degree first) of a univariate polynomial."""
-    return _UniParser(field, var, _tokenize(s)).parse()
-
-
-class _UniParser:
-    """Same grammar, one variable, scalar coefficients (no t)."""
-
-    def __init__(self, field: BaseField, var: str, tokens: list[str]):
-        self.field = field
-        self.var = var
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise GrammarError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> tuple[Scalar, ...]:
-        out = self.expr()
-        if self.peek() is not None:
-            raise GrammarError(f"trailing input at token {self.peek()!r}")
-        return poly_trim(self.field, out)
-
-    def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        out = self.term()
-        if sign < 0:
-            out = [self.field.neg(c) for c in out]
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.take() == "+" else -1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            nxt = self.term()
-            if sign < 0:
-                nxt = [self.field.neg(c) for c in nxt]
-            n = max(len(out), len(nxt))
-            out = [self.field.add(
-                out[i] if i < len(out) else self.field.zero(),
-                nxt[i] if i < len(nxt) else self.field.zero()) for i in range(n)]
-        return out
-
-    def term(self):
-        out = self.factor()
-        while self.peek() == "*":
-            self.take()
-            nxt = self.factor()
-            acc = [self.field.zero()] * (len(out) + len(nxt) - 1) if out and nxt else []
-            for i, a in enumerate(out):
-                for j, b in enumerate(nxt):
-                    acc[i + j] = self.field.add(acc[i + j], self.field.mul(a, b))
-            out = acc
-        return out
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not e.isdigit():
-                raise GrammarError(f"exponent must be a nonneg integer, got {e!r}")
-            out = [self.field.one()]
-            for _ in range(int(e)):
-                acc = [self.field.zero()] * (len(out) + len(base) - 1) if out and base else []
-                for i, a in enumerate(out):
-                    for j, b in enumerate(base):
-                        acc[i + j] = self.field.add(acc[i + j], self.field.mul(a, b))
-                out = acc
-            return out
-
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise GrammarError("missing )")
-            return inner
-        if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise GrammarError(f"bad denominator {den!r}")
-                return [self.field.coerce(Fraction(num, int(den)))]
-            return [self.field.coerce(num)]
-        if tok == self.var:
-            return [self.field.zero(), self.field.one()]
-        raise GrammarError(f"unknown name {tok!r} (variable is {self.var!r})")
+def parse_univariate(field: BaseField, s: str) -> tuple[Scalar, ...]:
+    """Coefficient tuple (low degree first) of a polynomial in x over
+    `field`: the grammar of `parse_poly` in one variable, over k seen as
+    the degree-1 extension k[x]/(x), with no generator t."""
+    k = CyclicExtension(field, (0, 1), (0, 1), _validate=False)
+    poly = _Parser(k, ("x",), _tokenize(s), allow_theta=False).parse()
+    coeffs = [field.zero()] * (poly.degree() + 1)
+    for (d,), c in poly.terms:
+        coeffs[d] = c.coeffs[0]
+    return poly_trim(field, coeffs)
 
 
 # ---------------------------------------------------------------------------

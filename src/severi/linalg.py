@@ -1,10 +1,11 @@
 """Exact dense matrices over cyclic-extension elements.
 
-Determinants, inverses and row echelon forms are all read off one
-Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
-arithmetic in L (see severi.fields for the integer product kernel).  A
-scaled-permutation recognizer supports the structured Hilbert 90 split,
-whose input matrices are monomial.
+Inverses, ranks and row echelon forms are all read off one Gauss-Jordan
+elimination, severi.fields.row_reduce, with exact field arithmetic in L
+(see severi.fields for the integer product kernel); a square matrix is
+invertible exactly when its rank is its size.  A scaled-permutation
+recognizer supports the structured Hilbert 90 split, whose input matrices
+are monomial.
 """
 
 from __future__ import annotations
@@ -43,32 +44,14 @@ class Matrix:
         return tuple(tuple((j, a) for j, a in enumerate(self.row(i)) if not a.is_zero())
                      for i in range(self.rows))
 
-    def col(self, j: int) -> tuple[ExtElement, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def as_rows(self) -> list[list[ExtElement]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.ext, self.cols, self.rows, ent)
 
     def map(self, fn: Callable[[ExtElement], ExtElement]) -> "Matrix":
         return Matrix(self.ext, self.rows, self.cols, tuple(fn(e) for e in self.entries))
 
     def scale(self, c: ExtElement) -> "Matrix":
         return self.map(lambda e: e * c)
-
-    def apply(self, v: Sequence[ExtElement]) -> tuple[ExtElement, ...]:
-        if len(v) != self.cols:
-            raise ShapeMismatch(f"vector length {len(v)} != cols {self.cols}")
-        out = []
-        for i in range(self.rows):
-            acc = self.ext.zero()
-            for j in range(self.cols):
-                acc = acc + self.at(i, j) * v[j]
-            out.append(acc)
-        return tuple(out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -136,22 +119,13 @@ def mul(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(ext, A.rows, B.cols, tuple(out))
 
 
-def det(A: Matrix) -> ExtElement:
-    """The signed product of the pivots of fields.row_reduce when A has
-    full rank, else zero."""
-    if A.rows != A.cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    _, pivots, d = row_reduce(A.ext, A.as_rows())
-    return d if len(pivots) == A.rows else A.ext.zero()
-
-
 def inverse(A: Matrix) -> Matrix:
     """The right block of the reduced form of [A | I]."""
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
     n = A.rows
     eye = identity(A.ext, n)
-    R, pivots, _ = row_reduce(A.ext, [A.row(i) + eye.row(i) for i in range(n)])
+    R, pivots = row_reduce(A.ext, [A.row(i) + eye.row(i) for i in range(n)])
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return Matrix(A.ext, n, n, tuple(x for row in R for x in row[n:]))
@@ -197,7 +171,7 @@ def as_scaled_permutation(A: Matrix) -> Optional[ScaledPermutation]:
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact field division."""
-    R, pivots, _ = row_reduce(A.ext, A.as_rows())
+    R, pivots = row_reduce(A.ext, A.as_rows())
     return Matrix(A.ext, A.rows, A.cols, tuple(x for row in R for x in row)), pivots
 
 

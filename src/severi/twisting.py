@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .cohomology import cyclic_cocycle, lift_to_veronese, split_generic, split_structured
+from .cohomology import cyclic_cocycle, lift_to_veronese, split_structured
 from .errors import (
     InputError,
     InternalDescentFailure,
@@ -160,7 +160,7 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
     family = [F for F in family if not F.is_zero()]
     if not family:
         return []
-    R, pivots, _ = row_reduce(L.base, _coordinate_rows(L, family, support))
+    R, pivots = row_reduce(L.base, _coordinate_rows(L, family, support))
     zero = L.zero()
     C = []
     for F in family:
@@ -231,11 +231,11 @@ def _validate_model(model: SurfaceModel) -> None:
                 "model equation does not vanish on the parametrization")
 
 
-def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
-                  cross_check: bool = False, rng_seed: int = 0,
-                  validate: bool = True) -> SurfaceModel:
+def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
+                  ) -> SurfaceModel:
     """Main pipeline: companion cocycle, Veronese lift, structured split,
-    twisted ideal quadrics, descent to the base field."""
+    twisted ideal quadrics, descent to the base field; the model is
+    validated before it is returned."""
     a = L.base.coerce(a)
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
@@ -244,26 +244,18 @@ def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
     if nb is None:
         nb = find_normal_basis(L, seed=L.theta())
     M = split_structured(lifted, nb)
-    if cross_check:
-        M2 = split_generic(lifted, rng_seed=rng_seed)
-        D = inverse(M) * M2
-        if any(not e.in_base() for e in D.entries):
-            raise InternalDescentFailure(
-                "structured and generic splits do not differ by a GL_m(k) factor")
     quads = veronese_ideal(basis, L)
     twisted = [substitute_linear(Q, M) for Q in quads]
     equations = descend_to_base(L, twisted)
     param = ParametrizationMap(basis, post_compose=inverse(M))
     model = SurfaceModel(L, a, n, basis.m, M, tuple(equations), param,
                          "main_path", nb)
-    if validate:
-        _validate_model(model)
+    _validate_model(model)
     return model
 
 
-def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
-                   cross_check: bool = False, rng_seed: int = 0,
-                   validate: bool = True) -> SurfaceModel:
+def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
+                   ) -> SurfaceModel:
     """The route through the degree-6 plane curve (d' = 2): its canonical
     embedding is the degree-3 Veronese on P^2, so the model is the main
     one, relabelled with appendix provenance.  The genus bookkeeping and
@@ -277,7 +269,7 @@ def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None,
         raise InternalDescentFailure("canonical basis size differs from the genus")
     if basis != monomial_basis(2, 3):
         raise InternalDescentFailure("canonical embedding is not the degree-3 Veronese")
-    model = surface_model(L, a, nb, cross_check, rng_seed, validate)
+    model = surface_model(L, a, nb)
     return replace(model, provenance="appendix_path")
 
 

@@ -201,19 +201,16 @@ def solve_points_image(model: SurfaceModel, p: int) -> list[tuple[int, ...]]:
     return sorted(pts)
 
 
-def rational_points(model: SurfaceModel, p: int,
-                    method: str = "auto") -> list[tuple[int, ...]]:
-    if method == "auto":
-        method = "exhaustive" if p <= EXHAUSTIVE_MAX_P else "image"
-    if method == "exhaustive":
+def rational_points(model: SurfaceModel, p: int) -> list[tuple[int, ...]]:
+    """Exhaustive enumeration for p <= EXHAUSTIVE_MAX_P, else the image of
+    the base-rational parametrization."""
+    if p <= EXHAUSTIVE_MAX_P:
         return solve_points_exhaustive(model, p)
-    if method == "image":
-        return solve_points_image(model, p)
-    raise InputError(f"unknown point-count method {method!r}")
+    return solve_points_image(model, p)
 
 
-def count_points(model: SurfaceModel, p: int, method: str = "auto") -> int:
-    return len(rational_points(model, p, method))
+def count_points(model: SurfaceModel, p: int) -> int:
+    return len(rational_points(model, p))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,6 @@ class VerifyConfig:
     n: int = 2
     character_convention: Optional[int] = None
     dprime: int = 2
-    seed: int = 0
     suites: tuple[str, ...] = ALL_SUITES
     witness_bound: int = 1000
 
@@ -348,7 +344,7 @@ def _suite_picard(L, a, cfg) -> list[Check]:
     c = proportional(g1.equation, hyper)
     checks.append(_ok("dprime1-is-hyperplane-multiple",
                       c is not None and not c.is_zero()))
-    model = surface_model(L, a, nb, rng_seed=cfg.seed)
+    model = surface_model(L, a, nb)
     for dp in sorted({1, cfg.dprime}):
         g = picard_generator(L, a, nb, dp)
         pull = pullback_to_plane(model, g.equation)
@@ -372,7 +368,7 @@ def _suite_counts(L, a, cfg) -> list[Check]:
     checks = []
     for p, ap in _COUNT_TOWERS:
         F = frobenius_extension(p, 3)
-        model = surface_model(F, ap, rng_seed=cfg.seed)
+        model = surface_model(F, ap)
         cnt = count_points(model, p)
         expected = projective_point_count(model.n, p)
         checks.append(_ok(f"count-p{p}-is-{expected}", cnt == expected,
@@ -422,7 +418,7 @@ def _suite_triviality(L, a, cfg) -> list[Check]:
     res = norm_witness(L, a, bound=cfg.witness_bound)
     if res.status == "witness":
         nb = find_normal_basis(L)
-        model = surface_model(L, a, nb, rng_seed=cfg.seed)
+        model = surface_model(L, a, nb)
         D = base_change_matrix(model, lam=res.witness)
         std = veronese_ideal(model.parametrization.basis, L)
         transported = [substitute_linear(Q, D) for Q in model.equations_over_k]
@@ -442,8 +438,8 @@ def _suite_appendix(L, a, cfg) -> list[Check]:
     checks = []
     for p, ap in _APPENDIX_TOWERS:
         F = frobenius_extension(p, 3)
-        main = surface_model(F, ap, rng_seed=cfg.seed)
-        app = appendix_model(F, ap, rng_seed=cfg.seed)
+        main = surface_model(F, ap)
+        app = appendix_model(F, ap)
         # equal equations and parametrization basis imply equal point sets
         same = (main.equations_over_k == app.equations_over_k
                 and main.parametrization.basis == app.parametrization.basis)

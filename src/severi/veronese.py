@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import DegreeTooSmall, InputError, Singular, ZeroPoint
 from .fields import CyclicExtension, ExtElement
-from .linalg import Matrix, det, from_rows
+from .linalg import Matrix, from_rows, rank
 from .polyring import MultiPoly, make_poly, variables, zero_poly
 
 
@@ -106,7 +106,7 @@ def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix
     if A.rows != n1 or A.cols != n1:
         raise InputError(f"matrix must be {n1}x{n1}")
     ext = A.ext
-    if det(A).is_zero():
+    if rank(A) < A.rows:
         raise Singular("induced matrix of a singular matrix")
     xs = variables(ext, n1)
     rows_as_forms = []
@@ -196,15 +196,8 @@ class ParametrizationMap:
         if self.post_compose is not None:
             if self.post_compose.rows != self.basis.m or self.post_compose.cols != self.basis.m:
                 raise InputError("post_compose must be m x m")
-            if det(self.post_compose).is_zero():
+            if rank(self.post_compose) < self.basis.m:
                 raise Singular("post_compose must be invertible")
-
-    def apply_point(self, point: Sequence, ext: Optional[CyclicExtension] = None
-                    ) -> tuple[ExtElement, ...]:
-        v = veronese_point(self.basis, point, ext)
-        if self.post_compose is None:
-            return v
-        return self.post_compose.apply(v)
 
     def symbolic(self, ext: CyclicExtension) -> tuple[MultiPoly, ...]:
         """Coordinate polynomials in the n+1 plane variables."""

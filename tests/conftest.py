@@ -56,8 +56,7 @@ def f7():
 
 @pytest.fixture(scope="session")
 def model_q(shanks1, nb1):
-    # cross_check also runs the randomized split and compares
-    return surface_model(shanks1, Fraction(2), nb=nb1, cross_check=True)
+    return surface_model(shanks1, Fraction(2), nb=nb1)
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,8 @@ from severi import (
 from severi.algebra import basis_vector, embed_semilinear, multiply
 from severi.polyring import make_poly
 from severi.twisting import proportional
-from severi.verify import VerifyConfig, rational_points, run_all
+from severi.verify import (VerifyConfig, rational_points, run_all,
+                           solve_points_exhaustive, solve_points_image)
 
 
 def F(x):
@@ -196,13 +197,13 @@ def test_criterion_6_finite_field_counts():
     for p, a in ((2, 1), (3, 2)):
         L = frobenius_extension(p, 3)
         model = surface_model(L, a)
-        pts = rational_points(model, p, method="exhaustive")
+        pts = solve_points_exhaustive(model, p)
         assert len(pts) == p * p + p + 1
         rep = smoothness_spot(model, p)
         assert rep.ok and len(rep.checks) == len(pts)
     L7 = frobenius_extension(7, 3)
     model7 = surface_model(L7, 3)
-    pts7 = rational_points(model7, 7, method="image")
+    pts7 = solve_points_image(model7, 7)
     assert len(pts7) == 57
     dt = elapsed_under(t0, 60.0, "criterion 6")
     print(f"\n[criterion 6] PASS counts 7/13 exhaustive (rank 7 everywhere), "

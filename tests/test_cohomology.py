@@ -1,6 +1,7 @@
 """Cocycles for the cyclic Galois group and constructive splittings."""
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,8 +24,12 @@ from severi import (
     split_structured,
     witness_split_scalar,
 )
+from severi import cohomology
 from severi.cohomology import check_split, cocycle_from_json, cocycle_to_json
+from severi.linalg import zeros
 from severi.errors import (
+    AllAttemptsSingular,
+    InternalDescentFailure,
     NotAWitness,
     NotHonestCocycle,
     NotMonomialCocycle,
@@ -188,6 +193,20 @@ def test_structured_rejects_dense_cocycle(shanks1, nb1):
     dense = make_cocycle(shanks1, val)
     with pytest.raises(NotMonomialCocycle):
         split_structured(dense, nb1)
+
+
+def test_splits_reject_singular_matrices(shanks1, monkeypatch):
+    """Both splitters test full rank: labels that are all 1 make the
+    structured rows dependent, and zero trial matrices make every
+    averaging attempt singular."""
+    lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
+    ones = SimpleNamespace(extension=shanks1, elements=(shanks1.one(),) * 3)
+    with pytest.raises(InternalDescentFailure, match="singular"):
+        split_structured(lift, ones)
+    monkeypatch.setattr(cohomology, "_random_matrix",
+                        lambda L, size, rng: zeros(L, size, size))
+    with pytest.raises(AllAttemptsSingular):
+        split_generic(lift, attempts=2)
 
 
 def test_two_splits_differ_by_base_matrix(shanks1, nb1):

@@ -353,6 +353,15 @@ def test_element_from_json_requires_degree_coordinates(shanks1, f5):
                 element_from_json(L, bad)
 
 
+def test_element_from_json_accepts_only_canonical_scalars(shanks1, f5):
+    assert element_from_json(shanks1, ["-3/4", "0", 7]).coeffs == (F(-3) / 4, 0, 7)
+    assert element_from_json(f5, [3, "-1", "1/2"]).coeffs == (3, 4, 3)
+    for bad in (0.1, True, "1e3", "abc", None, "1/0", "+1", " 1", "1.5", "1/-2", [1]):
+        for L in (shanks1, f5):
+            with pytest.raises(InputError):
+                element_from_json(L, [bad, 0, 0])
+
+
 def test_elements_of_equal_extensions_combine():
     L1, L2 = make_shanks_cubic(2), make_shanks_cubic(2)
     assert L1 is not L2
@@ -409,16 +418,16 @@ def test_row_reduce_matches_sympy(p):
         r, c = len(rows), len(rows[0]) if rows else 0
         D = DomainMatrix([[K(int(x)) if p is not None else K(x.numerator, x.denominator)
                            for x in row] for row in rows], (r, c), K)
-        R, pivots, d = row_reduce(k, rows)
+        R, pivots = row_reduce(k, rows)
         want_R, want_pivots = D.rref()
         assert pivots == list(want_pivots)
         assert R == [[_sympy_scalar(x, p) for x in row] for row in want_R.to_list()]
         if r != c:
             continue
         want_det = _sympy_scalar(D.det(), p)
-        assert (d if len(pivots) == r else k.zero()) == want_det
+        assert (len(pivots) == r) == (want_det != 0)
         eye = [[k.one() if i == j else k.zero() for j in range(r)] for i in range(r)]
-        R2, pivots2, _ = row_reduce(k, [row + e for row, e in zip(rows, eye)])
+        R2, pivots2 = row_reduce(k, [row + e for row, e in zip(rows, eye)])
         assert (pivots2[:r] == list(range(r))) == (want_det != 0)
         if want_det != 0:
             want_inv = [[_sympy_scalar(x, p) for x in row] for row in D.inv().to_list()]

@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from severi import (
     GF,
@@ -15,7 +17,8 @@ from severi import (
     plane_names,
 )
 from severi.errors import GrammarError, NotGalois
-from severi.fields import format_element, format_scalar, format_univariate
+from severi.fields import (format_element, format_scalar, format_univariate,
+                           poly_add, poly_mul, poly_sub, poly_trim)
 from severi.polyring import make_poly, monomial
 
 
@@ -89,6 +92,71 @@ def test_parse_errors(shanks1):
         parse_poly(shanks1, "Q", plane_names(2))
     with pytest.raises(GrammarError):
         parse_univariate(QQ, "x^")
+
+
+@pytest.mark.parametrize("k", [QQ, GF(2), GF(7)], ids=repr)
+def test_parse_univariate_rejects_malformed(k):
+    for text in ("x^", "t", "1/0", "(x", "x x"):
+        with pytest.raises(GrammarError):
+            parse_univariate(k, text)
+
+
+# ---------------------------------------------------------------------------
+# parse_univariate against the dense polynomial arithmetic of severi.fields
+# ---------------------------------------------------------------------------
+
+_ATOM, _POWER, _PRODUCT, _SUM = 3, 2, 1, 0  # binding strength of rendered text
+
+_trees = st.recursive(
+    st.one_of(st.just(("x",)),
+              st.tuples(st.just("num"), st.integers(0, 12), st.sampled_from((1, 3, 5)))),
+    lambda sub: st.one_of(st.tuples(st.sampled_from("+-*"), sub, sub),
+                          st.tuples(st.just("neg"), sub),
+                          st.tuples(st.just("^"), sub, st.integers(0, 3))),
+    max_leaves=8)
+
+
+def _render(k, tree):
+    """(text, strength, coefficients) of an expression tree over k, with
+    parentheses only where the grammar needs them; the coefficients come
+    from poly_add / poly_sub / poly_mul alone."""
+    op = tree[0]
+    if op == "x":
+        return "x", _ATOM, (k.zero(), k.one())
+    if op == "num":
+        _, num, den = tree
+        text = str(num) if den == 1 else f"{num}/{den}"
+        return text, _ATOM, poly_trim(k, [k.coerce(Fraction(num, den))])
+    if op == "^":
+        text, strength, value = _render(k, tree[1])
+        if strength < _ATOM:
+            text = f"({text})"
+        out = (k.one(),)
+        for _ in range(tree[2]):
+            out = poly_mul(k, out, value)
+        return f"{text}^{tree[2]}", _POWER, out
+    if op == "neg":
+        text, strength, value = _render(k, tree[1])
+        if strength == _SUM:  # a leading sign binds to the first term only
+            text = f"({text})"
+        return f"-{text}", _SUM, poly_sub(k, (), value)
+    (lt, ls, lv), (rt, rs, rv) = _render(k, tree[1]), _render(k, tree[2])
+    if op == "*":
+        lt = lt if ls >= _PRODUCT else f"({lt})"
+        rt = rt if rs >= _PRODUCT else f"({rt})"
+        return f"{lt}*{rt}", _PRODUCT, poly_mul(k, lv, rv)
+    if op == "-" and rs == _SUM:
+        rt = f"({rt})"
+    combine = poly_add if op == "+" else poly_sub
+    return f"{lt} {op} {rt}", _SUM, combine(k, lv, rv)
+
+
+@pytest.mark.parametrize("k", [QQ, GF(2), GF(7)], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees)
+def test_parse_univariate_matches_poly_arithmetic(k, tree):
+    text, _, want = _render(k, tree)
+    assert parse_univariate(k, text) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact matrices over extension elements: product, inverse, det, Galois."""
+"""Exact matrices over extension elements: product, inverse, rank, Galois."""
 import itertools
 import json
 import random
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from severi import (
     as_scaled_permutation,
     cyclic_cocycle,
-    det,
     from_rows,
     galois_matrix,
     identity,
@@ -39,17 +38,12 @@ def test_inverse_identity(shanks1):
     assert inverse(I3) == I3
 
 
-def test_companion_determinant(shanks1):
-    A = cyclic_cocycle(shanks1, F(2)).at_generator
-    assert det(A) == shanks1.from_base(F(2))
-
-
 def test_mul_inverse_random_4x4(shanks1):
     rng = random.Random(7)
     found = 0
     while found < 3:
         A = rand_matrix(shanks1, 4, rng)
-        if det(A).is_zero():
+        if rank(A) < 4:
             continue
         assert mul(A, inverse(A)) == identity(shanks1, 4)
         found += 1
@@ -163,16 +157,6 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 @settings(max_examples=25, deadline=None)
 @given(seeds)
-def test_det_multiplicative(seed):
-    L = make_shanks_cubic(1)
-    rng = random.Random(seed)
-    A = rand_matrix(L, 3, rng, -2, 2)
-    B = rand_matrix(L, 3, rng, -2, 2)
-    assert det(mul(A, B)) == det(A) * det(B)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seeds)
 def test_galois_distributes_over_mul(seed):
     L = make_shanks_cubic(1)
     rng = random.Random(seed)
@@ -188,13 +172,14 @@ def test_inverse_involutive(seed):
     L = make_shanks_cubic(1)
     rng = random.Random(seed)
     A = rand_matrix(L, 3, rng, -2, 2)
-    if det(A).is_zero():
+    if rank(A) < 3:
         return
     assert inverse(inverse(A)) == A
 
 
 # ---------------------------------------------------------------------------
-# det against independent references
+# full rank against independent determinants: rank(A) == n exactly when
+# det(A) != 0
 # ---------------------------------------------------------------------------
 
 def _leibniz(A):
@@ -212,21 +197,29 @@ def _leibniz(A):
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 4])  # 0x0 has determinant 1
 def test_det_matches_leibniz(shanks1, f5, size):
+    """Random matrices, and for size >= 2 the same with the last row made
+    a multiple of the first, so that both verdicts occur."""
     rng = random.Random(size)
     for L in (shanks1, f5):
         for _ in range(3):
-            A = from_rows(L, [[L.el([rng.randint(-3, 3) for _ in range(3)])
-                               for _ in range(size)] for _ in range(size)])
-            assert det(A) == _leibniz(A)
+            rows = [[L.el([rng.randint(-3, 3) for _ in range(3)])
+                     for _ in range(size)] for _ in range(size)]
+            cases = [rows]
+            if size >= 2:
+                c = L.el([rng.randint(-3, 3) for _ in range(3)])
+                cases.append(rows[:-1] + [[c * x for x in rows[0]]])
+            for case in cases:
+                A = from_rows(L, case)
+                assert (rank(A) == size) == (not _leibniz(A).is_zero())
 
 
 def test_det_singular_and_row_swaps(shanks1):
     t = shanks1.theta()
     S = from_rows(shanks1, [[1, t, 2], [t, t * t, 2 * t], [0, 1, t]])  # row 2 = t * row 1
-    assert det(S).is_zero() and _leibniz(S).is_zero()
+    assert rank(S) == 2 and _leibniz(S).is_zero()
     P = from_rows(shanks1, [[0, 1, t], [1, 0, 0], [t, 2, 0]])  # needs pivoting
-    assert det(P) == _leibniz(P)
-    assert not det(P).is_zero()
+    assert rank(P) == 3 and not _leibniz(P).is_zero()
+    assert mul(P, inverse(P)) == identity(shanks1, 3)
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -243,9 +236,5 @@ def test_det_matches_sympy_on_base_field_matrices(shanks1, f7, p):
                 vals = [[rng.randint(0, p - 1) for _ in range(size)]
                         for _ in range(size)]
             want = sympy.Matrix(vals).det()
-            got = det(from_rows(L, vals))
-            assert got.in_base()
-            if p is None:
-                assert got.base_value() == Fraction(int(want.p), int(want.q))
-            else:
-                assert got.base_value() == int(want) % p
+            nonzero = want != 0 if p is None else int(want) % p != 0
+            assert (rank(from_rows(L, vals)) == size) == nonzero

@@ -1,4 +1,5 @@
 """End-to-end constructions: Fermat family, descent, models, Picard forms."""
+import copy
 import hashlib
 import json
 from dataclasses import replace
@@ -596,6 +597,26 @@ def test_model_json_rejects_shape_errors(model_f3):
     cubic = [[[3] + [0] * 9, [1, 0, 0]]]
     with pytest.raises(InputError, match="homogeneous quadric"):
         model_from_json({**blob, "equations_over_k": eqs[:-1] + [cubic]})
+
+
+def test_model_json_rejects_malformed_scalars(model_q, model_f7):
+    """Only what model_to_json writes is read back: a float, a bool, an
+    exponent, a non-number or a zero denominator raises InputError in the
+    scalar a, the field, the splitting matrix and the equations, instead of
+    becoming the nearest Fraction (0.1, True and "1e3" once did)."""
+    places = (lambda b: (b, "a"),
+              lambda b: (b["field"]["f"], 0),
+              lambda b: (b["splitting_matrix"]["entries"][0], 0),
+              lambda b: (b["equations_over_k"][0][0][1], 0))
+    for model in (model_q, model_f7):
+        blob = json.loads(json.dumps(model_to_json(model)))
+        for bad in (0.1, True, "1e3", "abc", None, "1/0"):
+            for place in places:
+                tampered = copy.deepcopy(blob)
+                container, key = place(tampered)
+                container[key] = bad
+                with pytest.raises(InputError):
+                    model_from_json(tampered)
 
 
 def test_picard_json_round_trip(shanks1, nb1):

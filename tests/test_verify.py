@@ -73,7 +73,7 @@ def test_count_p7_image(model_f7):
 def test_exhaustive_cap(model_f7):
     assert EXHAUSTIVE_MAX_P == 3
     with pytest.raises(TooLarge):
-        count_points(model_f7, 7, method="exhaustive")
+        solve_points_exhaustive(model_f7, 7)
 
 
 def test_exhaustive_guard_raises_before_enumerating(model_f2, monkeypatch):
