@@ -4,8 +4,7 @@
 Part 1 counts rational points on the twisted surface over small prime fields,
 for every unit a, and checks the count against p^2 + p + 1.  The appendix
 route relabels the main model, so it is compared by its equations, not
-counted again.  Exhaustive search over P^9 is only feasible for p <= 3;
-larger primes use the image of the parametrization.
+counted again.
 
 Part 2 probes triviality of the class over Q for a range of twists: a norm
 witness lam with N(lam) = a splits the cocycle explicitly, while exhausting a
@@ -32,15 +31,13 @@ from severi import (
     surface_model,
 )
 from severi.fields import format_element
-from severi.verify import EXHAUSTIVE_MAX_P
 
 
 def survey_prime(p: int) -> None:
     L = frobenius_extension(p, 3)
     nb = find_normal_basis(L)
-    method = "exhaustive" if p <= EXHAUSTIVE_MAX_P else "image"
     expected = p * p + p + 1
-    print(f"p = {p}  (method {method}, expected {expected})")
+    print(f"p = {p}  (expected {expected})")
     for a_int in range(1, p):
         a = GF(p).coerce(a_int)
         t0 = time.perf_counter()

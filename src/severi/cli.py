@@ -26,7 +26,7 @@ from .grammar import format_poly, omega_names, parse_field_spec
 from .twisting import (model_to_json, parametrization_residuals,
                        picard_generator, picard_to_json, surface_model,
                        verify_theorem1_equations)
-from .verify import (ALL_SUITES, Check, EXHAUSTIVE_MAX_P, Report,
+from .verify import (ALL_SUITES, Check, SMOOTHNESS_MAX_P, Report,
                      VerifyConfig, count_points, projective_point_count,
                      report_to_json, run_all, smoothness_spot)
 from .veronese import ideal_quadric_count
@@ -101,7 +101,7 @@ def _check_report_for_surface(model) -> Report:
         expected = projective_point_count(model.n, p)
         checks.append(Check(f"count-p{p}", "pass" if cnt == expected else "fail",
                             str(cnt)))
-        if p <= EXHAUSTIVE_MAX_P:
+        if p <= SMOOTHNESS_MAX_P:
             rep = smoothness_spot(model, p)
             checks.append(Check(f"smooth-p{p}",
                                 "pass" if rep.ok else "fail"))

@@ -97,9 +97,5 @@ class NotGaloisStable(InputError):
     pass
 
 
-class TooLarge(InputError):
-    pass
-
-
 class GrammarError(InputError):
     """Unparseable polynomial / element text."""

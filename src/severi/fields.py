@@ -1002,11 +1002,24 @@ def element_to_json(x: ExtElement) -> list:
     return [scalar_to_json(c) for c in x.coeffs]
 
 
+def json_value(obj, key: str, kind):
+    """obj[key], present and of type `kind` (a bool is never an int), or
+    InputError: a malformed blob never surfaces as TypeError or KeyError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InputError(f"missing field {key!r}")
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise InputError(f"field {key!r} has type {type(v).__name__}")
+    return v
+
+
 def element_from_json(L: CyclicExtension, v: Sequence) -> ExtElement:
     """An element from its [L:k] power-basis coordinates; any other length
     raises InputError instead of being reduced mod f or padded."""
-    if len(v) != L.degree:
-        raise InputError(f"element has {len(v)} coordinates, expected {L.degree}")
+    if not isinstance(v, list) or len(v) != L.degree:
+        raise InputError(f"an element is a list of {L.degree} coordinates, got {v!r}")
     return L.el([scalar_from_json(c) for c in v])
 
 
@@ -1020,7 +1033,8 @@ def extension_to_json(L: CyclicExtension) -> dict:
 
 
 def extension_from_json(obj: dict) -> CyclicExtension:
-    base = BaseField(obj["p"])
-    f = [scalar_from_json(c) for c in obj["f"]]
-    g = [scalar_from_json(c) for c in obj["g"]]
-    return CyclicExtension(base, f, g, obj["character_convention"])
+    base = BaseField(json_value(obj, "p", (int, type(None))))
+    f = [scalar_from_json(c) for c in json_value(obj, "f", list)]
+    g = [scalar_from_json(c) for c in json_value(obj, "g", list)]
+    chi = json_value(obj, "character_convention", (int, type(None)))
+    return CyclicExtension(base, f, g, chi)

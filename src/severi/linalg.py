@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
 from .fields import (CyclicExtension, ExtElement, element_from_json, galois_apply,
-                     row_reduce)
+                     json_value, row_reduce)
 from .fields import scalar_to_json as _scalar_to_json
 
 
@@ -211,5 +211,6 @@ def matrix_to_json(A: Matrix) -> dict:
 
 
 def matrix_from_json(L: CyclicExtension, obj: dict) -> Matrix:
-    ent = tuple(element_from_json(L, coeffs) for coeffs in obj["entries"])
-    return Matrix(L, obj["rows"], obj["cols"], ent)
+    ent = tuple(element_from_json(L, coeffs)
+                for coeffs in json_value(obj, "entries", list))
+    return Matrix(L, json_value(obj, "rows", int), json_value(obj, "cols", int), ent)

@@ -45,6 +45,7 @@ from .fields import (
     extension_from_json,
     extension_to_json,
     find_normal_basis,
+    json_value,
     residue,
     row_reduce,
     scalar_from_json,
@@ -501,25 +502,35 @@ def model_from_json(obj: dict) -> SurfaceModel:
     degree-2 part of the ideal of its image: the right number of distinct
     leading monomials, homogeneous quadrics over k, all vanishing on the
     parametrization.  Anything else raises InputError."""
-    if obj.get("kind") != "surface_model":
+    if json_value(obj, "kind", str) != "surface_model":
         raise InputError("not a surface_model emission")
-    L = extension_from_json(obj["field"])
-    a = L.base.coerce(scalar_from_json(obj["a"]))
-    n, m = obj["n"], obj["m"]
+    L = extension_from_json(json_value(obj, "field", dict))
+    a = L.base.coerce(scalar_from_json(json_value(obj, "a", (int, str))))
+    n, m = json_value(obj, "n", int), json_value(obj, "m", int)
     if n != L.degree - 1:
         raise InputError(f"n = {n} but the field has degree {L.degree}")
-    basis = monomial_basis(n, obj["veronese_degree"])
+    degree = json_value(obj, "veronese_degree", int)
+    if degree != n + 1:
+        raise InputError(f"veronese_degree = {degree}, expected n + 1 = {n + 1}")
+    basis = monomial_basis(n, degree)
     if m != basis.m:
         raise InputError(f"m = {m} but the Veronese basis has {basis.m} monomials")
-    orbit = tuple(element_from_json(L, v) for v in obj["normal_basis"])
-    tr = L.zero()
-    for e in orbit:
-        tr = tr + e
+    provenance = json_value(obj, "provenance", str)
+    if provenance not in ("main_path", "appendix_path"):
+        raise InputError(f"unknown provenance {provenance!r}")
+    orbit = tuple(element_from_json(L, v)
+                  for v in json_value(obj, "normal_basis", list))
+    if len(orbit) != L.degree:
+        raise InputError(f"normal basis has {len(orbit)} elements, expected {L.degree}")
+    tr = sum(orbit, L.zero())
+    if not tr.in_base():
+        raise InputError("normal basis is not a Galois orbit")
     nb = NormalBasis(orbit, tr.base_value())
-    M = matrix_from_json(L, obj["splitting_matrix"])
+    M = matrix_from_json(L, json_value(obj, "splitting_matrix", dict))
     if (M.rows, M.cols) != (m, m):
         raise InputError(f"splitting matrix is {M.rows}x{M.cols}, expected {m}x{m}")
-    eqs = tuple(poly_from_json(L, m, f) for f in obj["equations_over_k"])
+    eqs = tuple(poly_from_json(L, m, f)
+                for f in json_value(obj, "equations_over_k", list))
     expected = ideal_quadric_count(basis)
     if len(eqs) != expected:
         raise InputError(f"{len(eqs)} equations, expected {expected}")
@@ -529,7 +540,7 @@ def model_from_json(obj: dict) -> SurfaceModel:
         raise InputError("equations do not have distinct leading monomials")
     try:
         param = ParametrizationMap(basis, inverse(M))
-        model = SurfaceModel(L, a, n, m, M, eqs, param, obj["provenance"], nb)
+        model = SurfaceModel(L, a, n, m, M, eqs, param, provenance, nb)
         _validate_model(model)
     except (Singular, InternalDescentFailure) as e:
         raise InputError(f"invalid surface model: {e}") from None

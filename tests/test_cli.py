@@ -80,6 +80,26 @@ def test_import_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_point_counts_do_not_load_numpy(tmp_path):
+    # counting and the smoothness spot check at p = 3 use no third-party
+    # package
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "\n".join([
+        "import sys",
+        "from severi.cli import main",
+        "out = ['--output', sys.argv[1]]",
+        "assert main(['verify', '--suite', 'counts'] + out) == 0",
+        "assert main(['surface', '--field', 'finite:p=3', '--a', '2',",
+        "             '--check'] + out) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_python_dash_m_severi():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -26,6 +26,6 @@ def test_build_surface():
 
 def test_count_survey():
     lines = run_script("count_survey.py", "--primes", "2", "3", "--bound", "20")
-    assert "p = 3  (method exhaustive, expected 13)" in lines
+    assert "p = 3  (expected 13)" in lines
     assert any(line.startswith("  a = 2: count 13, smooth-spot pass  [ok, ")
                for line in lines)

@@ -619,6 +619,50 @@ def test_model_json_rejects_malformed_scalars(model_q, model_f7):
                     model_from_json(tampered)
 
 
+def _set(*path, value=None, delete=False):
+    """A tamper that sets (or deletes) the field at `path` of a blob."""
+    def tamper(blob):
+        *parents, last = path
+        node = blob
+        for key in parents:
+            node = node[key]
+        if delete:
+            del node[last]
+        else:
+            node[last] = value
+        return blob
+    return tamper
+
+
+@pytest.mark.parametrize("tamper", [
+    _set("field", "p", value="7"),
+    _set("field", "character_convention", value="1"),
+    _set("veronese_degree", value="3"),
+    _set("veronese_degree", value=4),
+    _set("splitting_matrix", "entries", value=5),
+    _set("equations_over_k", value=3),
+    _set("equations_over_k", 0, value=[[[2] + [0] * 9]]),
+    _set("normal_basis", delete=True),
+    _set("normal_basis", value=[]),
+    _set("normal_basis", 2, delete=True),
+    _set("normal_basis", value=[[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    _set("m", value=10.0),
+    _set("n", value=True),
+    _set("provenance", value=5),
+    _set("provenance", value="elsewhere"),
+    _set("kind", delete=True),
+    _set("a", delete=True),
+    lambda blob: [blob],
+])
+def test_model_json_rejects_malformed_fields(model_f7, tamper):
+    """A malformed field raises InputError (exit 2), not a TypeError,
+    KeyError, IndexError or InternalDescentFailure, and a float or bool
+    never stands in for an int."""
+    blob = json.loads(json.dumps(model_to_json(model_f7)))
+    with pytest.raises(InputError):
+        model_from_json(tamper(blob))
+
+
 def test_picard_json_round_trip(shanks1, nb1):
     g = picard_generator(shanks1, F(2), nb1, 2)
     blob = json.loads(json.dumps(picard_to_json(g, shanks1)))

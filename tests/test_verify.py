@@ -2,32 +2,27 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
+from point_oracle import solve_points_exhaustive
 from severi import (
     Check,
     Report,
     VerifyConfig,
     count_points,
+    frobenius_extension,
     genus_plane,
     jacobian_rank_at,
     rational_points,
     report_to_json,
     run_all,
     smoothness_spot,
+    surface_model,
 )
-from severi import verify
-from severi.errors import InputError, TooLarge
+from severi.errors import InputError, InternalDescentFailure
 from severi.polyring import make_poly
-from severi.verify import (
-    EXHAUSTIVE_MAX_P,
-    base_change_matrix,
-    report_from_json,
-    solve_points_exhaustive,
-    solve_points_image,
-)
+from severi.verify import base_change_matrix, report_from_json
 
 
 def F(x):
@@ -70,29 +65,50 @@ def test_count_p7_image(model_f7):
     assert count_points(model_f7, 7) == 57
 
 
-def test_exhaustive_cap(model_f7):
-    assert EXHAUSTIVE_MAX_P == 3
-    with pytest.raises(TooLarge):
-        solve_points_exhaustive(model_f7, 7)
-
-
-def test_exhaustive_guard_raises_before_enumerating(model_f2, monkeypatch):
-    # P^34(F_2) has 2^35 tuples: the guard must raise before any is listed,
-    # so a missing guard fails here instead of allocating them
-    def product(*args, **kwargs):
-        raise AssertionError("enumeration started")
-
-    monkeypatch.setattr(verify, "itertools", SimpleNamespace(product=product))
-    cap = verify.EXHAUSTIVE_MAX_TUPLES
-    with pytest.raises(TooLarge, match=rf"2\^35 tuples, over the cap of {cap}$"):
-        solve_points_exhaustive(replace(model_f2, m=35), 2)
-
-
 def test_methods_agree_p2(model_f2):
     pts_ex = solve_points_exhaustive(model_f2, 2)
-    pts_im = solve_points_image(model_f2, 2)
-    assert sorted(pts_ex) == sorted(pts_im)
+    pts_im = rational_points(model_f2, 2)
+    assert pts_ex == pts_im
     assert len(pts_ex) == 7
+
+
+@pytest.mark.parametrize("n, primes", [(2, (2, 3)), (1, (2, 3, 5, 7, 11, 13))])
+def test_route_matches_oracle(n, primes):
+    # the image route and exhaustive enumeration list the same points, for
+    # every unit a
+    for p in primes:
+        L = frobenius_extension(p, n + 1)
+        for a in range(1, p):
+            model = surface_model(L, a)
+            assert rational_points(model, p) == solve_points_exhaustive(model, p)
+
+
+def _tampered(model):
+    """The model cut to 3 of its equations, then with its first equation
+    swapped for w0^2 (independent of the rest but not vanishing), for a
+    copy of the second (dependent), and for theta times itself (not over
+    k).  Each breaks one condition of the certificate."""
+    L = model.extension
+    square = make_poly(L, model.m, {(2,) + (0,) * (model.m - 1): L.one()})
+    eqs = model.equations_over_k
+    return (replace(model, equations_over_k=eqs[:3]),
+            *(replace(model, equations_over_k=(first,) + eqs[1:])
+              for first in (square, eqs[1], eqs[0] * L.theta())))
+
+
+@pytest.mark.parametrize("name", ["model_f3", "model_f7"])
+def test_tampered_models_raise(name, request):
+    model = request.getfixturevalue(name)
+    p = model.extension.base.p
+    for bad in _tampered(model):
+        with pytest.raises(InternalDescentFailure, match="do not cut out"):
+            count_points(bad, p)
+
+
+def test_oracle_sees_the_cut_model(model_f3):
+    # 3 of the 27 quadrics cut out far more than the 13 points of P^2(F_3)
+    cut = _tampered(model_f3)[0]
+    assert len(solve_points_exhaustive(cut, 3)) == 1363
 
 
 def test_points_are_sorted_tuples(model_f3):
@@ -130,11 +146,6 @@ def test_smoothness_p3(model_f3):
     rep = smoothness_spot(model_f3, 3)
     assert rep.ok
     assert len(rep.checks) == 13
-
-
-def test_smoothness_sample_limit(model_f3):
-    rep = smoothness_spot(model_f3, 3, sample=4)
-    assert len(rep.checks) == 4
 
 
 def test_jacobian_rank_detects_singularity(f2):
