@@ -100,6 +100,7 @@ from .twisting import (
     appendix_model,
     descend_to_base,
     fermat,
+    image_defect,
     model_from_json,
     model_to_json,
     picard_generator,
@@ -112,7 +113,6 @@ from .twisting import (
 from .verify import (
     Check,
     Report,
-    VerifyConfig,
     count_points,
     genus_plane,
     jacobian_rank_at,

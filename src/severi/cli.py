@@ -27,8 +27,8 @@ from .twisting import (model_to_json, parametrization_residuals,
                        picard_generator, picard_to_json, surface_model,
                        verify_theorem1_equations)
 from .verify import (ALL_SUITES, Check, SMOOTHNESS_MAX_P, Report,
-                     VerifyConfig, count_points, projective_point_count,
-                     report_to_json, run_all, smoothness_spot)
+                     count_points, projective_point_count, report_to_json,
+                     run_all, smoothness_spot)
 from .veronese import ideal_quadric_count
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
@@ -114,7 +114,8 @@ def _check_report_for_surface(model) -> Report:
         expected = ideal_quadric_count(model.parametrization.basis)
         checks.append(Check("equation-count",
                             "pass" if count == expected else "fail", str(count)))
-        vanish = all(r.is_zero() for r in parametrization_residuals(model))
+        vanish = all(r.is_zero() for r in parametrization_residuals(
+            model.equations_over_k, model.parametrization))
         checks.append(Check("equations-vanish", "pass" if vanish else "fail"))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report("surface-check", tuple(checks), elapsed)
@@ -219,10 +220,7 @@ def cmd_algebra(args, L, a, seed: int) -> tuple[str, int]:
 
 def cmd_verify(args, L, a, seed: int) -> tuple[str, int]:
     suites = tuple(dict.fromkeys(args.suite)) if args.suite else ALL_SUITES
-    cfg = VerifyConfig(field_spec=args.field, a=args.a, n=args.n,
-                       character_convention=args.chi,
-                       dprime=args.dprime, suites=suites)
-    rep = run_all(cfg)
+    rep = run_all(L, a, suites, args.dprime)
     print(f"verify: {len(rep.checks)} checks in {rep.elapsed_ms} ms",
           file=sys.stderr)
     code = 0 if rep.ok else 1

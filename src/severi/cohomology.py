@@ -122,7 +122,11 @@ def check_split(xi: Cocycle, M: Matrix) -> None:
         raise InternalDescentFailure("splitting residual is nonzero")
 
 
-def split_generic(xi: Cocycle, attempts: int = 32, rng_seed: int = 0) -> Matrix:
+# pseudo-random trial matrices tried by split_generic
+_SPLIT_ATTEMPTS = 32
+
+
+def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
     """Averaging split: M = sum_j xi(sigma^j) sigma^j(R) for pseudo-random R,
     retried until invertible.  Requires an honest cocycle."""
     L = xi.extension
@@ -131,7 +135,7 @@ def split_generic(xi: Cocycle, attempts: int = 32, rng_seed: int = 0) -> Matrix:
             f"scalar class {xi.scalar_class!r} != 1; normalize before splitting")
     values = [cocycle_value(xi, j) for j in range(L.degree)]
     rng = random.Random(rng_seed)
-    for _ in range(attempts):
+    for _ in range(_SPLIT_ATTEMPTS):
         R = _random_matrix(L, xi.size, rng)
         M = zeros(L, xi.size, xi.size)
         for j in range(L.degree):
@@ -140,7 +144,7 @@ def split_generic(xi: Cocycle, attempts: int = 32, rng_seed: int = 0) -> Matrix:
             check_split(xi, M)
             return M
     raise AllAttemptsSingular(
-        f"all {attempts} averaging attempts were singular (seed {rng_seed})")
+        f"all {_SPLIT_ATTEMPTS} averaging attempts were singular (seed {rng_seed})")
 
 
 def split_structured(xi_lift: Cocycle, nb) -> Matrix:
@@ -254,13 +258,12 @@ def witness_split_scalar(L: CyclicExtension, lam: ExtElement) -> ExtElement:
     return s
 
 
-def lift_split_from_witness(L: CyclicExtension, a, lam: ExtElement,
-                            P: Matrix | None = None) -> Matrix:
+def lift_split_from_witness(L: CyclicExtension, a, lam: ExtElement) -> Matrix:
     """An honest split of the lifted cocycle built from a norm witness:
-    M' = s * Ver(P) with s = witness_split_scalar(lam)."""
+    M' = s * Ver(P) with P = coboundary_from_witness(a, lam) and
+    s = witness_split_scalar(lam)."""
     a = L.base.coerce(a)
-    if P is None:
-        P = coboundary_from_witness(L, a, lam)
+    P = coboundary_from_witness(L, a, lam)
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
     VP = induced_matrix(basis, P)

@@ -48,14 +48,35 @@ _RATIONAL_ROOT_DEGREE = 3          # rational-root test is complete up to here
 _CERTIFICATE_PRIMES = 500          # mod-p irreducibility certificates tried below this
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; p at or above the bound, where the bases
+    no longer prove primality, raises InputError."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MILLER_RABIN_BOUND:
+        raise InputError(f"cannot certify primality of {p} (too large)")
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -265,9 +286,15 @@ def _X(field) -> tuple[Scalar, ...]:
 
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    out = [1]
+    for q in _prime_factors(n):
+        k = 0
+        while n % q == 0:
+            n, k = n // q, k + 1
+        out = [d * q ** i for d in out for i in range(k + 1)]
+    return sorted(out)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -300,9 +327,7 @@ def poly_is_irreducible_fp(field: BaseField, f) -> bool:
 
 def _rational_roots_exist(f) -> bool:
     # clear denominators, then u/v with u | constant, v | leading
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in f))
     fi = [int(c * den) for c in f]
     if fi[0] == 0:
         return True  # 0 is a root
@@ -313,12 +338,6 @@ def _rational_roots_exist(f) -> bool:
                 if poly_eval(QQ, f, r) == 0:
                     return True
     return False
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 def poly_check_irreducible(field: BaseField, f) -> None:
@@ -344,9 +363,7 @@ def poly_check_irreducible(field: BaseField, f) -> None:
         raise NotIrreducible("rational root found")
     if deg <= _RATIONAL_ROOT_DEGREE:
         return
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in f))
     fi = [int(c * den) for c in f]
     for p in _primes_below(_CERTIFICATE_PRIMES):
         if fi[-1] % p == 0:
@@ -394,7 +411,7 @@ class CyclicExtension:
             raise InputError("extension degree must be >= 2")
         if self.f[-1] != self.base.one():
             raise InputError("minimal polynomial must be monic")
-        if _gcd_int(self.character_convention, n1) != 1:
+        if math.gcd(self.character_convention, n1) != 1:
             raise InputError("character convention must be a unit mod degree")
         poly_check_irreducible(self.base, self.f)
         fg = poly_compose_mod(self.base, self.f, self.g, self.f)
@@ -822,8 +839,12 @@ def _normal_basis_candidate(L: CyclicExtension, x: ExtElement) -> Optional[Norma
     return NormalBasis(tuple(orbit), tr)
 
 
-def find_normal_basis(L: CyclicExtension, seed: Optional[ExtElement] = None,
-                      bound: int = 100_000) -> NormalBasis:
+# candidates find_normal_basis tries before it gives up
+_NORMAL_BASIS_BOUND = 100_000
+
+
+def find_normal_basis(L: CyclicExtension, seed: Optional[ExtElement] = None
+                      ) -> NormalBasis:
     """First normal-basis generator in the documented enumeration seed,
     seed+1, seed+theta, ... (deltas from CyclicExtension.enumerate_elements)."""
     if seed is None:
@@ -835,8 +856,9 @@ def find_normal_basis(L: CyclicExtension, seed: Optional[ExtElement] = None,
         if nb is not None:
             return nb
         tried += 1
-        if tried >= bound:
-            raise SearchExhausted(f"no normal basis within {bound} candidates")
+        if tried >= _NORMAL_BASIS_BOUND:
+            raise SearchExhausted(
+                f"no normal basis within {_NORMAL_BASIS_BOUND} candidates")
     raise SearchExhausted("element enumeration exhausted")
 
 

@@ -38,12 +38,6 @@ def omega_names(m: int) -> tuple[str, ...]:
     return tuple(f"w{i}" for i in range(m))
 
 
-def default_names(nvars: int) -> tuple[str, ...]:
-    if nvars == 3:
-        return ("X", "Y", "Z")
-    return tuple(f"X{i}" for i in range(nvars))
-
-
 def _tokenize(s: str) -> list[str]:
     out, pos = [], 0
     while pos < len(s):
@@ -190,7 +184,7 @@ def _coeff_str(c: ExtElement) -> tuple[str, bool]:
 
 def format_poly(F: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
     if names is None:
-        names = default_names(F.nvars)
+        names = plane_names(F.nvars - 1)
     if len(names) != F.nvars:
         raise InputError("name list length mismatch")
     return format_terms(

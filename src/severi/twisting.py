@@ -67,6 +67,7 @@ from .polyring import (
     zero_poly,
 )
 from .veronese import (
+    MonomialBasis,
     ParametrizationMap,
     canonical_embedding,
     ideal_quadric_count,
@@ -125,7 +126,7 @@ class SurfaceModel:
     m: int
     splitting_matrix: Matrix          # maps the model onto the Veronese image
     equations_over_k: tuple[MultiPoly, ...]
-    parametrization: ParametrizationMap  # inverse(splitting_matrix) after Ver_n
+    parametrization: ParametrizationMap  # Ver_n, then inverse(splitting_matrix)
     provenance: str                   # "main_path" | "appendix_path"
     normal_basis: NormalBasis
 
@@ -214,29 +215,48 @@ def _residue_ranks(L: CyclicExtension, C: list[list[ExtElement]]) -> Iterator[in
             yield len(row_reduce(GF(ell), rows)[1])
 
 
-def parametrization_residuals(model: SurfaceModel) -> list[MultiPoly]:
-    """Each model equation composed with the model's parametrization; all
-    are zero exactly when the equations vanish on the model."""
-    coords = model.parametrization.symbolic(model.extension)
-    return substitute_all(model.equations_over_k, list(coords))
+def parametrization_residuals(equations: Sequence[MultiPoly],
+                              param: ParametrizationMap) -> list[MultiPoly]:
+    """Each equation composed with the parametrization; all are zero
+    exactly when the equations vanish on its image."""
+    coords = param.symbolic(param.matrix.ext)
+    return substitute_all(equations, list(coords))
 
 
-def _validate_model(model: SurfaceModel) -> None:
-    for eq in model.equations_over_k:
-        for _, c in eq.terms:
-            if not c.in_base():
-                raise InternalDescentFailure("model equation has non-k coefficient")
-    for residual in parametrization_residuals(model):
-        if not residual.is_zero():
-            raise InternalDescentFailure(
-                "model equation does not vanish on the parametrization")
+def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
+                 P: Matrix) -> Optional[str]:
+    """None when `equations` span the degree-2 part of the ideal of the
+    image of P o Ver, for an invertible m x m matrix P; otherwise the first
+    clause that fails.
+
+    The clauses: as many equations as that part has dimensions, each a
+    nonzero homogeneous quadric with coefficients in k, with pairwise
+    distinct leading monomials (which proves them independent), and each
+    vanishing on P o Ver.  Their pullbacks by P then span the degree-2
+    ideal of the Veronese image, which cuts that image out.  P's
+    invertibility is a premise, proved where P is built.
+    """
+    expected = ideal_quadric_count(basis)
+    if len(equations) != expected:
+        return f"{len(equations)} equations, expected {expected}"
+    if any(F.is_zero() or F.degree() != 2 or not F.is_homogeneous()
+           for F in equations):
+        return "every equation must be a nonzero homogeneous quadric"
+    if not all(c.in_base() for F in equations for _, c in F.terms):
+        return "model equation has non-k coefficient"
+    if len({F.terms[0][0] for F in equations}) != len(equations):
+        return "equations do not have distinct leading monomials"
+    residuals = parametrization_residuals(equations, ParametrizationMap(basis, P))
+    if not all(r.is_zero() for r in residuals):
+        return "model equation does not vanish on the parametrization"
+    return None
 
 
 def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
                   ) -> SurfaceModel:
     """Main pipeline: companion cocycle, Veronese lift, structured split,
     twisted ideal quadrics, descent to the base field; the model is
-    validated before it is returned."""
+    certified by `image_defect` before it is returned."""
     a = L.base.coerce(a)
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
@@ -247,12 +267,13 @@ def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
     M = split_structured(lifted, nb)
     quads = veronese_ideal(basis, L)
     twisted = [substitute_linear(Q, M) for Q in quads]
-    equations = descend_to_base(L, twisted)
-    param = ParametrizationMap(basis, post_compose=inverse(M))
-    model = SurfaceModel(L, a, n, basis.m, M, tuple(equations), param,
-                         "main_path", nb)
-    _validate_model(model)
-    return model
+    equations = tuple(descend_to_base(L, twisted))
+    P = inverse(M)
+    defect = image_defect(equations, basis, P)
+    if defect is not None:
+        raise InternalDescentFailure(defect)
+    return SurfaceModel(L, a, n, basis.m, M, equations,
+                        ParametrizationMap(basis, P), "main_path", nb)
 
 
 def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
@@ -499,9 +520,8 @@ def model_to_json(model: SurfaceModel) -> dict:
 
 def model_from_json(obj: dict) -> SurfaceModel:
     """Rebuild a model and check that its equations are exactly the
-    degree-2 part of the ideal of its image: the right number of distinct
-    leading monomials, homogeneous quadrics over k, all vanishing on the
-    parametrization.  Anything else raises InputError."""
+    degree-2 part of the ideal of its image (`image_defect`).  Anything
+    else raises InputError."""
     if json_value(obj, "kind", str) != "surface_model":
         raise InputError("not a surface_model emission")
     L = extension_from_json(json_value(obj, "field", dict))
@@ -531,20 +551,15 @@ def model_from_json(obj: dict) -> SurfaceModel:
         raise InputError(f"splitting matrix is {M.rows}x{M.cols}, expected {m}x{m}")
     eqs = tuple(poly_from_json(L, m, f)
                 for f in json_value(obj, "equations_over_k", list))
-    expected = ideal_quadric_count(basis)
-    if len(eqs) != expected:
-        raise InputError(f"{len(eqs)} equations, expected {expected}")
-    if any(F.is_zero() or F.degree() != 2 or not F.is_homogeneous() for F in eqs):
-        raise InputError("every equation must be a nonzero homogeneous quadric")
-    if len({F.terms[0][0] for F in eqs}) != len(eqs):
-        raise InputError("equations do not have distinct leading monomials")
     try:
-        param = ParametrizationMap(basis, inverse(M))
-        model = SurfaceModel(L, a, n, m, M, eqs, param, provenance, nb)
-        _validate_model(model)
-    except (Singular, InternalDescentFailure) as e:
+        P = inverse(M)
+    except Singular as e:
         raise InputError(f"invalid surface model: {e}") from None
-    return model
+    defect = image_defect(eqs, basis, P)
+    if defect is not None:
+        raise InputError(defect)
+    return SurfaceModel(L, a, n, m, M, eqs, ParametrizationMap(basis, P),
+                        provenance, nb)
 
 
 def picard_to_json(g: PicardGenerator, L: CyclicExtension) -> dict:

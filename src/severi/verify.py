@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
@@ -25,14 +24,12 @@ from .cohomology import (cocycle_value, coboundary_from_witness,
 from .errors import InputError, InternalDescentFailure, SearchExhausted
 from .fields import (GF, CyclicExtension, find_normal_basis, frobenius_extension,
                      norm_witness, row_reduce)
-from .grammar import parse_field_spec
 from .linalg import Matrix, galois_matrix, identity, inverse, mul
-from .polyring import MultiPoly, family_support, jacobian, make_poly
-from .twisting import (SurfaceModel, appendix_model, fermat,
-                       parametrization_residuals, picard_generator,
-                       proportional, pullback_to_plane, surface_model,
-                       verify_theorem1_equations)
-from .veronese import ParametrizationMap, ideal_quadric_count, monomial_basis
+from .polyring import MultiPoly, jacobian, make_poly
+from .twisting import (SurfaceModel, appendix_model, fermat, image_defect,
+                       picard_generator, proportional, pullback_to_plane,
+                       surface_model, verify_theorem1_equations)
+from .veronese import monomial_basis
 
 SMOOTHNESS_MAX_P = 3  # one check per point, emitted by the `counts` suite
 
@@ -103,7 +100,7 @@ def _plane_reps(p: int, k: int):
 
 
 def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
-    """A Galois-fixed matrix carrying the standard Veronese image onto the
+    """A matrix D in GL_m(k) carrying the standard Veronese image onto the
     model, built from a norm witness; exists whenever the class is split."""
     L = model.extension
     if lam is None:
@@ -117,41 +114,25 @@ def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
     for ent in D.entries:
         if not ent.in_base():
             raise InternalDescentFailure("base change matrix is not Galois-fixed")
+    rows = [[ent.base_value() for ent in row] for row in D.as_rows()]
+    if len(row_reduce(L.base, rows)[1]) != D.rows:
+        raise InternalDescentFailure("base change matrix is singular")
     return D
-
-
-def _cuts_out_image(model: SurfaceModel, D: Matrix) -> bool:
-    """Whether the equations cut out exactly D(Ver(P^n)), D in GL_m(k): they
-    are over k, independent over k, as many as the dimension of the
-    degree-2 part of the Veronese ideal, and vanish on D o Ver.  Their
-    pullbacks by D then span that part, which cuts out the image."""
-    eqs = model.equations_over_k
-    basis = model.parametrization.basis
-    if len(eqs) != ideal_quadric_count(basis):
-        return False
-    if not all(c.in_base() for F in eqs for _, c in F.terms):
-        return False
-    k = model.extension.base
-    support = family_support(eqs)
-    rows = [[F.coefficient(e).base_value() for e in support] for F in eqs]
-    if len(row_reduce(k, rows)[1]) != len(eqs):
-        return False
-    image = replace(model, parametrization=ParametrizationMap(basis, D))
-    return all(r.is_zero() for r in parametrization_residuals(image))
 
 
 def rational_points(model: SurfaceModel, p: int) -> list[tuple[int, ...]]:
     """The F_p-points of the model, as the image of P^n(F_p) under D o Ver
     with D = base_change_matrix(model).  The image is all of them because
-    the equations cut it out (`_cuts_out_image`), which is checked first;
+    the equations cut it out (`image_defect`), which is checked first;
     injectivity is checked on the way."""
     _require_prime_model(model, p)
     D = base_change_matrix(model)
-    if not _cuts_out_image(model, D):
-        raise InternalDescentFailure(
-            "model equations do not cut out the image of P^n")
-    dint = [[int(c.base_value()) % p for c in row] for row in D.as_rows()]
     basis = model.parametrization.basis
+    defect = image_defect(model.equations_over_k, basis, D)
+    if defect is not None:
+        raise InternalDescentFailure(
+            f"model equations do not cut out the image of P^n: {defect}")
+    dint = [[int(c.base_value()) % p for c in row] for row in D.as_rows()]
     pts: set[tuple[int, ...]] = set()
     for u in _plane_reps(p, basis.n + 1):
         v = [prod(pow(x, k, p) for x, k in zip(u, exps)) % p for exps in basis.list]
@@ -236,20 +217,8 @@ def smoothness_spot(model: SurfaceModel, p: int) -> Report:
 ALL_SUITES = ("cocycle", "split", "paper-eqs", "picard", "counts",
               "algebra", "triviality", "appendix")
 
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    field_spec: str = "shanks:t=1"
-    a: str = "2"
-    n: int = 2
-    character_convention: Optional[int] = None
-    dprime: int = 2
-    suites: tuple[str, ...] = ALL_SUITES
-    witness_bound: int = 1000
-
-
-def _parse_a(L: CyclicExtension, a) -> object:
-    return L.base.coerce(Fraction(str(a)))
+# norm-witness search bound of the `triviality` suite
+WITNESS_BOUND = 1000
 
 
 def _ok(name: str, cond: bool, witness: Optional[str] = None) -> Check:
@@ -257,7 +226,7 @@ def _ok(name: str, cond: bool, witness: Optional[str] = None) -> Check:
                  None if cond else witness)
 
 
-def _suite_cocycle(L, a, cfg) -> list[Check]:
+def _suite_cocycle(L, a, dprime) -> list[Check]:
     n1 = L.degree
     xi = cyclic_cocycle(L, a)
     power = cocycle_value(xi, n1)
@@ -271,7 +240,7 @@ def _suite_cocycle(L, a, cfg) -> list[Check]:
     ]
 
 
-def _suite_split(L, a, cfg) -> list[Check]:
+def _suite_split(L, a, dprime) -> list[Check]:
     lift = lift_to_veronese(cyclic_cocycle(L, a))
     nb = find_normal_basis(L)
     xi = lift.at_generator
@@ -291,7 +260,7 @@ def _suite_split(L, a, cfg) -> list[Check]:
     return checks
 
 
-def _suite_paper_eqs(L, a, cfg) -> list[Check]:
+def _suite_paper_eqs(L, a, dprime) -> list[Check]:
     if L.degree != 3:
         return [Check("skipped", "pass", "requires a cubic extension")]
     checks = []
@@ -300,7 +269,7 @@ def _suite_paper_eqs(L, a, cfg) -> list[Check]:
     return checks
 
 
-def _suite_picard(L, a, cfg) -> list[Check]:
+def _suite_picard(L, a, dprime) -> list[Check]:
     n = L.degree - 1
     nb = find_normal_basis(L)
     basis = monomial_basis(n, n + 1)
@@ -313,7 +282,7 @@ def _suite_picard(L, a, cfg) -> list[Check]:
     checks.append(_ok("dprime1-is-hyperplane-multiple",
                       c is not None and not c.is_zero()))
     model = surface_model(L, a, nb)
-    for dp in sorted({1, cfg.dprime}):
+    for dp in sorted({1, dprime}):
         g = picard_generator(L, a, nb, dp)
         pull = pullback_to_plane(model, g.equation)
         fer = fermat(L, dp, a)
@@ -332,7 +301,7 @@ def _suite_picard(L, a, cfg) -> list[Check]:
 _COUNT_TOWERS = ((2, 1), (3, 2), (7, 3))
 
 
-def _suite_counts(L, a, cfg) -> list[Check]:
+def _suite_counts(L, a, dprime) -> list[Check]:
     checks = []
     for p, ap in _COUNT_TOWERS:
         F = frobenius_extension(p, 3)
@@ -348,7 +317,7 @@ def _suite_counts(L, a, cfg) -> list[Check]:
     return checks
 
 
-def _suite_algebra(L, a, cfg) -> list[Check]:
+def _suite_algebra(L, a, dprime) -> list[Check]:
     n1 = L.degree
     A = build_algebra(L, a)
     checks = [
@@ -369,10 +338,10 @@ def _suite_algebra(L, a, cfg) -> list[Check]:
     return checks
 
 
-def _suite_triviality(L, a, cfg) -> list[Check]:
+def _suite_triviality(L, a, dprime) -> list[Check]:
     checks = []
     minus1 = L.base.coerce(-1)
-    res1 = norm_witness(L, minus1, bound=cfg.witness_bound)
+    res1 = norm_witness(L, minus1, bound=WITNESS_BOUND)
     if res1.status == "witness":
         coboundary_from_witness(L, minus1, res1.witness)
         checks.append(Check("norm-minus1-coboundary", "pass"))
@@ -383,13 +352,14 @@ def _suite_triviality(L, a, cfg) -> list[Check]:
     else:
         checks.append(Check("norm-minus1-coboundary", "fail",
                             "no witness found"))
-    res = norm_witness(L, a, bound=cfg.witness_bound)
+    res = norm_witness(L, a, bound=WITNESS_BOUND)
     if res.status == "witness":
         nb = find_normal_basis(L)
         model = surface_model(L, a, nb)
         D = base_change_matrix(model, lam=res.witness)
         checks.append(_ok("witness-transports-model-to-veronese",
-                          _cuts_out_image(model, D)))
+                          image_defect(model.equations_over_k,
+                                       model.parametrization.basis, D) is None))
     else:
         checks.append(Check(
             "nontrivial-class", "pass",
@@ -400,7 +370,7 @@ def _suite_triviality(L, a, cfg) -> list[Check]:
 _APPENDIX_TOWERS = ((2, 1), (7, 3))
 
 
-def _suite_appendix(L, a, cfg) -> list[Check]:
+def _suite_appendix(L, a, dprime) -> list[Check]:
     checks = []
     for p, ap in _APPENDIX_TOWERS:
         F = frobenius_extension(p, 3)
@@ -427,18 +397,18 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_all(config: Optional[VerifyConfig] = None) -> Report:
-    cfg = config or VerifyConfig()
-    for name in cfg.suites:
+def run_all(L: CyclicExtension, a, suites: Sequence[str] = ALL_SUITES,
+            dprime: int = 2) -> Report:
+    """Run the named suites on the extension L and the scalar a; `dprime`
+    is the Picard-generator degree the `picard` suite checks beside 1."""
+    for name in suites:
         if name not in _SUITE_RUNNERS:
             raise InputError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
-    L = parse_field_spec(cfg.field_spec, degree=cfg.n + 1,
-                     character_convention=cfg.character_convention)
-    a = _parse_a(L, cfg.a)
+    a = L.base.coerce(a)
     checks: list[Check] = []
-    for name in cfg.suites:
-        for c in _SUITE_RUNNERS[name](L, a, cfg):
+    for name in suites:
+        for c in _SUITE_RUNNERS[name](L, a, dprime):
             checks.append(Check(f"{name}:{c.name}", c.status, c.witness))
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return Report("+".join(cfg.suites), tuple(checks), elapsed)
+    return Report("+".join(suites), tuple(checks), elapsed)

@@ -187,30 +187,17 @@ def _ideal_pairs(basis: MonomialBasis) -> list[tuple[int, int, int, int]]:
 
 @dataclass(frozen=True)
 class ParametrizationMap:
-    """The raw monomial map of `basis`, optionally followed by a matrix."""
+    """The monomial map of `basis` followed by the m x m matrix P."""
 
     basis: MonomialBasis
-    post_compose: Optional[Matrix] = None
-
-    def __post_init__(self):
-        if self.post_compose is not None:
-            if self.post_compose.rows != self.basis.m or self.post_compose.cols != self.basis.m:
-                raise InputError("post_compose must be m x m")
-            if rank(self.post_compose) < self.basis.m:
-                raise Singular("post_compose must be invertible")
+    matrix: Matrix
 
     def symbolic(self, ext: CyclicExtension) -> tuple[MultiPoly, ...]:
-        """Coordinate polynomials in the n+1 plane variables."""
-        xs = variables(ext, self.basis.n + 1)
-        polys = veronese_poly(self.basis, xs)
-        if self.post_compose is None:
-            return polys
-        out = []
-        for i in range(self.basis.m):
-            acc = zero_poly(ext, self.basis.n + 1)
-            for j in range(self.basis.m):
-                c = self.post_compose.at(i, j)
-                if not c.is_zero():
-                    acc = acc + polys[j] * c
-            out.append(acc)
-        return tuple(out)
+        """Coordinate polynomials in the n+1 plane variables: coordinate i is
+        sum_j P[i][j] times basis monomial j.  The basis monomials are
+        distinct and in canonical order, so each row is already a
+        polynomial's term list."""
+        nv = self.basis.n + 1
+        mono = self.basis.list
+        return tuple(MultiPoly(ext, nv, tuple((mono[j], c) for j, c in row))
+                     for row in self.matrix.sparse_rows)

@@ -43,7 +43,7 @@ from severi import (
 from severi.algebra import basis_vector, embed_semilinear, multiply
 from severi.polyring import make_poly
 from severi.twisting import proportional
-from severi.verify import VerifyConfig, rational_points, run_all
+from severi.verify import rational_points, run_all
 
 
 def F(x):
@@ -225,7 +225,7 @@ def test_criterion_7_norm_triviality_round_trip(shanks1):
     assert mul(xi.at_generator, galois_matrix(shanks1, P, 1)) == P.scale(named)
     none = norm_witness(shanks1, F(2), bound=1000)
     assert none.status == "none_found"
-    rep = run_all(VerifyConfig(a="2", suites=("triviality",), witness_bound=1000))
+    rep = run_all(shanks1, F(2), ("triviality",))
     assert rep.ok
     notes = {c.name: c.witness for c in rep.checks}
     assert "not a proof" in notes["triviality:nontrivial-class"]

@@ -206,7 +206,7 @@ def test_splits_reject_singular_matrices(shanks1, monkeypatch):
     monkeypatch.setattr(cohomology, "_random_matrix",
                         lambda L, size, rng: zeros(L, size, size))
     with pytest.raises(AllAttemptsSingular):
-        split_generic(lift, attempts=2)
+        split_generic(lift)
 
 
 def test_two_splits_differ_by_base_matrix(shanks1, nb1):

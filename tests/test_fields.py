@@ -281,6 +281,52 @@ def test_base_field_prime_required():
         GF(6)
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    from severi.fields import _is_prime
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    from severi.fields import _is_prime
+    # strong pseudoprimes to base 2 (2047) and to bases 2, 3, 5, 7
+    # (3215031751), and the Carmichael numbers 561 and 41041
+    for n in (2047, 3215031751, 561, 41041):
+        assert not _is_prime(n)
+    for p in (2 ** 61 - 1, 10 ** 14 + 31):
+        assert _is_prime(p)
+    assert GF(10 ** 14 + 31).p == 10 ** 14 + 31
+
+
+def test_is_prime_refuses_beyond_its_certified_range():
+    from severi.fields import _MILLER_RABIN_BOUND, _is_prime
+    with pytest.raises(InputError):
+        _is_prime(_MILLER_RABIN_BOUND)
+    with pytest.raises(InputError):
+        GF(2 ** 127 - 1)
+
+
+def test_divisors_come_from_prime_factors():
+    from severi.fields import _divisors
+    assert _divisors(10 ** 9 + 7) == [1, 10 ** 9 + 7]
+    assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(1) == [1]
+
+
+def test_large_constant_term_is_rejected_quickly(capsys):
+    # the rational-root test once counted to |1000000007| before the
+    # identity map was rejected as a Galois generator
+    from severi.cli import main
+    code = main(["surface", "--field", "poly:x^3 - 3*x + 1000000007;galois:x",
+                 "--a", "2"])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_nth_root_exact_beyond_float_range():
     from severi.fields import _nth_root_fraction
     assert _nth_root_fraction(Fraction(10 ** 399), 3) == 10 ** 133

@@ -17,6 +17,7 @@ from severi import (
     descend_to_base,
     fermat,
     find_normal_basis,
+    image_defect,
     format_poly,
     frobenius_extension,
     lift_to_veronese,
@@ -554,6 +555,38 @@ def test_appendix_equations_vanish(appendix_q, shanks1):
 def test_appendix_rejects_wrong_degree(zeta5):
     with pytest.raises(InputError):
         appendix_model(zeta5, F(5))
+
+
+# ---------------------------------------------------------------------------
+# the model certificate
+# ---------------------------------------------------------------------------
+
+def _swap_first(make):
+    return lambda eqs, L, m: (make(eqs, L, m),) + eqs[1:]
+
+
+def _monomial(L, m, e):
+    return make_poly(L, m, {e: L.one()})
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda eqs, L, m: eqs[:3], "3 equations, expected 27"),
+    (_swap_first(lambda eqs, L, m: _monomial(L, m, (3,) + (0,) * (m - 1))),
+     "every equation must be a nonzero homogeneous quadric"),
+    (_swap_first(lambda eqs, L, m: eqs[0] * L.theta()),
+     "model equation has non-k coefficient"),
+    (_swap_first(lambda eqs, L, m: eqs[1]),
+     "equations do not have distinct leading monomials"),
+    (_swap_first(lambda eqs, L, m: _monomial(L, m, (2,) + (0,) * (m - 1))),
+     "model equation does not vanish on the parametrization"),
+])
+def test_image_defect_names_the_failing_clause(model_f3, tamper, message):
+    L, m = model_f3.extension, model_f3.m
+    param = model_f3.parametrization
+    eqs = model_f3.equations_over_k
+    assert image_defect(eqs, param.basis, param.matrix) is None
+    bad = tamper(eqs, L, m)
+    assert image_defect(bad, param.basis, param.matrix) == message
 
 
 # ---------------------------------------------------------------------------

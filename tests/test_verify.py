@@ -9,10 +9,10 @@ from point_oracle import solve_points_exhaustive
 from severi import (
     Check,
     Report,
-    VerifyConfig,
     count_points,
     frobenius_extension,
     genus_plane,
+    make_shanks_cubic,
     jacobian_rank_at,
     rational_points,
     report_to_json,
@@ -20,7 +20,10 @@ from severi import (
     smoothness_spot,
     surface_model,
 )
+from severi import verify
+from severi.cli import main
 from severi.errors import InputError, InternalDescentFailure
+from severi.linalg import zeros
 from severi.polyring import make_poly
 from severi.verify import base_change_matrix, report_from_json
 
@@ -130,6 +133,13 @@ def test_base_change_matrix_is_rational(model_f7, f7):
             assert e.in_base()
 
 
+def test_base_change_matrix_must_be_invertible(model_f7, monkeypatch):
+    monkeypatch.setattr(verify, "lift_split_from_witness",
+                        lambda L, a, lam: zeros(L, 10, 10))
+    with pytest.raises(InternalDescentFailure, match="singular"):
+        base_change_matrix(model_f7)
+
+
 # ---------------------------------------------------------------------------
 # smoothness
 # ---------------------------------------------------------------------------
@@ -168,7 +178,7 @@ def test_jacobian_rank_reads_rational_coefficients_mod_p(shanks1):
 # ---------------------------------------------------------------------------
 
 def test_run_all_subset():
-    rep = run_all(VerifyConfig(suites=("cocycle", "picard")))
+    rep = run_all(make_shanks_cubic(1), 2, ("cocycle", "picard"))
     assert rep.ok
     assert rep.suite == "cocycle+picard"
     names = [c.name for c in rep.checks]
@@ -177,29 +187,31 @@ def test_run_all_subset():
 
 
 def test_run_all_trivial_class_transport():
-    rep = run_all(VerifyConfig(a="1", suites=("triviality",)))
+    rep = run_all(make_shanks_cubic(1), 1, ("triviality",))
     assert rep.ok
     names = [c.name for c in rep.checks]
     assert "triviality:witness-transports-model-to-veronese" in names
 
 
-def test_run_all_nontrivial_class_documented():
-    rep = run_all(VerifyConfig(a="2", suites=("triviality",), witness_bound=50))
+def test_run_all_nontrivial_class_documented(monkeypatch):
+    monkeypatch.setattr(verify, "WITNESS_BOUND", 50)
+    rep = run_all(make_shanks_cubic(1), 2, ("triviality",))
     assert rep.ok
     flagged = {c.name: c for c in rep.checks}
     note = flagged["triviality:nontrivial-class"].witness
     assert "not a proof" in note
 
 
-def test_run_all_minus1_without_witness_fails_in_odd_degree():
+def test_run_all_minus1_without_witness_fails_in_odd_degree(monkeypatch):
     # N(-1) = -1 in degree 3, so a search that finds no witness is a failure
-    rep = run_all(VerifyConfig(suites=("triviality",), witness_bound=1))
+    monkeypatch.setattr(verify, "WITNESS_BOUND", 1)
+    rep = run_all(make_shanks_cubic(1), 2, ("triviality",))
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses["triviality:norm-minus1-coboundary"] == "fail"
 
 
 def test_run_all_paper_eqs_flag():
-    rep = run_all(VerifyConfig(suites=("paper-eqs",)))
+    rep = run_all(make_shanks_cubic(1), 2, ("paper-eqs",))
     assert rep.ok
     statuses = [c.status for c in rep.checks]
     assert statuses.count("pass") == 6
@@ -208,12 +220,12 @@ def test_run_all_paper_eqs_flag():
 
 def test_run_all_rejects_unknown_suite():
     with pytest.raises(InputError):
-        run_all(VerifyConfig(suites=("cocycle", "nope")))
+        run_all(make_shanks_cubic(1), 2, ("cocycle", "nope"))
 
 
-def test_run_all_rejects_bad_field_spec():
-    with pytest.raises(InputError):
-        run_all(VerifyConfig(field_spec="shanks:q=1", suites=("cocycle",)))
+def test_verify_rejects_bad_field_spec(capsys):
+    assert main(["verify", "--field", "shanks:q=1", "--suite", "cocycle"]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

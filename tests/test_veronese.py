@@ -135,10 +135,6 @@ def test_induced_singular_rejected(shanks1):
     mb = monomial_basis(2, 3)
     with pytest.raises(Singular):
         induced_matrix(mb, from_rows(shanks1, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
-    rows = [[1 if j == i else 0 for j in range(10)] for i in range(10)]
-    rows[9] = rows[0]
-    with pytest.raises(Singular):
-        ParametrizationMap(mb, from_rows(shanks1, rows))
 
 
 def test_ideal_contains_exponent_identity(shanks1):
@@ -199,6 +195,22 @@ def test_induced_defining_property_symbolic(shanks1):
             if not B.at(i, j).is_zero():
                 acc = acc + vx[j] * B.at(i, j)
         assert lhs[i] == acc
+
+
+def test_parametrization_is_matrix_after_monomials(shanks1):
+    # coordinate i of P o Ver is sum_j P[i][j] times basis monomial j
+    from severi.polyring import zero_poly
+    mb = monomial_basis(2, 3)
+    rng = random.Random(3)
+    P = from_rows(shanks1, [[shanks1.el([F(rng.randint(-2, 2)) for _ in range(3)])
+                             for _ in range(10)] for _ in range(10)])
+    vx = veronese_poly(mb, list(variables(shanks1, 3)))
+    coords = ParametrizationMap(mb, P).symbolic(shanks1)
+    for i in range(10):
+        acc = zero_poly(shanks1, 3)
+        for j in range(10):
+            acc = acc + vx[j] * P.at(i, j)
+        assert coords[i] == acc
 
 
 seeds = st.integers(min_value=0, max_value=10_000)
