@@ -91,11 +91,7 @@ class LengthMismatch(InputError):
     pass
 
 
-# -- descent / verification --------------------------------------------------
-
-class NotGaloisStable(InputError):
-    pass
-
+# -- grammar -----------------------------------------------------------------
 
 class GrammarError(InputError):
     """Unparseable polynomial / element text."""

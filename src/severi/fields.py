@@ -343,10 +343,11 @@ def _rational_roots_exist(f) -> bool:
 def poly_check_irreducible(field: BaseField, f) -> None:
     """Raise NotIrreducible unless f is (certifiably) irreducible over field.
 
-    Over F_p the test is exact.  Over Q it is exact up to degree 3 (rational
-    root test); for higher degree we look for a prime p with f mod p
-    irreducible, which certifies irreducibility.  Failure to certify raises,
-    with a message distinguishing "reducible" from "uncertified".
+    Over F_p the test is exact.  Over Q a prime p with f mod p irreducible
+    certifies irreducibility at any degree, and is looked for first; only
+    when none is found does the rational root test decide, which is exact
+    up to degree 3.  Failure to certify raises, with a message
+    distinguishing "reducible" from "uncertified".
     """
     deg = len(f) - 1
     if deg < 1:
@@ -359,10 +360,6 @@ def poly_check_irreducible(field: BaseField, f) -> None:
         return
     if len(poly_gcd(field, f, poly_deriv(field, f))) > 1:
         raise NotIrreducible("not squarefree over Q")
-    if _rational_roots_exist(f):
-        raise NotIrreducible("rational root found")
-    if deg <= _RATIONAL_ROOT_DEGREE:
-        return
     den = math.lcm(*(c.denominator for c in f))
     fi = [int(c * den) for c in f]
     for p in _primes_below(_CERTIFICATE_PRIMES):
@@ -370,14 +367,15 @@ def poly_check_irreducible(field: BaseField, f) -> None:
             continue
         k = GF(p)
         fp = poly_trim(k, [k.coerce(c) for c in fi])
-        if len(fp) != len(fi):
-            continue
         if len(poly_gcd(k, fp, poly_deriv(k, fp))) > 1:
             continue
         if poly_is_irreducible_fp(k, fp):
             return
-    raise NotIrreducible(
-        "no mod-p certificate of irreducibility found (degree > 3 over Q)")
+    if _rational_roots_exist(f):
+        raise NotIrreducible("rational root found")
+    if deg > _RATIONAL_ROOT_DEGREE:
+        raise NotIrreducible(
+            "no mod-p certificate of irreducibility found (degree > 3 over Q)")
 
 
 # ---------------------------------------------------------------------------
@@ -732,38 +730,6 @@ def trace(L: CyclicExtension, x: ExtElement) -> Scalar:
     for c in conjugates(L, x):
         out = out + c
     return out.base_value()
-
-
-def split_primes(L: CyclicExtension) -> Iterator[tuple[int, int]]:
-    """The pairs (ell, t), in increasing order of the prime ell below
-    _CERTIFICATE_PRIMES, with ell split in L (f has [L:Q] distinct roots
-    mod ell, and ell divides no denominator of f) and t the least root.
-    Each gives the ring map theta |-> t from the elements of L with
-    ell-integral coordinates onto F_ell (see `residue`), and a ring map
-    does not raise the rank of a matrix."""
-    if L.base.p is not None:
-        raise InputError("split primes are taken over Q")
-    den = math.lcm(*(c.denominator for c in L.f))
-    for ell in _primes_below(_CERTIFICATE_PRIMES):
-        if den % ell == 0:
-            continue
-        k = GF(ell)
-        f = [k.coerce(c) for c in L.f]
-        roots = [t for t in range(ell) if poly_eval(k, f, t) == 0]
-        if len(roots) == L.degree:
-            yield ell, roots[0]
-
-
-def residue(x: ExtElement, ell: int, t: int) -> Optional[int]:
-    """The image of x under theta |-> t mod ell, for a pair from
-    `split_primes`; None when ell divides a coordinate denominator."""
-    xs, d = x._integer_coords
-    if d % ell == 0:
-        return None
-    v = 0
-    for c in reversed(xs):
-        v = (v * t + c) % ell
-    return v * pow(d, -1, ell) % ell
 
 
 def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]

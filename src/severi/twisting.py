@@ -7,11 +7,10 @@ model points are M^{-1} (Veronese points) and model equations are the
 ideal quadrics composed with M: Q(M w) = 0.  Descent to k is one row
 reduction over k, of the theta-coordinates F_i of every twisted quadric
 F = sum_i theta^i F_i.  The L-span V of the family lies in the L-span of
-the F_i, and equals it exactly when V is Galois stable (the conjugates of
-theta have an invertible Vandermonde matrix); the k-reduced basis of the
-F_i is then the unique reduced basis of V.  Stability is certified exactly,
-by the rank over L of the family's coefficients at the pivot columns,
-bounded from below at a split prime over Q.
+the F_i, and equals it exactly when V is Galois stable; the k-reduced basis
+of the F_i then has dim_L V rows and is the unique reduced basis of V.
+`surface_model` proves that of each model it returns by `image_defect`,
+whose count clause fails when the reduction returns more rows.
 
 The paper's displayed n = 2 relations are products of ten linear forms.
 They are written once, over those factors; their residuals on a model are
@@ -23,19 +22,11 @@ w-coordinates before it is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_structured
-from .errors import (
-    InputError,
-    InternalDescentFailure,
-    NotGaloisStable,
-    Singular,
-    ZeroA,
-)
+from .errors import InputError, InternalDescentFailure, Singular, ZeroA
 from .fields import (
-    GF,
     CyclicExtension,
     ExtElement,
     NormalBasis,
@@ -46,14 +37,12 @@ from .fields import (
     extension_to_json,
     find_normal_basis,
     json_value,
-    residue,
     row_reduce,
     scalar_from_json,
     scalar_to_json,
-    split_primes,
 )
 from .grammar import format_poly, omega_names, plane_names
-from .linalg import Matrix, from_rows, inverse, matrix_from_json, matrix_to_json, rank
+from .linalg import Matrix, inverse, matrix_from_json, matrix_to_json
 from .polyring import (
     Exponents,
     MultiPoly,
@@ -131,29 +120,21 @@ class SurfaceModel:
     normal_basis: NormalBasis
 
 
-# split primes tried before the exact rank over L
-_RESIDUE_ATTEMPTS = 3
-
-
 def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
                     ) -> list[MultiPoly]:
-    """The reduced row-echelon basis of the family's L-span V, which has
-    base-field coefficients exactly when V is Galois stable.
+    """The reduced row-echelon basis over k of the theta-coordinates of the
+    family: the reduced basis of its L-span V exactly when it has dim_L V
+    rows.
 
     Write each member as F = sum_i theta^i F_i with every F_i over k, and
-    let R be the reduced basis of the k-span W of the F_i, of rank rho.
-    V lies in L W, so dim_L V <= rho.  When V is sigma-stable each F_i lies
-    in V, since the F_i are L-combinations of the conjugates sigma^s(F)
-    (the Vandermonde matrix of the conjugates of theta is invertible); then
-    V = L W and R is the unique reduced basis of V.  Conversely
-    dim_L V = rho makes V = L W, which is sigma-stable.
-
-    dim_L V is the rank over L of C, the family's coefficients at the pivot
-    columns of R.  Over Q the ring map theta |-> t mod ell at a split prime
-    ell does not raise that rank, so rank rho mod ell proves stability with
-    no elimination over L; a few primes are tried, then the exact rank over
-    L decides, as it always does over F_p.  Rank below rho raises
-    NotGaloisStable.  A member over another extension raises InputError.
+    let W be the k-span of the F_i.  V lies in L W, so dim_L V <= dim_k W.
+    When V is sigma-stable each F_i lies in V, since the F_i are
+    L-combinations of the conjugates sigma^s(F) (the Vandermonde matrix of
+    the conjugates of theta is invertible); then V = L W and the result is
+    the unique reduced basis of V.  Otherwise it has more than dim_L V
+    rows.  Nothing here tells the cases apart: `surface_model` certifies
+    each model by `image_defect`.  A member over another extension raises
+    InputError.
     """
     for F in family:
         if F.ext is not L and F.ext != L:
@@ -163,13 +144,6 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
     if not family:
         return []
     R, pivots = row_reduce(L.base, _coordinate_rows(L, family, support))
-    zero = L.zero()
-    C = []
-    for F in family:
-        coeffs = F.terms_dict()
-        C.append([coeffs.get(support[j], zero) for j in pivots])
-    if not _full_column_rank(L, C, len(pivots)):
-        raise NotGaloisStable("the family's span is not preserved by sigma")
     nv = family[0].nvars
     return [MultiPoly(L, nv, tuple((support[j], L.from_base(c))
                                    for j, c in enumerate(row) if c))
@@ -192,27 +166,6 @@ def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
                     part[j] = x
         rows.extend(part for part in parts if any(part))
     return rows
-
-
-def _full_column_rank(L: CyclicExtension, C: list[list[ExtElement]], rho: int) -> bool:
-    """Whether C, with rho columns, has rank rho over L.
-
-    Over Q the rank of C mod a split prime is a lower bound, so rank rho
-    there is a proof; otherwise, and over F_p, the exact rank decides.
-    """
-    if L.base.p is None:
-        ranks = islice(_residue_ranks(L, C), _RESIDUE_ATTEMPTS)
-        if any(r == rho for r in ranks):
-            return True
-    return rank(from_rows(L, C)) == rho
-
-
-def _residue_ranks(L: CyclicExtension, C: list[list[ExtElement]]) -> Iterator[int]:
-    """The rank of C mod each split prime dividing no denominator of C."""
-    for ell, t in split_primes(L):
-        rows = [[residue(x, ell, t) for x in row] for row in C]
-        if all(v is not None for row in rows for v in row):
-            yield len(row_reduce(GF(ell), rows)[1])
 
 
 def parametrization_residuals(equations: Sequence[MultiPoly],

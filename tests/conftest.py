@@ -75,5 +75,10 @@ def model_f7(f7):
 
 
 @pytest.fixture(scope="session")
+def model_n3_f5():
+    return surface_model(frobenius_extension(5, 4), 2)
+
+
+@pytest.fixture(scope="session")
 def appendix_q(shanks1, nb1):
     return appendix_model(shanks1, Fraction(2), nb=nb1)

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine criteria, each a single test with its time budget.
+"""Acceptance gate: ten criteria, each a single test with its time budget.
 
 Each test prints one summary line; run with -v for one PASSED/FAILED line per
 criterion.  Budgets are wall-clock upper bounds asserted inside the test.
@@ -265,3 +265,13 @@ def test_criterion_9_appendix_equivalence():
     dt = elapsed_under(t0, 30.0, "criterion 9")
     print(f"\n[criterion 9] PASS both provenances agree (57/57 at p=7, "
           f"identical sets at p=2) in {dt:.2f}s")
+
+
+def test_criterion_10_n3_model_over_f625():
+    """n = 3 over F_{5^4}, a = 2: 465 quadrics over k in P^34, certified."""
+    t0 = time.perf_counter()
+    model = surface_model(frobenius_extension(5, 4), 2)
+    assert (model.n, model.m, len(model.equations_over_k)) == (3, 35, 465)
+    dt = elapsed_under(t0, 12.0, "criterion 10")
+    print(f"\n[criterion 10] PASS n = 3 model over F_625 (465 quadrics in "
+          f"P^34) in {dt:.2f}s")

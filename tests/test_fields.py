@@ -21,7 +21,7 @@ from severi import (
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroInput
 from severi.fields import (NormalBasis, conjugates, element_from_json,
-                           element_to_json, residue, row_reduce, split_primes)
+                           element_to_json, row_reduce)
 
 
 def F(x):
@@ -238,39 +238,6 @@ def test_galois_apply_order_and_norm_invariance(c):
     assert norm(L, galois_apply(L, x, 1)) == norm(L, x)
 
 
-fractions_ = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(fractions_, fractions_, fractions_),
-       st.tuples(fractions_, fractions_, fractions_))
-def test_residue_is_a_ring_map(c1, c2):
-    # theta -> t mod ell at the first split primes of the t = 1 field
-    L = make_shanks_cubic(1)
-    x, y = L.el(c1), L.el(c2)
-    for ell, t in list(split_primes(L))[:3]:
-        rx, ry, rxy = residue(x, ell, t), residue(y, ell, t), residue(x * y, ell, t)
-        if None in (rx, ry):
-            assert any(c.denominator % ell == 0 for c in (*x.coeffs, *y.coeffs))
-            continue
-        assert rxy == rx * ry % ell
-        assert residue(x + y, ell, t) == (rx + ry) % ell
-
-
-def test_split_primes():
-    # the t = 1 field has conductor 13: 13 ramifies, 2 and 3 stay inert
-    L = make_shanks_cubic(1)
-    pairs = list(split_primes(L))
-    assert [ell for ell, _ in pairs[:4]] == [5, 31, 47, 53]
-    for ell, t in pairs:
-        assert sum(int(c) * t ** i for i, c in enumerate(L.f)) % ell == 0
-    # denominators of f are skipped: x^3 - 3/4 x + 1/8 is not 2-integral
-    L8 = make_extension(QQ, [F(1) / 8, F(-3) / 4, 0, 1], [-1, 0, 2])
-    assert all(ell != 2 for ell, _ in split_primes(L8))
-    with pytest.raises(InputError):
-        next(split_primes(frobenius_extension(5, 3)))
-
-
 def test_base_field_coerce_fraction_mod_p():
     k = GF(7)
     assert k.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
@@ -315,6 +282,18 @@ def test_divisors_come_from_prime_factors():
     assert _divisors(10 ** 9 + 7) == [1, 10 ** 9 + 7]
     assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
     assert _divisors(1) == [1]
+
+
+def test_irreducible_cubic_certified_mod_p_before_root_search(monkeypatch):
+    # x^3 - 3x + (10^20 + 39) is x^3 + x + 1 mod 2, irreducible there; the
+    # rational-root test would factor 10^20 + 39 by trial division
+    import severi.fields as fields
+
+    def no_root_search(f):
+        raise AssertionError("rational-root test ran")
+
+    monkeypatch.setattr(fields, "_rational_roots_exist", no_root_search)
+    fields.poly_check_irreducible(QQ, [F(10 ** 20 + 39), F(-3), F(0), F(1)])
 
 
 def test_large_constant_term_is_rejected_quickly(capsys):

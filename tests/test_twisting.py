@@ -10,7 +10,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from severi import (
-    GF,
     QQ,
     appendix_model,
     cyclic_cocycle,
@@ -20,6 +19,7 @@ from severi import (
     image_defect,
     format_poly,
     frobenius_extension,
+    from_rows,
     lift_to_veronese,
     make_extension,
     make_poly,
@@ -36,7 +36,7 @@ from severi import (
     twisted_curve_model,
     verify_theorem1_equations,
 )
-from severi.errors import InputError, NotGaloisStable, ShapeMismatch, ZeroA
+from severi.errors import InputError, InternalDescentFailure, ShapeMismatch, ZeroA
 from severi.grammar import plane_names
 from severi.polyring import (
     galois_poly,
@@ -54,7 +54,7 @@ from severi.twisting import (
     proportional,
     theorem1_equation7_reconstruction,
 )
-from severi.veronese import monomial_basis, veronese_ideal
+from severi.veronese import ideal_quadric_count, monomial_basis, veronese_ideal
 
 
 SHANKS = {t: make_shanks_cubic(t) for t in range(1, 9)}
@@ -152,20 +152,18 @@ def test_descend_scaled_k_family_is_its_reduced_basis(shanks1):
 
 
 def test_descend_rejects_unstable_family(shanks1):
-    # sigma sends w0 + theta w1 outside the line it spans
+    # sigma sends w0 + theta w1 outside the line it spans, so the
+    # k-reduction returns <w0, w1>: more rows than dim_L V = 1
     f1 = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 1, shanks1.theta())
-    with pytest.raises(NotGaloisStable):
-        descend_to_base(shanks1, [f1])
+    assert descend_to_base(shanks1, [f1]) == \
+        [w_mono(shanks1, 10, 0), w_mono(shanks1, 10, 1)]
 
 
 def _descend_over_L(L, family):
     """The descent as one row reduction over L, kept as the reference: the
     reduced basis of the L-span, whose coefficients lie in k exactly when
     the span is sigma-stable."""
-    reduced = span_reduce(family)
-    if any(not c.in_base() for G in reduced for _, c in G.terms):
-        raise NotGaloisStable("reference: span is not sigma-stable")
-    return reduced
+    return span_reduce(family)
 
 
 def _twisted_family(L, a):
@@ -209,8 +207,9 @@ def test_descend_rejects_line_and_its_theta_multiple(request, field):
     # <w0, w1> over k, of rank 2 = the family size, but span one line over L
     L = request.getfixturevalue(field)
     f = w_mono(L, 10, 0) + w_mono(L, 10, 1, L.theta())
-    with pytest.raises(NotGaloisStable):
-        descend_to_base(L, [f, f * L.theta()])
+    assert span_reduce([f, f * L.theta()]) == [f]
+    assert descend_to_base(L, [f, f * L.theta()]) == \
+        [w_mono(L, 10, 0), w_mono(L, 10, 1)]
 
 
 def test_descend_duplicate_and_zero_members(shanks1, f7):
@@ -221,67 +220,7 @@ def test_descend_duplicate_and_zero_members(shanks1, f7):
         assert descend_to_base(L, padded) == descend_to_base(L, family)
         assert descend_to_base(L, [zero_poly(L, 10)] * 2) == []
         unstable = w_mono(L, 10, 0) + w_mono(L, 10, 1, L.theta())
-        with pytest.raises(NotGaloisStable):
-            descend_to_base(L, [unstable, zero_poly(L, 10), unstable])
-
-
-def _record_eliminations(monkeypatch):
-    """Fields of the row reductions the descent runs, and its calls of the
-    exact rank over L."""
-    import severi.twisting as tw
-    fields, ranks = [], []
-    row_reduce, rank = tw.row_reduce, tw.rank
-
-    def recording_row_reduce(field, rows):
-        fields.append(field)
-        return row_reduce(field, rows)
-
-    def recording_rank(A):
-        ranks.append((A.rows, A.cols))
-        return rank(A)
-
-    monkeypatch.setattr(tw, "row_reduce", recording_row_reduce)
-    monkeypatch.setattr(tw, "rank", recording_rank)
-    return fields, ranks
-
-
-def test_descent_certified_at_first_split_prime(shanks1, monkeypatch):
-    family = _twisted_family(shanks1, F(2))
-    fields, ranks = _record_eliminations(monkeypatch)
-    descend_to_base(shanks1, family)
-    assert fields == [QQ, GF(5)]   # 5 is the least prime split in Q(theta)
-    assert ranks == []
-
-
-def test_descent_retries_the_next_split_prime(shanks1, monkeypatch):
-    # a = 5/2 vanishes mod 5, where the pivot coefficients drop to rank 7
-    family = _twisted_family(shanks1, Fraction(5, 2))
-    fields, ranks = _record_eliminations(monkeypatch)
-    out = descend_to_base(shanks1, family)
-    assert fields == [QQ, GF(5), GF(31)]
-    assert ranks == []
-    monkeypatch.undo()
-    assert out == _descend_over_L(shanks1, family)
-
-
-def test_descent_exact_rank_when_no_prime_certifies(shanks1, monkeypatch):
-    import severi.twisting as tw
-    family = _twisted_family(shanks1, Fraction(5, 2))
-    monkeypatch.setattr(tw, "_RESIDUE_ATTEMPTS", 1)
-    fields, ranks = _record_eliminations(monkeypatch)
-    out = descend_to_base(shanks1, family)
-    assert fields == [QQ, GF(5)]
-    assert ranks == [(27, 27)]
-    monkeypatch.undo()
-    assert out == _descend_over_L(shanks1, family)
-
-
-def test_descent_over_finite_field_takes_exact_rank(f7, monkeypatch):
-    family = _twisted_family(f7, 3)
-    fields, ranks = _record_eliminations(monkeypatch)
-    descend_to_base(f7, family)
-    assert fields == [GF(7)]
-    assert ranks == [(27, 27)]
+        assert len(descend_to_base(L, [unstable, zero_poly(L, 10), unstable])) == 2
 
 
 def test_descend_rejects_member_over_another_extension(shanks1):
@@ -320,14 +259,32 @@ def _equations_digest(model):
      " + 6*w7*w8 + w9^2",
      "w2*w9 + w3*w4 + w3*w6 + 4*w3*w9 + w4*w8 + 6*w5^2 + 4*w5*w7"
      " + 2*w6*w8 + 3*w7^2 + 5*w8*w9"),
+    pytest.param(
+     "model_n3_f5",
+     "0c6ce56a2c1141627f7340f47a6dd7799e12bb598e4768a9e4496e4f4677d877",
+     "w0^2 + 4*w18*w20 + w18*w25 + w18*w30 + 4*w18*w34 + w19*w24"
+     " + 3*w19*w26 + 4*w19*w33 + 2*w20^2 + w20*w25 + 2*w20*w30"
+     " + 3*w20*w34 + 2*w21*w24 + 4*w21*w26 + 3*w21*w33 + w22^2"
+     " + 3*w22*w23 + 3*w22*w29 + w23*w29 + 4*w24*w28 + 4*w24*w31"
+     " + 4*w25^2 + 2*w25*w27 + 4*w25*w30 + 3*w26*w28 + 3*w26*w31"
+     " + 2*w27^2 + 4*w27*w30 + w27*w34 + w28*w33 + 4*w29^2"
+     " + 3*w29*w32 + 4*w30^2 + w30*w34 + 4*w31*w33 + 3*w32^2 + w34^2",
+     "w17*w31 + 2*w18*w20 + 3*w18*w25 + w18*w27 + w19*w24"
+     " + 3*w19*w26 + w20^2 + 3*w20*w30 + 4*w20*w34 + 2*w21*w33"
+     " + 2*w22*w23 + 2*w22*w29 + w23^2 + 2*w23*w29 + 4*w24*w28"
+     " + w24*w31 + 3*w25^2 + 2*w25*w27 + 2*w25*w30 + 4*w25*w34"
+     " + w26*w28 + w26*w31 + 3*w27^2 + 2*w27*w30 + 3*w28*w33 + w29^2"
+     " + w30^2 + 2*w32^2 + 4*w34^2",
+     id="model_n3_f5"),
 ])
 def test_equations_over_k_pinned(request, name, digest, first, last):
-    # shanks t=1 a=2 and F_7 a=3: the JSON digest and the first and last
-    # equations pin the descended model byte for byte
+    # shanks t=1 a=2, F_7 a=3 and the n = 3 model over F_{5^4}, a=2: the
+    # JSON digest and the first and last equations pin the descended model
+    # byte for byte
     model = request.getfixturevalue(name)
     eqs = model.equations_over_k
-    names = omega_names(10)
-    assert len(eqs) == 27
+    names = omega_names(model.m)
+    assert len(eqs) == ideal_quadric_count(monomial_basis(model.n, model.n + 1))
     assert format_poly(eqs[0], names) == first
     assert format_poly(eqs[-1], names) == last
     assert _equations_digest(model) == digest
@@ -383,6 +340,38 @@ def test_model_zero_a_rejected(shanks1):
 def test_model_f2(model_f2):
     assert model_f2.provenance == "main_path"
     assert len(model_f2.equations_over_k) == 27
+
+
+def _break_split(monkeypatch):
+    """Make `split_structured` return its matrix with row 0 multiplied by
+    theta, which is no longer a split: the twisted family is not Galois
+    stable."""
+    import severi.twisting as tw
+    split = tw.split_structured
+
+    def unsplit(lifted, nb):
+        M = split(lifted, nb)
+        rows = M.as_rows()
+        rows[0] = [x * M.ext.theta() for x in rows[0]]
+        return from_rows(M.ext, rows)
+
+    monkeypatch.setattr(tw, "split_structured", unsplit)
+
+
+@pytest.mark.parametrize("field,spec,a", [("shanks1", "shanks:t=1", 2),
+                                          ("f7", "finite:p=7", 3)])
+def test_unstable_twist_is_an_internal_failure(request, monkeypatch, capsys,
+                                               field, spec, a):
+    # the k-reduction of an unstable family has more rows than dim_L V = 27,
+    # which the model certificate's count clause rejects: a program fault
+    from severi.cli import main
+    _break_split(monkeypatch)
+    with pytest.raises(InternalDescentFailure) as info:
+        surface_model(request.getfixturevalue(field), a)
+    assert str(info.value) == "45 equations, expected 27"
+    assert main(["surface", "--field", spec, "--a", str(a)]) == 1
+    assert capsys.readouterr().err == ("verification failure: "
+                                       "InternalDescentFailure: 45 equations, expected 27\n")
 
 
 # ---------------------------------------------------------------------------
