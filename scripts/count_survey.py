@@ -22,11 +22,11 @@ from fractions import Fraction
 from severi import (
     GF,
     appendix_model,
-    count_points,
     find_normal_basis,
     frobenius_extension,
     make_shanks_cubic,
     norm_witness,
+    rational_points,
     smoothness_spot,
     surface_model,
 )
@@ -43,10 +43,11 @@ def survey_prime(p: int) -> None:
         t0 = time.perf_counter()
         main = surface_model(L, a, nb=nb)
         appx = appendix_model(L, a, nb=nb)
-        n_main = count_points(main, p)
+        pts = rational_points(main, p)
+        n_main = len(pts)
         same = (main.equations_over_k == appx.equations_over_k
                 and main.parametrization.basis == appx.parametrization.basis)
-        smooth = smoothness_spot(main, p).ok
+        smooth = smoothness_spot(main, p, pts).ok
         dt = time.perf_counter() - t0
         marks = []
         if n_main != expected:

@@ -23,12 +23,11 @@ from .fields import (extension_to_json, find_normal_basis, format_element,
                      format_scalar, format_univariate, galois_apply,
                      scalar_to_json)
 from .grammar import format_poly, omega_names, parse_field_spec
-from .twisting import (model_to_json, parametrization_residuals,
-                       picard_generator, picard_to_json, surface_model,
+from .twisting import (model_to_json, picard_generator, picard_to_json,
+                       surface_model, vanishes_on_image,
                        verify_theorem1_equations)
-from .verify import (ALL_SUITES, Check, SMOOTHNESS_MAX_P, Report,
-                     count_points, projective_point_count, report_to_json,
-                     run_all, smoothness_spot)
+from .verify import (ALL_SUITES, Check, Report, count_and_smoothness,
+                     projective_point_count, report_to_json, run_all)
 from .veronese import ideal_quadric_count
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
@@ -97,12 +96,11 @@ def _check_report_for_surface(model) -> Report:
     checks: list[Check] = []
     p = model.extension.base.p
     if p is not None:
-        cnt = count_points(model, p)
+        cnt, rep = count_and_smoothness(model, p)
         expected = projective_point_count(model.n, p)
         checks.append(Check(f"count-p{p}", "pass" if cnt == expected else "fail",
                             str(cnt)))
-        if p <= SMOOTHNESS_MAX_P:
-            rep = smoothness_spot(model, p)
+        if rep is not None:
             checks.append(Check(f"smooth-p{p}",
                                 "pass" if rep.ok else "fail"))
     elif model.n == 2:
@@ -114,8 +112,9 @@ def _check_report_for_surface(model) -> Report:
         expected = ideal_quadric_count(model.parametrization.basis)
         checks.append(Check("equation-count",
                             "pass" if count == expected else "fail", str(count)))
-        vanish = all(r.is_zero() for r in parametrization_residuals(
-            model.equations_over_k, model.parametrization))
+        param = model.parametrization
+        vanish = vanishes_on_image(model.equations_over_k, param.basis,
+                                   param.matrix)
         checks.append(Check("equations-vanish", "pass" if vanish else "fail"))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report("surface-check", tuple(checks), elapsed)

@@ -12,6 +12,16 @@ of the F_i then has dim_L V rows and is the unique reduced basis of V.
 `surface_model` proves that of each model it returns by `image_defect`,
 whose count clause fails when the reduction returns more rows.
 
+The certificate's last clause, that every equation vanishes on P o Ver, is
+decided in integers over k, with no substitution over L.  It is exact for
+three reasons: each equation is F = sum c_ab w_a w_b with every c_ab in k
+(an earlier clause); taking theta-coordinates is k-linear, so F(P Ver(x))
+= 0 exactly when sum c_ab N_ab = 0 in every coordinate, where N_ab holds
+the theta-coordinates of the product of coordinates a and b of P Ver(x),
+keyed by x-monomial; and N_ab is kept as integer numerators over
+denominators common to all pairs, which are positive and so change no
+zero test.
+
 The paper's displayed n = 2 relations are products of ten linear forms.
 They are written once, over those factors; their residuals on a model are
 the same products of the pulled-back factors, which is exact because
@@ -21,6 +31,7 @@ w-coordinates before it is checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -168,12 +179,80 @@ def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
     return rows
 
 
-def parametrization_residuals(equations: Sequence[MultiPoly],
-                              param: ParametrizationMap) -> list[MultiPoly]:
-    """Each equation composed with the parametrization; all are zero
-    exactly when the equations vanish on its image."""
-    coords = param.symbolic(param.matrix.ext)
-    return substitute_all(equations, list(coords))
+def vanishes_on_image(equations: Sequence[MultiPoly], basis: MonomialBasis,
+                      P: Matrix) -> bool:
+    """Whether every equation, a quadric with coefficients in k, vanishes on
+    the image of P o Ver, decided exactly in integers (the module docstring
+    says why this is exact).
+
+    N_ab, the theta-coordinates of the product of coordinates a and b of
+    P Ver(x) keyed by x-monomial, is computed once per call for each pair
+    the equations use, from P's nonzero entries as integer numerators over
+    one common denominator and the integer theta-power table.  Each
+    equation's coefficients are cleared to integers by their lcm, and
+    sum c_ab N_ab is tested for zero, or for zero mod p over F_p.
+    """
+    L = P.ext
+    p = L.base.p
+    deg = L.degree
+    theta_rows, _ = L._int_theta_table
+    width = 2 * deg - 1
+    # an x-monomial of degree at most 2d as one integer in radix 2d + 1, so
+    # the code of a product of two basis monomials is the sum of their codes
+    radix = 2 * basis.degree + 1
+    codes = [sum(k * radix ** i for i, k in enumerate(e)) for e in basis.list]
+    if p is None:
+        denom = math.lcm(*(c._integer_coords[1] for row in P.sparse_rows
+                           for _, c in row))
+
+        def numerators(c: ExtElement) -> Sequence[int]:
+            xs, d = c._integer_coords
+            return [x * (denom // d) for x in xs]
+    else:
+        def numerators(c: ExtElement) -> Sequence[int]:
+            return c.coeffs
+    # row i of P: (code of basis monomial j, nonzero (s, numerator of
+    # theta^s)) for each nonzero entry P[i][j]
+    rows = [[(codes[j], [(s, x) for s, x in enumerate(numerators(c)) if x])
+             for j, c in row] for row in P.sparse_rows]
+    images: dict[Exponents, dict[int, int]] = {}
+
+    def image(e: Exponents) -> dict[int, int]:
+        img = images.get(e)
+        if img is not None:
+            return img
+        a, b = (i for i, k in enumerate(e) for _ in range(k))  # w^e = w_a w_b
+        conv: dict[int, int] = {}
+        for code_a, xs in rows[a]:
+            for code_b, ys in rows[b]:
+                base = (code_a + code_b) * width
+                for s, x in xs:
+                    for t, y in ys:
+                        key = base + s + t
+                        conv[key] = conv.get(key, 0) + x * y
+        out: dict[int, int] = {}
+        for key, v in conv.items():
+            code, power = divmod(key, width)
+            for t, c in theta_rows[power]:
+                slot = code * deg + t
+                out[slot] = out.get(slot, 0) + v * c
+        if p is not None:
+            out = {slot: v % p for slot, v in out.items() if v % p}
+        images[e] = out
+        return out
+
+    for F in equations:
+        cs = [c.coeffs[0] for _, c in F.terms]
+        if p is None:
+            lcm = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (lcm // c.denominator) for c in cs]
+        acc: dict[int, int] = {}
+        for (e, _), c in zip(F.terms, cs):
+            for slot, v in image(e).items():
+                acc[slot] = acc.get(slot, 0) + c * v
+        if any(v % p if p else v for v in acc.values()):
+            return False
+    return True
 
 
 def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
@@ -188,6 +267,10 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
     vanishing on P o Ver.  Their pullbacks by P then span the degree-2
     ideal of the Veronese image, which cuts that image out.  P's
     invertibility is a premise, proved where P is built.
+
+    The vanishing clause runs last, on quadrics already known to have
+    coefficients in k, and is decided exactly in integers by
+    `vanishes_on_image`: no floating point, no evaluation points.
     """
     expected = ideal_quadric_count(basis)
     if len(equations) != expected:
@@ -199,8 +282,7 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
         return "model equation has non-k coefficient"
     if len({F.terms[0][0] for F in equations}) != len(equations):
         return "equations do not have distinct leading monomials"
-    residuals = parametrization_residuals(equations, ParametrizationMap(basis, P))
-    if not all(r.is_zero() for r in residuals):
+    if not vanishes_on_image(equations, basis, P):
         return "model equation does not vanish on the parametrization"
     return None
 

@@ -191,15 +191,17 @@ def jacobian_rank_at(equations: Sequence[MultiPoly], point: Sequence[int],
     return _jacobian_rank(_int_jacobians(equations, p), point, p)
 
 
-def smoothness_spot(model: SurfaceModel, p: int) -> Report:
+def smoothness_spot(model: SurfaceModel, p: int,
+                    points: Sequence[tuple[int, ...]]) -> Report:
     """Jacobian rank m-1-n, the codimension of the n-dimensional model in
-    P^{m-1}, at each F_p-point."""
+    P^{m-1}, at each of `points`, the F_p-points `rational_points(model, p)`
+    lists."""
+    _require_prime_model(model, p)
     t0 = time.perf_counter()
-    pts = rational_points(model, p)
     target = model.m - 1 - model.n
     partials = _int_jacobians(model.equations_over_k, p)
     checks = []
-    for pt in pts:
+    for pt in points:
         r = _jacobian_rank(partials, pt, p)
         label = "jacobian-rank@(" + ",".join(str(v) for v in pt) + ")"
         if r == target:
@@ -208,6 +210,16 @@ def smoothness_spot(model: SurfaceModel, p: int) -> Report:
             checks.append(Check(label, "fail", f"rank {r}, expected {target}"))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report(f"smoothness-p{p}", tuple(checks), elapsed)
+
+
+def count_and_smoothness(model: SurfaceModel, p: int
+                         ) -> tuple[int, Optional[Report]]:
+    """The number of F_p-points and, when p <= SMOOTHNESS_MAX_P, the
+    smoothness report at those points, from one enumeration."""
+    if p > SMOOTHNESS_MAX_P:
+        return count_points(model, p), None
+    pts = rational_points(model, p)
+    return len(pts), smoothness_spot(model, p, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +318,11 @@ def _suite_counts(L, a, dprime) -> list[Check]:
     for p, ap in _COUNT_TOWERS:
         F = frobenius_extension(p, 3)
         model = surface_model(F, ap)
-        cnt = count_points(model, p)
+        cnt, rep = count_and_smoothness(model, p)
         expected = projective_point_count(model.n, p)
         checks.append(_ok(f"count-p{p}-is-{expected}", cnt == expected,
                           f"counted {cnt}"))
-        if p <= SMOOTHNESS_MAX_P:
-            rep = smoothness_spot(model, p)
+        if rep is not None:
             checks.append(_ok(f"smooth-p{p}-rank-{model.m - 1 - model.n}",
                               rep.ok))
     return checks

@@ -1,8 +1,9 @@
-"""Acceptance gate: ten criteria, each a single test with its time budget.
+"""Acceptance gate: eleven criteria, each a single test with its time budget.
 
 Each test prints one summary line; run with -v for one PASSED/FAILED line per
 criterion.  Budgets are wall-clock upper bounds asserted inside the test.
 """
+import hashlib
 import time
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from severi import (
     verify_theorem1_equations,
 )
 from severi.algebra import basis_vector, embed_semilinear, multiply
+from severi.cli import main as cli_main
 from severi.polyring import make_poly
 from severi.twisting import proportional
 from severi.verify import rational_points, run_all
@@ -201,7 +203,7 @@ def test_criterion_6_finite_field_counts():
         pts = rational_points(model, p)
         assert len(pts) == p * p + p + 1
         assert pts == solve_points_exhaustive(model, p)
-        rep = smoothness_spot(model, p)
+        rep = smoothness_spot(model, p, pts)
         assert rep.ok and len(rep.checks) == len(pts)
     L7 = frobenius_extension(7, 3)
     model7 = surface_model(L7, 3)
@@ -275,3 +277,18 @@ def test_criterion_10_n3_model_over_f625():
     dt = elapsed_under(t0, 12.0, "criterion 10")
     print(f"\n[criterion 10] PASS n = 3 model over F_625 (465 quadrics in "
           f"P^34) in {dt:.2f}s")
+
+
+def test_criterion_11_n3_check_over_f5(capsys):
+    """`surface --n 3 --check` over F_5: the model, its certificate against
+    P and against D, and the count of 156 points, with the emission pinned."""
+    t0 = time.perf_counter()
+    code = cli_main(["surface", "--field", "finite:p=5", "--n", "3", "--a", "2",
+                 "--check", "--emit", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "32635f4d8cdea2b98389f38874de7bf8740a90f5e581415bbccdc100ade8ca9f")
+    dt = elapsed_under(t0, 20.0, "criterion 11")
+    print(f"\n[criterion 11] PASS n = 3 --check over F_5 (156 points) "
+          f"in {dt:.2f}s")

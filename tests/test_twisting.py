@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import parametrization_residuals
 from severi import (
     QQ,
     appendix_model,
@@ -26,6 +27,7 @@ from severi import (
     make_shanks_cubic,
     model_from_json,
     model_to_json,
+    norm,
     omega_names,
     picard_generator,
     pullback_to_plane,
@@ -53,7 +55,9 @@ from severi.twisting import (
     picard_to_json,
     proportional,
     theorem1_equation7_reconstruction,
+    vanishes_on_image,
 )
+from severi.verify import base_change_matrix
 from severi.veronese import ideal_quadric_count, monomial_basis, veronese_ideal
 
 
@@ -576,6 +580,68 @@ def test_image_defect_names_the_failing_clause(model_f3, tamper, message):
     assert image_defect(eqs, param.basis, param.matrix) is None
     bad = tamper(eqs, L, m)
     assert image_defect(bad, param.basis, param.matrix) == message
+
+
+# Q(sqrt(-t)), sigma: x -> -x
+QUADRATIC = {t: make_extension(QQ, [t, 0, 1], [0, -1]) for t in (1, 2, 3)}
+
+
+def _assert_vanishing_agrees(model, P, i, j, s):
+    """The integer vanishing test and the symbolic oracle agree on the model
+    against P, and on the model with equation i's term j moved by the
+    k-scalar s, which `image_defect` then rejects by its vanishing clause."""
+    L, basis = model.extension, model.parametrization.basis
+    eqs = model.equations_over_k
+    e = eqs[i].terms[j][0]
+    bad = eqs[i] + make_poly(L, model.m, {e: L.from_base(s)})
+    tampered = eqs[:i] + (bad,) + eqs[i + 1:]
+    # one oracle call covers both models: residuals are per equation
+    residuals = parametrization_residuals(eqs + (bad,), basis, P)
+    true_zero = [r.is_zero() for r in residuals[:-1]]
+    bad_zero = true_zero[:i] + [residuals[-1].is_zero()] + true_zero[i + 1:]
+    assert vanishes_on_image(eqs, basis, P) is all(true_zero) is True
+    assert vanishes_on_image(tampered, basis, P) is all(bad_zero) is False
+    assert image_defect(tampered, basis, P) == \
+        "model equation does not vanish on the parametrization"
+
+
+@st.composite
+def _certificate_cases(draw, n, p, against_d):
+    """A model over Q (Shanks t or Q(sqrt(-t)), t <= 3) or F_p, its P or a
+    base change matrix D, and a tamper: an equation, one of its non-leading
+    terms and a nonzero k-scalar."""
+    if p is None:
+        t = draw(st.sampled_from((1, 2, 3)))
+        L = SHANKS[t] if n == 2 else QUADRATIC[t]
+        lam = L.el(draw(st.lists(st.integers(-3, 3), min_size=n + 1,
+                                 max_size=n + 1).filter(any)))
+        a = norm(L, lam)
+        s = draw(st.fractions(-6, 6, max_denominator=4).filter(bool))
+    else:
+        L = frobenius_extension(p, n + 1)
+        a = draw(st.integers(1, p - 1))
+        lam = None
+        s = draw(st.integers(1, p - 1))
+    model = surface_model(L, a)
+    P = base_change_matrix(model, lam) if against_d else model.parametrization.matrix
+    i = draw(st.integers(0, len(model.equations_over_k) - 1))
+    j = draw(st.integers(1, len(model.equations_over_k[i].terms) - 1))
+    return model, P, i, j, s
+
+
+@pytest.mark.parametrize("against_d", [False, True], ids=["P", "D"])
+@pytest.mark.parametrize("p", [None, 2, 3, 7], ids=["Q", "F2", "F3", "F7"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=2, deadline=None, phases=(Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_vanishing_clause_matches_symbolic_oracle(n, p, against_d, data):
+    # each example builds a model, so a failure is reported as drawn, unshrunk
+    _assert_vanishing_agrees(*data.draw(_certificate_cases(n, p, against_d)))
+
+
+def test_vanishing_clause_matches_symbolic_oracle_n3(model_n3_f5):
+    _assert_vanishing_agrees(model_n3_f5, model_n3_f5.parametrization.matrix,
+                             100, 1, 3)
 
 
 # ---------------------------------------------------------------------------

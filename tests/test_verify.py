@@ -145,7 +145,7 @@ def test_base_change_matrix_must_be_invertible(model_f7, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_smoothness_p2(model_f2):
-    rep = smoothness_spot(model_f2, 2)
+    rep = smoothness_spot(model_f2, 2, rational_points(model_f2, 2))
     assert rep.ok
     assert len(rep.checks) == 7
     assert all("rank" in (c.witness or "") or c.status == "pass"
@@ -153,7 +153,7 @@ def test_smoothness_p2(model_f2):
 
 
 def test_smoothness_p3(model_f3):
-    rep = smoothness_spot(model_f3, 3)
+    rep = smoothness_spot(model_f3, 3, rational_points(model_f3, 3))
     assert rep.ok
     assert len(rep.checks) == 13
 
