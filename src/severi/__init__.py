@@ -87,8 +87,6 @@ from .polyring import (
     monomial,
     span_equal,
     span_reduce,
-    substitute,
-    substitute_all,
     substitute_linear,
     variables,
     zero_poly,
@@ -129,7 +127,6 @@ from .veronese import (
     monomial_basis,
     veronese_ideal,
     veronese_point,
-    veronese_poly,
 )
 
 __version__ = "1.0.0"

@@ -171,8 +171,6 @@ def cmd_surface(args, L, a, seed: int) -> tuple[str, int]:
 
 
 def cmd_picard(args, L, a, seed: int) -> tuple[str, int]:
-    if args.dprime < 1:
-        raise InputError("d' must be >= 1")
     nb = find_normal_basis(L)
     g = picard_generator(L, a, nb, args.dprime)
     if args.emit == "json":
@@ -265,8 +263,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"input error: cannot write {args.output}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -274,27 +274,8 @@ def poly_deriv(field, a):
     return poly_trim(field, [field.mul(field.coerce(i), a[i]) for i in range(1, len(a))])
 
 
-def poly_eval(field, a, x: Scalar) -> Scalar:
-    out = field.zero()
-    for c in reversed(a):
-        out = field.add(field.mul(out, x), c)
-    return out
-
-
 def _X(field) -> tuple[Scalar, ...]:
     return (field.zero(), field.one())
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, ascending."""
-    n = abs(n)
-    out = [1]
-    for q in _prime_factors(n):
-        k = 0
-        while n % q == 0:
-            n, k = n // q, k + 1
-        out = [d * q ** i for d in out for i in range(k + 1)]
-    return sorted(out)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -326,17 +307,46 @@ def poly_is_irreducible_fp(field: BaseField, f) -> bool:
 
 
 def _rational_roots_exist(f) -> bool:
-    # clear denominators, then u/v with u | constant, v | leading
+    """Whether the squarefree f over Q has a rational root, exactly and
+    without factoring.  With f cleared to integers c_0..c_d, y = c_d r maps
+    the rational roots r of f onto the roots of the monic integer
+    g(y) = c_d^(d-1) f(y / c_d), which are integers in [-B, B] for the
+    Cauchy bound B = 1 + max |g_i|.  The Sturm sequence of g counts its
+    roots in a half-open interval (lo, hi], and bisection over the integers
+    isolates them."""
     den = math.lcm(*(c.denominator for c in f))
     fi = [int(c * den) for c in f]
-    if fi[0] == 0:
-        return True  # 0 is a root
-    for u in _divisors(fi[0]):
-        for v in _divisors(fi[-1]):
-            for s in (1, -1):
-                r = Fraction(s * u, v)
-                if poly_eval(QQ, f, r) == 0:
-                    return True
+    d, lead = len(fi) - 1, fi[-1]
+    g = tuple(c * Fraction(lead) ** (d - 1 - i) for i, c in enumerate(fi))
+    sturm = [g, poly_deriv(QQ, g)]
+    while (r := poly_mod(QQ, sturm[-2], sturm[-1])):
+        sturm.append(poly_neg(QQ, r))
+    # a positive scale changes no sign: evaluate in integers
+    sturm = [[int(c * math.lcm(*(x.denominator for x in p))) for c in p]
+             for p in sturm]
+
+    def value(p, y: int) -> int:
+        v = 0
+        for c in reversed(p):
+            v = v * y + c
+        return v
+
+    def variations(y: int) -> int:
+        signs = [v > 0 for v in (value(p, y) for p in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in sturm[0][:-1])
+    intervals = [(-bound - 1, bound)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if hi - lo == 1:
+            if value(sturm[0], hi) == 0:
+                return True
+            continue
+        mid = (lo + hi) // 2
+        intervals += [(lo, mid), (mid, hi)]
     return False
 
 

@@ -5,6 +5,10 @@ canonical monomial order (lexicographically descending exponent vectors,
 the alphabetical order on monomial words shared with the Veronese basis).
 Families of equal-degree polynomials are compared by exact row reduction
 of their coefficient matrices; no ideal machinery is involved.
+
+`substitute_linear`, F(A x), is the only substitution: every composite the
+program needs (a twisted quadric, an induced Veronese matrix, a pullback
+through P o Ver) is linear, or linear followed by a relabelling of terms.
 """
 
 from __future__ import annotations
@@ -163,59 +167,6 @@ def monomial(ext: CyclicExtension, exps: Sequence[int], coeff=None) -> MultiPoly
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def substitute(F: MultiPoly, polys: Sequence[MultiPoly]) -> MultiPoly:
-    """F with variable i replaced by polys[i]; all polys share one target ring."""
-    return substitute_all([F], polys)[0]
-
-
-def substitute_all(S: Sequence[MultiPoly], polys: Sequence[MultiPoly]
-                   ) -> list[MultiPoly]:
-    """`substitute(F, polys)` for every F in S.
-
-    Each result is accumulated in one dict from the images of F's
-    monomials.  The image of x^e is the image of x^(e - e_i) times
-    polys[i], for the first variable i in x^e; images are memoised for the
-    duration of the call, so the family shares them.
-    """
-    for F in S:
-        if len(polys) != F.nvars:
-            raise ShapeMismatch(f"{F.nvars} variables, {len(polys)} substitution polynomials")
-    if not polys:
-        return list(S)
-    ext, nv = polys[0].ext, polys[0].nvars
-    factors = [P.terms for P in polys]
-    images: dict[Exponents, dict[Exponents, ExtElement]] = {
-        (0,) * len(polys): {(0,) * nv: ext.one()}}
-
-    def image(e: Exponents) -> dict[Exponents, ExtElement]:
-        img = images.get(e)
-        if img is not None:
-            return img
-        i = next(i for i, k in enumerate(e) if k)
-        rest = image(e[:i] + (e[i] - 1,) + e[i + 1:])
-        img = {}
-        for e1, c1 in rest.items():
-            for e2, c2 in factors[i]:
-                t = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = img.get(t)
-                img[t] = prod if cur is None else cur + prod
-        img = {t: c for t, c in img.items() if not c.is_zero()}
-        images[e] = img
-        return img
-
-    out = []
-    for F in S:
-        acc: dict[Exponents, ExtElement] = {}
-        for e, c in F.terms:
-            for t, v in image(e).items():
-                prod = c * v
-                cur = acc.get(t)
-                acc[t] = prod if cur is None else cur + prod
-        out.append(_canonical(ext, nv, acc))
-    return out
-
 
 def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     """F(A x): variable i becomes the linear form sum_j A[i][j] x_j.

@@ -22,11 +22,10 @@ keyed by x-monomial; and N_ab is kept as integer numerators over
 denominators common to all pairs, which are positive and so change no
 zero test.
 
-The paper's displayed n = 2 relations are products of ten linear forms.
-They are written once, over those factors; their residuals on a model are
-the same products of the pulled-back factors, which is exact because
-substitution is a ring homomorphism, so no relation is expanded in the ten
-w-coordinates before it is checked.
+Every pullback through P o Ver is one linear substitution, F(P w), with
+each w-monomial relabelled as its plane monomial (`pullback_to_plane`).
+The paper's displayed n = 2 relations are checked as products of their ten
+pulled-back linear factors (`_displayed_relations`).
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ from .polyring import (
     poly_from_json,
     poly_to_json,
     make_poly,
-    substitute,
-    substitute_all,
     substitute_linear,
     zero_poly,
 )
@@ -363,10 +360,18 @@ def picard_generator(L: CyclicExtension, a, nb: NormalBasis,
 
 
 def pullback_to_plane(model: SurfaceModel, F: MultiPoly) -> MultiPoly:
-    """F composed with the parametrization, as a polynomial in the plane
-    variables."""
-    coords = model.parametrization.symbolic(model.extension)
-    return substitute(F, list(coords))
+    """F composed with the parametrization P o Ver, as a polynomial in the
+    plane variables.
+
+    F(P Ver(x)) = G(Ver(x)) with G(w) = F(P w), and coordinate j of Ver(x)
+    is the bare basis monomial x^{b_j}.  So each term c w^e of G becomes
+    c x^{sum_j e_j b_j}, and terms that land on one monomial are summed.
+    """
+    basis, n1 = model.parametrization.basis, model.n + 1
+    G = substitute_linear(F, model.parametrization.matrix)
+    return make_poly(model.extension, n1, [
+        ([sum(k * basis.list[j][i] for j, k in enumerate(e)) for i in range(n1)], c)
+        for e, c in G.terms])
 
 
 def proportional(F: MultiPoly, G: MultiPoly) -> Optional[ExtElement]:
@@ -497,20 +502,21 @@ def verify_theorem1_equations(L: CyclicExtension, a,
     3 and 4 and is reported as printed, flagged, with the residual and a
     homogeneous reconstruction that does vanish.
 
-    Only the ten linear factors are substituted; each residual is then the
-    same product of the pulled-back factors (`_displayed_relations`), which
-    is exact because substitution is a ring homomorphism.  The splitting
-    matrix is invertible, so the parametrization sends each nonzero linear
-    form to a nonzero cubic form, and a product of d of them to a nonzero
-    form of degree 3d: a relation is homogeneous in the w's exactly when its
-    residual is homogeneous in the plane variables.
+    Only the ten linear factors are pulled back, one `pullback_to_plane`
+    each; each residual is then the same product of the pulled-back factors
+    (`_displayed_relations`), which is exact because substitution is a ring
+    homomorphism.  The splitting matrix is invertible, so the
+    parametrization sends each nonzero linear form to a nonzero cubic form,
+    and a product of d of them to a nonzero form of degree 3d: a relation
+    is homogeneous in the w's exactly when its residual is homogeneous in
+    the plane variables.
     """
     if nb is None:
         nb = find_normal_basis(L, seed=L.theta())
     forms = _displayed_forms(L, nb)
     if model is None:
         model = surface_model(L, a, nb=nb)
-    pulled = substitute_all(forms, list(model.parametrization.symbolic(L)))
+    pulled = [pullback_to_plane(model, F) for F in forms]
     a_el = L.from_base(L.base.coerce(a))
     report = []
     for name, residual in _displayed_relations(pulled, a_el):

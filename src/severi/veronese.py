@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import DegreeTooSmall, InputError, Singular, ZeroPoint
 from .fields import CyclicExtension, ExtElement
 from .linalg import Matrix, from_rows, rank
-from .polyring import MultiPoly, make_poly, variables, zero_poly
+from .polyring import MultiPoly, make_poly, monomial, substitute_linear
 
 
 @dataclass(frozen=True)
@@ -79,28 +79,12 @@ def veronese_point(basis: MonomialBasis, point: Sequence,
     return tuple(out)
 
 
-def veronese_poly(basis: MonomialBasis, forms: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
-    """Basis monomials evaluated symbolically at a tuple of polynomials."""
-    if len(forms) != basis.n + 1:
-        raise InputError(f"need {basis.n + 1} forms")
-    ext, nv = forms[0].ext, forms[0].nvars
-    out = []
-    for e in basis.list:
-        v = None
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            p = forms[i] ** k
-            v = p if v is None else v * p
-        out.append(v if v is not None else zero_poly(ext, nv))
-    return tuple(out)
-
-
 def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix:
     """The unique B with veronese_point(A x) = B veronese_point(x).
 
-    Row i of B expands basis monomial i evaluated on the linear forms given
-    by the rows of A.  Optionally divides every entry by normalize_by.
+    Row i of B is the coefficient row of basis monomial i composed with A,
+    x^{b_i}(A x) = sum_j B[i][j] x^{b_j}.  Optionally divides every entry
+    by normalize_by.
     """
     n1 = basis.n + 1
     if A.rows != n1 or A.cols != n1:
@@ -108,23 +92,10 @@ def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix
     ext = A.ext
     if rank(A) < A.rows:
         raise Singular("induced matrix of a singular matrix")
-    xs = variables(ext, n1)
-    rows_as_forms = []
-    for i in range(n1):
-        form = zero_poly(ext, n1)
-        for j in range(n1):
-            c = A.at(i, j)
-            if not c.is_zero():
-                form = form + xs[j] * c
-        rows_as_forms.append(form)
-    images = veronese_poly(basis, rows_as_forms)
-    col_of = {e: j for j, e in enumerate(basis.list)}
-    rows = []
-    for img in images:
-        row = [ext.zero()] * basis.m
-        for e, c in img.terms:
-            row[col_of[e]] = c
-        rows.append(row)
+    zero, rows = ext.zero(), []
+    for b in basis.list:
+        image = substitute_linear(monomial(ext, b), A).terms_dict()
+        rows.append([image.get(e, zero) for e in basis.list])
     B = from_rows(ext, rows)
     if normalize_by is not None:
         s = normalize_by if isinstance(normalize_by, ExtElement) else ext.from_base(normalize_by)
@@ -191,13 +162,3 @@ class ParametrizationMap:
 
     basis: MonomialBasis
     matrix: Matrix
-
-    def symbolic(self, ext: CyclicExtension) -> tuple[MultiPoly, ...]:
-        """Coordinate polynomials in the n+1 plane variables: coordinate i is
-        sum_j P[i][j] times basis monomial j.  The basis monomials are
-        distinct and in canonical order, so each row is already a
-        polynomial's term list."""
-        nv = self.basis.n + 1
-        mono = self.basis.list
-        return tuple(MultiPoly(ext, nv, tuple((mono[j], c) for j, c in row))
-                     for row in self.matrix.sparse_rows)

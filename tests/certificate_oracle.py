@@ -1,16 +1,69 @@
-"""The symbolic vanishing test of the model certificate, used only by the tests.
+"""Symbolic oracles for substitution and the model certificate, used only by
+the tests.
 
-Each equation is composed with the parametrization P o Ver by substitution
-over L, through `polyring.substitute_all`, and the composite is expanded in
-the plane variables.  It shares nothing with `twisting.vanishes_on_image`
-beyond the equations and P, so the two agreeing is evidence for both.
+`naive_substitute` expands a polynomial term by term by polynomial
+arithmetic, `linear_forms` writes the rows of a matrix as linear forms, and
+`plane_coordinates` builds the coordinates of P o Ver as sums of basis
+monomials.  None of them goes through `polyring.substitute_linear`,
+`twisting.pullback_to_plane` or `twisting.vanishes_on_image`, so agreeing
+with them is evidence for both sides.
 """
-from severi.polyring import substitute_all
-from severi.veronese import ParametrizationMap
+from severi.polyring import constant, make_poly, monomial, variables, zero_poly
+
+
+def naive_substitute(F, polys, images=None):
+    """F with variable i replaced by polys[i], term by term: the image of
+    x^e is the image of x^(e - e_i) times polys[i], for the first variable
+    x_i of x^e, and the terms of c times it are collected in one sum.  A
+    dict passed as `images` keeps the monomial images for later calls with
+    the same polys."""
+    ext, nv = polys[0].ext, polys[0].nvars
+    images = {} if images is None else images
+
+    def image(e):
+        img = images.get(e)
+        if img is None:
+            i = next((i for i, k in enumerate(e) if k), None)
+            if i is None:
+                img = constant(ext, nv, ext.one())
+            else:
+                img = image(e[:i] + (e[i] - 1,) + e[i + 1:]) * polys[i]
+            images[e] = img
+        return img
+
+    return make_poly(ext, nv, [(t, v * c) for e, c in F.terms
+                               for t, v in image(e).terms])
+
+
+def linear_forms(A):
+    """Row i of the square matrix A as the linear form sum_j A[i][j] x_j."""
+    xs = variables(A.ext, A.cols)
+    forms = []
+    for i in range(A.rows):
+        form = zero_poly(A.ext, A.cols)
+        for j in range(A.cols):
+            form = form + xs[j] * A.at(i, j)
+        forms.append(form)
+    return forms
+
+
+def plane_coordinates(basis, P):
+    """Coordinate i of P o Ver in the plane variables: sum_j P[i][j] times
+    basis monomial j."""
+    ext, nv = P.ext, basis.n + 1
+    monos = [monomial(ext, b) for b in basis.list]
+    coords = []
+    for i in range(P.rows):
+        acc = zero_poly(ext, nv)
+        for j, mono in enumerate(monos):
+            acc = acc + mono * P.at(i, j)
+        coords.append(acc)
+    return coords
 
 
 def parametrization_residuals(equations, basis, P):
     """Each equation composed with P o Ver; all are zero exactly when the
     equations vanish on its image."""
-    coords = ParametrizationMap(basis, P).symbolic(P.ext)
-    return substitute_all(equations, list(coords))
+    coords = plane_coordinates(basis, P)
+    images = {}
+    return [naive_substitute(F, coords, images) for F in equations]

@@ -142,6 +142,13 @@ def test_picard_hyperplane(capsys):
     assert "degree in the plane: 3" in out
 
 
+def test_picard_dprime_0_exit_2(capsys):
+    code, out, err = run(capsys, "picard", "--dprime", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: InputError: d' must be >= 1\n"
+
+
 def test_algebra_text(capsys):
     code, out, _ = run(capsys, "algebra", "--field", "shanks:t=1", "--a", "2")
     assert code == 0
@@ -198,6 +205,17 @@ def test_output_file(capsys, tmp_path):
     assert out == ""
     blob = json.loads(target.read_text())
     assert blob["kind"] == "surface_model"
+
+
+def test_output_unwritable_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "model.txt"
+    code, out, err = run(capsys, "surface", "--field", "finite:p=3",
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from severi import (
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroInput
 from severi.fields import (NormalBasis, conjugates, element_from_json,
-                           element_to_json, row_reduce)
+                           element_to_json, poly_check_irreducible, row_reduce)
 
 
 def F(x):
@@ -277,11 +277,39 @@ def test_is_prime_refuses_beyond_its_certified_range():
         GF(2 ** 127 - 1)
 
 
-def test_divisors_come_from_prime_factors():
-    from severi.fields import _divisors
-    assert _divisors(10 ** 9 + 7) == [1, 10 ** 9 + 7]
-    assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
-    assert _divisors(1) == [1]
+@pytest.mark.parametrize("constant", [10 ** 14 + 31, 10 ** 19 + 51])
+def test_reducible_cubic_with_large_constant_rejected_quickly(constant):
+    # (x - 1)(x^2 + x + c): no mod-p certificate exists, so the rational-root
+    # search decides, and it must not factor c
+    import time
+    f = [F(-constant), F(constant - 1), F(0), F(1)]
+    t0 = time.perf_counter()
+    with pytest.raises(NotIrreducible, match="rational root found"):
+        poly_check_irreducible(QQ, f)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_rational_roots_match_the_rational_root_theorem():
+    # every squarefree integer polynomial of degree <= 3 with small
+    # coefficients: the Sturm search agrees with trying u/v, u | c_0, v | c_d
+    import itertools
+    from severi.fields import _rational_roots_exist, poly_deriv, poly_gcd
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    def by_theorem(c):
+        if c[0] == 0:
+            return True
+        return any(sum(ci * Fraction(s * u, v) ** i for i, ci in enumerate(c)) == 0
+                   for u in divisors(c[0]) for v in divisors(c[-1]) for s in (1, -1))
+
+    for deg in (1, 2, 3):
+        for c in itertools.product(range(-3, 4), repeat=deg + 1):
+            f = [Fraction(x) for x in c]
+            if c[-1] == 0 or len(poly_gcd(QQ, f, poly_deriv(QQ, f))) > 1:
+                continue
+            assert _rational_roots_exist(f) is by_theorem(c), c
 
 
 def test_irreducible_cubic_certified_mod_p_before_root_search(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import linear_forms, naive_substitute
 from severi import (
     cyclic_cocycle,
     frobenius_extension,
@@ -20,14 +21,11 @@ from severi import (
 )
 from severi.errors import MixedDegrees, ShapeMismatch
 from severi.polyring import (
-    constant,
     evaluate,
     in_span,
     jacobian,
     monomial,
     span_reduce,
-    substitute,
-    substitute_all,
     variables,
     zero_poly,
 )
@@ -66,12 +64,6 @@ def test_substitute_shape_mismatch(shanks1):
     xy = monomial(shanks1, (1, 1))
     with pytest.raises(ShapeMismatch):
         substitute_linear(xy, from_rows(shanks1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_substitute_all_shape_mismatch(shanks1):
-    x, y = variables(shanks1, 2)
-    with pytest.raises(ShapeMismatch):
-        substitute_all([x * y, monomial(shanks1, (1, 1, 0))], [x, y])
 
 
 def test_jacobian_power_rule(shanks1):
@@ -223,39 +215,6 @@ def test_euler_identity_char_divides_degree(f2):
     assert total.is_zero()
 
 
-def naive_substitute(Fp, polys):
-    """Reference expansion: one polynomial product and sum per term."""
-    ext, nv = polys[0].ext, polys[0].nvars
-    out = zero_poly(ext, nv)
-    for e, c in Fp.terms:
-        term = constant(ext, nv, c)
-        for i, k in enumerate(e):
-            term = term * polys[i] ** k
-        out = out + term
-    return out
-
-
-def rand_any_poly(L, rng, nvars, maxdeg):
-    """Up to four terms of mixed degrees, possibly zero or constant."""
-    terms = {}
-    for _ in range(rng.randint(0, 4)):
-        e = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
-        terms[e] = L.el([F(rng.randint(-3, 3)) for _ in range(3)])
-    return make_poly(L, nvars, terms)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_substitute_all_matches_naive_expansion(seed):
-    L = make_shanks_cubic(1)
-    rng = random.Random(seed)
-    S = [rand_any_poly(L, rng, 3, 3) for _ in range(rng.randint(1, 4))]
-    polys = [rand_any_poly(L, rng, 2, 2) for _ in range(3)]
-    expected = [naive_substitute(Fp, polys) for Fp in S]
-    assert substitute_all(S, polys) == expected
-    assert [substitute(Fp, polys) for Fp in S] == expected
-
-
 @functools.cache
 def twist_field(name):
     return make_shanks_cubic(1) if name == "shanks1" else frobenius_extension(name, 4)
@@ -296,11 +255,4 @@ def test_substitute_linear_matches_all_forms(seed, field, kind):
     m = 5
     Fp = rand_mixed_poly(L, rng, m)
     A = rand_twist_matrix(L, rng, m, kind)
-    xs = variables(L, m)
-    forms = []
-    for i in range(m):
-        form = zero_poly(L, m)
-        for j in range(m):
-            form = form + xs[j] * A.at(i, j)
-        forms.append(form)
-    assert substitute_linear(Fp, A) == naive_substitute(Fp, forms)
+    assert substitute_linear(Fp, A) == naive_substitute(Fp, linear_forms(A))

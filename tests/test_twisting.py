@@ -1,7 +1,9 @@
 """End-to-end constructions: Fermat family, descent, models, Picard forms."""
 import copy
+import functools
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +11,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from certificate_oracle import parametrization_residuals
+from certificate_oracle import (
+    naive_substitute,
+    parametrization_residuals,
+    plane_coordinates,
+)
 from severi import (
     QQ,
     appendix_model,
@@ -46,8 +52,6 @@ from severi.polyring import (
     poly_to_json,
     span_equal,
     span_reduce,
-    substitute,
-    substitute_all,
     zero_poly,
 )
 from severi.twisting import (
@@ -58,7 +62,12 @@ from severi.twisting import (
     vanishes_on_image,
 )
 from severi.verify import base_change_matrix
-from severi.veronese import ideal_quadric_count, monomial_basis, veronese_ideal
+from severi.veronese import (
+    ParametrizationMap,
+    ideal_quadric_count,
+    monomial_basis,
+    veronese_ideal,
+)
 
 
 SHANKS = {t: make_shanks_cubic(t) for t in range(1, 9)}
@@ -324,10 +333,11 @@ def test_model_q_equations_over_k(model_q):
             assert c.in_base()
 
 
-def test_model_q_equations_vanish_on_parametrization(model_q, shanks1):
-    coords = list(model_q.parametrization.symbolic(shanks1))
+def test_model_q_equations_vanish_on_parametrization(model_q):
+    param = model_q.parametrization
+    coords = plane_coordinates(param.basis, param.matrix)
     for eq in model_q.equations_over_k[:5]:
-        assert substitute(eq, coords).is_zero()
+        assert naive_substitute(eq, coords).is_zero()
 
 
 def test_model_q_galois_stable_span(model_q, shanks1):
@@ -459,11 +469,13 @@ def test_displayed_equations_report(shanks1, model_q):
 def _expanded_route_report(L, a, nb, model):
     # reference route: expand each relation in w0..w9, then substitute the
     # parametrization into the expansions
-    coords = list(model.parametrization.symbolic(L))
+    coords = plane_coordinates(model.parametrization.basis,
+                               model.parametrization.matrix)
     relations = theorem1_equations(L, a, nb)
     recon = theorem1_equation7_reconstruction(L, a, nb)
-    *residuals, recon_res = substitute_all(
-        [poly for _, poly, _ in relations] + [recon], coords)
+    images = {}
+    *residuals, recon_res = [naive_substitute(poly, coords, images) for poly in
+                             [poly for _, poly, _ in relations] + [recon]]
     report = []
     for (name, _, homogeneous), residual in zip(relations, residuals):
         entry = {"name": name, "homogeneous": homogeneous}
@@ -539,10 +551,11 @@ def test_appendix_model_shape(appendix_q, model_q):
     assert replace(appendix_q, provenance="main_path") == model_q
 
 
-def test_appendix_equations_vanish(appendix_q, shanks1):
-    coords = list(appendix_q.parametrization.symbolic(shanks1))
+def test_appendix_equations_vanish(appendix_q):
+    param = appendix_q.parametrization
+    coords = plane_coordinates(param.basis, param.matrix)
     for eq in appendix_q.equations_over_k[:3]:
-        assert substitute(eq, coords).is_zero()
+        assert naive_substitute(eq, coords).is_zero()
 
 
 def test_appendix_rejects_wrong_degree(zeta5):
@@ -642,6 +655,55 @@ def test_vanishing_clause_matches_symbolic_oracle(n, p, against_d, data):
 def test_vanishing_clause_matches_symbolic_oracle_n3(model_n3_f5):
     _assert_vanishing_agrees(model_n3_f5, model_n3_f5.parametrization.matrix,
                              100, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# pullback through P o Ver
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _pullback_base_model(n, p):
+    if p is None:
+        return surface_model(SHANKS[1] if n == 2 else QUADRATIC[1], 2)
+    return surface_model(frobenius_extension(p, n + 1), 1)
+
+
+def _random_parametrization(L, rng, m, kind):
+    """`dense`: every entry drawn; `sparse`: entries nonzero with
+    probability 0.3; `monomial`: a scaled permutation matrix."""
+    def entry():
+        return L.el([rng.randint(-2, 2) for _ in range(L.degree)])
+    if kind == "monomial":
+        perm = rng.sample(range(m), m)
+        return from_rows(L, [[entry() if j == perm[i] else 0 for j in range(m)]
+                             for i in range(m)])
+    density = 1.0 if kind == "dense" else 0.3
+    return from_rows(L, [[entry() if rng.random() < density else 0
+                          for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7], ids=["Q", "F2", "F3", "F7"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), degree=st.integers(0, 3),
+       nterms=st.integers(0, 4), kind=st.sampled_from(["dense", "sparse", "monomial"]))
+def test_pullback_matches_naive_expansion(n, p, seed, degree, nterms, kind):
+    # F has up to nterms terms of degree <= degree in the m coordinates
+    # (none: the zero polynomial); P replaces the model's matrix
+    base = _pullback_base_model(n, p)
+    L, m, basis = base.extension, base.m, base.parametrization.basis
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * m
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(m)] += 1
+        terms[tuple(e)] = L.el([rng.randint(-3, 3) for _ in range(L.degree)])
+    Fw = make_poly(L, m, terms)
+    P = _random_parametrization(L, rng, m, kind)
+    model = replace(base, parametrization=ParametrizationMap(basis, P))
+    assert pullback_to_plane(model, Fw) == \
+        naive_substitute(Fw, plane_coordinates(basis, P))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Degree-(n+1) Veronese: ordering, parametrization, induced matrices, ideal."""
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -8,22 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificate_oracle import linear_forms, naive_substitute, plane_coordinates
 from severi import (
     ParametrizationMap,
     canonical_embedding,
     cyclic_cocycle,
     from_rows,
+    frobenius_extension,
     identity,
     induced_matrix,
     make_shanks_cubic,
     monomial_basis,
     mul,
+    pullback_to_plane,
     veronese_ideal,
     veronese_point,
-    veronese_poly,
 )
 from severi.errors import DegreeTooSmall, InputError, Singular, ZeroPoint
-from severi.polyring import in_span, span_reduce, substitute, variables
+from severi.polyring import in_span, monomial, span_reduce, variables
 
 
 def F(x):
@@ -169,9 +172,9 @@ def test_ideal_conic(shanks1):
 
 def test_ideal_vanishes_on_parametrization(shanks1):
     mb = monomial_basis(2, 3)
-    coords = list(veronese_poly(mb, variables(shanks1, 3)))
+    coords = plane_coordinates(mb, identity(shanks1, mb.m))
     for q in veronese_ideal(mb, shanks1):
-        assert substitute(q, coords).is_zero()
+        assert naive_substitute(q, coords).is_zero()
 
 
 def test_induced_defining_property_symbolic(shanks1):
@@ -179,16 +182,10 @@ def test_induced_defining_property_symbolic(shanks1):
     from severi.polyring import zero_poly
     mb = monomial_basis(2, 3)
     A = from_rows(shanks1, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-    xs = variables(shanks1, 3)
-    forms = []
-    for i in range(3):
-        f = zero_poly(shanks1, 3)
-        for j in range(3):
-            f = f + xs[j] * A.at(i, j)
-        forms.append(f)
-    lhs = veronese_poly(mb, forms)
+    forms = linear_forms(A)
+    lhs = [naive_substitute(monomial(shanks1, b), forms) for b in mb.list]
     B = induced_matrix(mb, A)
-    vx = veronese_poly(mb, list(xs))
+    vx = [monomial(shanks1, b) for b in mb.list]
     for i in range(10):
         acc = zero_poly(shanks1, 3)
         for j in range(10):
@@ -197,20 +194,20 @@ def test_induced_defining_property_symbolic(shanks1):
         assert lhs[i] == acc
 
 
-def test_parametrization_is_matrix_after_monomials(shanks1):
-    # coordinate i of P o Ver is sum_j P[i][j] times basis monomial j
+def test_parametrization_is_matrix_after_monomials(model_q):
+    # coordinate i of P o Ver, the pullback of w_i, is sum_j P[i][j] times
+    # basis monomial j
     from severi.polyring import zero_poly
-    mb = monomial_basis(2, 3)
+    L, mb = model_q.extension, model_q.parametrization.basis
     rng = random.Random(3)
-    P = from_rows(shanks1, [[shanks1.el([F(rng.randint(-2, 2)) for _ in range(3)])
-                             for _ in range(10)] for _ in range(10)])
-    vx = veronese_poly(mb, list(variables(shanks1, 3)))
-    coords = ParametrizationMap(mb, P).symbolic(shanks1)
-    for i in range(10):
-        acc = zero_poly(shanks1, 3)
-        for j in range(10):
-            acc = acc + vx[j] * P.at(i, j)
-        assert coords[i] == acc
+    P = from_rows(L, [[L.el([F(rng.randint(-2, 2)) for _ in range(3)])
+                       for _ in range(10)] for _ in range(10)])
+    model = replace(model_q, parametrization=ParametrizationMap(mb, P))
+    for i, w in enumerate(variables(L, 10)):
+        acc = zero_poly(L, 3)
+        for j, b in enumerate(mb.list):
+            acc = acc + monomial(L, b) * P.at(i, j)
+        assert pullback_to_plane(model, w) == acc
 
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -233,3 +230,30 @@ def test_induced_multiplicative(seed):
     A, B = rand(), rand()
     assert induced_matrix(mb, mul(A, B)) == mul(induced_matrix(mb, A),
                                                 induced_matrix(mb, B))
+
+
+INDUCED_FIELDS = {"Q": make_shanks_cubic(1), "F5": frobenius_extension(5, 3)}
+
+
+@pytest.mark.parametrize("field", sorted(INDUCED_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(seeds)
+def test_induced_matrix_matches_naive_expansion(n, field, seed):
+    # row i of induced(A) holds the coefficients of x^{b_i}(A x), expanded
+    # by the oracle, in basis order
+    from severi.linalg import rank
+    L = INDUCED_FIELDS[field]
+    mb = monomial_basis(n, n + 1)
+    rng = random.Random(seed)
+    while True:
+        A = from_rows(L, [[rng.randint(-2, 2) for _ in range(n + 1)]
+                          for _ in range(n + 1)])
+        if rank(A) == n + 1:
+            break
+    B = induced_matrix(mb, A)
+    forms = linear_forms(A)
+    for i, b in enumerate(mb.list):
+        image = naive_substitute(monomial(L, b), forms)
+        assert image.is_homogeneous() and image.degree() == n + 1
+        assert [image.coefficient(e) for e in mb.list] == list(B.row(i))
