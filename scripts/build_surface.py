@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from severi import (
     fermat,
-    find_normal_basis,
     format_poly,
     omega_names,
     parse_field_spec,
@@ -48,11 +47,10 @@ def main() -> int:
     print(f"a        {format_scalar(a)}")
 
     t0 = time.perf_counter()
-    nb = find_normal_basis(L)
+    model = surface_model(L, a)
+    nb = model.normal_basis
     print(f"normal basis  l1 = {format_element(nb.elements[0])}, orbit under "
           f"sigma, trace {format_scalar(nb.trace_value)}")
-
-    model = surface_model(L, a, nb=nb)
     print(f"\nsplitting matrix (10x10, entries in L), built in "
           f"{time.perf_counter() - t0:.2f}s:")
     for row in model.splitting_matrix.as_rows():
@@ -70,7 +68,7 @@ def main() -> int:
           f"{gen.degree_in_plane}):")
     print(f"  {format_poly(gen.equation, names)} = 0")
 
-    eqs = twisted_curve_model(L, a, nb, args.dprime, model=model)
+    eqs = twisted_curve_model(model, args.dprime)
     pulled = pullback_to_plane(model, eqs[-1])
     c = proportional(pulled, fermat(L, args.dprime, a).poly)
     print(f"  pullback through the parametrization = "
@@ -78,7 +76,7 @@ def main() -> int:
 
     if L.degree == 3:
         print("\nequation report (paper-eqs suite):")
-        for row in verify_theorem1_equations(L, a, model=model):
+        for row in verify_theorem1_equations(model):
             status = row["status"].upper()
             note = f"  ({row['note']})" if row.get("note") else ""
             print(f"  {status:4} {row['name']}{note}")

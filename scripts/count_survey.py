@@ -22,7 +22,6 @@ from fractions import Fraction
 from severi import (
     GF,
     appendix_model,
-    find_normal_basis,
     frobenius_extension,
     make_shanks_cubic,
     norm_witness,
@@ -35,14 +34,13 @@ from severi.fields import format_element
 
 def survey_prime(p: int) -> None:
     L = frobenius_extension(p, 3)
-    nb = find_normal_basis(L)
     expected = p * p + p + 1
     print(f"p = {p}  (expected {expected})")
     for a_int in range(1, p):
         a = GF(p).coerce(a_int)
         t0 = time.perf_counter()
-        main = surface_model(L, a, nb=nb)
-        appx = appendix_model(L, a, nb=nb)
+        main = surface_model(L, a)
+        appx = appendix_model(main)
         pts = rational_points(main, p)
         n_main = len(pts)
         same = (main.equations_over_k == appx.equations_over_k

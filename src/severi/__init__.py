@@ -72,20 +72,15 @@ from .linalg import (
     identity,
     inverse,
     mul,
-    pgl_equal,
     rank,
     rref,
 )
 from .polyring import (
     MultiPoly,
     coefficient_matrix,
-    evaluate,
-    galois_poly,
-    in_span,
     jacobian,
     make_poly,
     monomial,
-    span_equal,
     span_reduce,
     substitute_linear,
     variables,
@@ -113,7 +108,6 @@ from .verify import (
     Report,
     count_points,
     genus_plane,
-    jacobian_rank_at,
     rational_points,
     report_to_json,
     run_all,

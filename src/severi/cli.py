@@ -9,6 +9,7 @@ seed; timings therefore go to stderr, never into emissions.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -104,8 +105,7 @@ def _check_report_for_surface(model) -> Report:
             checks.append(Check(f"smooth-p{p}",
                                 "pass" if rep.ok else "fail"))
     elif model.n == 2:
-        for row in verify_theorem1_equations(model.extension, model.a,
-                                             model=model):
+        for row in verify_theorem1_equations(model):
             checks.append(Check(row["name"], row["status"], row.get("note")))
     else:
         count = len(model.equations_over_k)
@@ -236,6 +236,23 @@ _COMMANDS = {
 }
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why `path` cannot be written, or None; decided before the job runs,
+    without creating or truncating anything."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return os.strerror(code)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -247,6 +264,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         except ValueError:
             print(f"input error: SEVERI_SEED must be an integer, "
                   f"got {env_seed!r}", file=sys.stderr)
+            return 2
+    if args.output is not None:
+        reason = _unwritable(args.output)
+        if reason is not None:
+            print(f"input error: cannot write {args.output}: {reason}",
+                  file=sys.stderr)
             return 2
     try:
         L = parse_field_spec(args.field, degree=args.n + 1,

@@ -800,21 +800,6 @@ class NormalBasis:
         return self.elements[0].ext
 
 
-def _normal_basis_candidate(L: CyclicExtension, x: ExtElement) -> Optional[NormalBasis]:
-    if x.is_zero():
-        return None
-    orbit = conjugates(L, x)
-    if len(row_reduce(L.base, [e.coeffs for e in orbit])[1]) < L.degree:
-        return None
-    s = L.zero()
-    for e in orbit:
-        s = s + e
-    tr = s.base_value()
-    if L.base.is_zero(tr):
-        return None
-    return NormalBasis(tuple(orbit), tr)
-
-
 # candidates find_normal_basis tries before it gives up
 _NORMAL_BASIS_BOUND = 100_000
 
@@ -822,15 +807,20 @@ _NORMAL_BASIS_BOUND = 100_000
 def find_normal_basis(L: CyclicExtension, seed: Optional[ExtElement] = None
                       ) -> NormalBasis:
     """First normal-basis generator in the documented enumeration seed,
-    seed+1, seed+theta, ... (deltas from CyclicExtension.enumerate_elements)."""
+    seed+1, seed+theta, ... (deltas from CyclicExtension.enumerate_elements).
+
+    The seed defaults to theta.  Every model is built on this default basis
+    (`twisting.surface_model`), and a Picard generator is written in the
+    coordinates of its model's basis, so callers pass no seed."""
     if seed is None:
-        seed = L.zero()
+        seed = L.theta()
     tried = 0
     for delta in L.enumerate_elements():
-        cand = seed + delta
-        nb = _normal_basis_candidate(L, cand)
-        if nb is not None:
-            return nb
+        orbit = conjugates(L, seed + delta)
+        try:  # NormalBasis tests the orbit: independent, of nonzero trace
+            return NormalBasis(tuple(orbit), sum(orbit, L.zero()).base_value())
+        except InputError:
+            pass
         tried += 1
         if tried >= _NORMAL_BASIS_BOUND:
             raise SearchExhausted(

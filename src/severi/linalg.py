@@ -179,24 +179,6 @@ def rank(A: Matrix) -> int:
     return len(rref(A)[1])
 
 
-def pgl_equal(A: Matrix, B: Matrix) -> bool:
-    """True iff B = c*A for some nonzero scalar c of the extension."""
-    if (A.rows, A.cols) != (B.rows, B.cols):
-        return False
-    c: Optional[ExtElement] = None
-    for x, y in zip(A.entries, B.entries):
-        if x.is_zero() != y.is_zero():
-            return False
-        if x.is_zero():
-            continue
-        ratio = y / x
-        if c is None:
-            c = ratio
-        elif ratio != c:
-            return False
-    return c is not None and not c.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # JSON form: {rows, cols, entries: [[coeff-vectors]]}
 # ---------------------------------------------------------------------------

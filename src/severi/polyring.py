@@ -3,8 +3,9 @@
 Terms map exponent vectors to nonzero coefficients and are kept in the
 canonical monomial order (lexicographically descending exponent vectors,
 the alphabetical order on monomial words shared with the Veronese basis).
-Families of equal-degree polynomials are compared by exact row reduction
-of their coefficient matrices; no ideal machinery is involved.
+Families of equal-degree polynomials are reduced to canonical spanning sets
+by exact row reduction of their coefficient matrices; no ideal machinery
+is involved.
 
 `substitute_linear`, F(A x), is the only substitution: every composite the
 program needs (a twisted quadric, an induced Veronese matrix, a pullback
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, MixedDegrees, ShapeMismatch
-from .fields import CyclicExtension, ExtElement, galois_apply
+from .fields import CyclicExtension, ExtElement
 from .linalg import Matrix, from_rows, rref
 
 Exponents = tuple[int, ...]
@@ -224,26 +225,6 @@ def jacobian(F: MultiPoly) -> tuple[MultiPoly, ...]:
     return tuple(out)
 
 
-def evaluate(F: MultiPoly, point: Sequence) -> ExtElement:
-    if len(point) != F.nvars:
-        raise ShapeMismatch(f"point length {len(point)} != nvars {F.nvars}")
-    pt = [x if isinstance(x, ExtElement) else F.ext.from_base(x) for x in point]
-    acc = F.ext.zero()
-    for e, c in F.terms:
-        v = c
-        for i, k in enumerate(e):
-            if k:
-                v = v * pt[i] ** k
-        acc = acc + v
-    return acc
-
-
-def galois_poly(L: CyclicExtension, F: MultiPoly, j: int) -> MultiPoly:
-    """sigma^j applied to every coefficient."""
-    return MultiPoly(F.ext, F.nvars,
-                     tuple((e, galois_apply(L, c, j)) for e, c in F.terms))
-
-
 def _one_ring(S: Sequence[MultiPoly]) -> None:
     if len({F.nvars for F in S}) > 1:
         raise ShapeMismatch("family mixes polynomials in different rings")
@@ -303,21 +284,6 @@ def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
                  if not R.at(r, j).is_zero()}
         out.append(make_poly(ext, nv, terms))
     return out
-
-
-def span_equal(S1: Sequence[MultiPoly], S2: Sequence[MultiPoly]) -> bool:
-    """True iff the coefficient row spaces over L coincide."""
-    _one_ring([*S1, *S2])
-    R1 = span_reduce(list(S1))
-    R2 = span_reduce(list(S2))
-    return R1 == R2
-
-
-def in_span(F: MultiPoly, S: Sequence[MultiPoly]) -> bool:
-    if F.is_zero():
-        return True
-    base = span_reduce(list(S))
-    return span_reduce(base + [F]) == base
 
 
 # ---------------------------------------------------------------------------

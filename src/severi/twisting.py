@@ -284,18 +284,18 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
     return None
 
 
-def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
-                  ) -> SurfaceModel:
-    """Main pipeline: companion cocycle, Veronese lift, structured split,
-    twisted ideal quadrics, descent to the base field; the model is
-    certified by `image_defect` before it is returned."""
+def surface_model(L: CyclicExtension, a) -> SurfaceModel:
+    """Main pipeline: companion cocycle, Veronese lift, structured split on
+    the normal basis `find_normal_basis(L)`, twisted ideal quadrics, descent
+    to the base field; the model is certified by `image_defect` before it
+    is returned.  Every later step takes the model and reads L, a, the
+    normal basis and P = M^{-1} from it."""
     a = L.base.coerce(a)
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
     xi = cyclic_cocycle(L, a)
     lifted = lift_to_veronese(xi)
-    if nb is None:
-        nb = find_normal_basis(L, seed=L.theta())
+    nb = find_normal_basis(L)
     M = split_structured(lifted, nb)
     quads = veronese_ideal(basis, L)
     twisted = [substitute_linear(Q, M) for Q in quads]
@@ -308,22 +308,20 @@ def surface_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
                         ParametrizationMap(basis, P), "main_path", nb)
 
 
-def appendix_model(L: CyclicExtension, a, nb: Optional[NormalBasis] = None
-                   ) -> SurfaceModel:
+def appendix_model(model: SurfaceModel) -> SurfaceModel:
     """The route through the degree-6 plane curve (d' = 2): its canonical
-    embedding is the degree-3 Veronese on P^2, so the model is the main
-    one, relabelled with appendix provenance.  The genus bookkeeping and
-    that identity of embeddings are checked."""
-    if L.degree != 3:
+    embedding is the degree-3 Veronese on P^2, so the model is the given
+    main model, relabelled with appendix provenance.  The genus bookkeeping
+    and that identity of embeddings are checked."""
+    if model.n != 2:
         raise InputError("the appendix path requires a degree-3 extension (n = 2)")
     dprime = 2
-    curve = fermat(L, dprime, a)
+    curve = fermat(model.extension, dprime, model.a)
     basis = canonical_embedding(3 * dprime)
     if basis.m != curve.genus:
         raise InternalDescentFailure("canonical basis size differs from the genus")
-    if basis != monomial_basis(2, 3):
+    if basis != model.parametrization.basis:
         raise InternalDescentFailure("canonical embedding is not the degree-3 Veronese")
-    model = surface_model(L, a, nb)
     return replace(model, provenance="appendix_path")
 
 
@@ -337,7 +335,10 @@ class PicardGenerator:
 def picard_generator(L: CyclicExtension, a, nb: NormalBasis,
                      dprime: int) -> PicardGenerator:
     """sum_i (sum_j l_{i+j} w_{X_j^{n+1}})^{d'}, the twisted Fermat form in
-    the pure-power Veronese coordinates; its coefficients land in k."""
+    the pure-power Veronese coordinates; its coefficients land in k.
+
+    The normal basis l_1, ..., l_{n+1} fixes those coordinates, so pass the
+    model's: `model.normal_basis`, which is `find_normal_basis(L)`."""
     if dprime < 1:
         raise InputError("d' must be >= 1")
     if L.base.is_zero(L.base.coerce(a)):
@@ -394,17 +395,15 @@ def proportional(F: MultiPoly, G: MultiPoly) -> Optional[ExtElement]:
     return c
 
 
-def twisted_curve_model(L: CyclicExtension, a, nb: NormalBasis, dprime: int,
-                        model: Optional[SurfaceModel] = None) -> list[MultiPoly]:
+def twisted_curve_model(model: SurfaceModel, dprime: int) -> list[MultiPoly]:
     """Equations of the twisted degree-(n+1)d' curve inside P^{m-1}: the
-    surface equations plus the Picard generator.  The generator's pullback
-    through the parametrization must be a nonzero multiple of the Fermat
-    polynomial; that identity is checked here."""
-    if model is None:
-        model = surface_model(L, a, nb=nb)
-    gen = picard_generator(L, a, nb, dprime)
+    surface equations plus the Picard generator on the model's normal
+    basis.  The generator's pullback through the parametrization must be a
+    nonzero multiple of the Fermat polynomial; that identity is checked
+    here."""
+    gen = picard_generator(model.extension, model.a, model.normal_basis, dprime)
     pulled = pullback_to_plane(model, gen.equation)
-    target = fermat(L, dprime, model.a).poly
+    target = fermat(model.extension, dprime, model.a).poly
     c = proportional(pulled, target)
     if c is None or c.is_zero():
         raise InternalDescentFailure(
@@ -494,13 +493,12 @@ def theorem1_equation7_reconstruction(L: CyclicExtension, a, nb: NormalBasis
     return _equation7_reconstruction(_displayed_forms(L, nb))
 
 
-def verify_theorem1_equations(L: CyclicExtension, a,
-                              nb: Optional[NormalBasis] = None,
-                              model: Optional[SurfaceModel] = None) -> list[dict]:
-    """Substitute the parametrization into each displayed relation and report
-    pass, fail, or flagged per equation.  The seventh relation mixes degrees
-    3 and 4 and is reported as printed, flagged, with the residual and a
-    homogeneous reconstruction that does vanish.
+def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
+    """Substitute the model's parametrization into each displayed relation,
+    written on the model's normal basis, and report pass, fail, or flagged
+    per equation.  The seventh relation mixes degrees 3 and 4 and is
+    reported as printed, flagged, with the residual and a homogeneous
+    reconstruction that does vanish.
 
     Only the ten linear factors are pulled back, one `pullback_to_plane`
     each; each residual is then the same product of the pulled-back factors
@@ -511,13 +509,10 @@ def verify_theorem1_equations(L: CyclicExtension, a,
     is homogeneous in the w's exactly when its residual is homogeneous in
     the plane variables.
     """
-    if nb is None:
-        nb = find_normal_basis(L, seed=L.theta())
-    forms = _displayed_forms(L, nb)
-    if model is None:
-        model = surface_model(L, a, nb=nb)
+    L = model.extension
+    forms = _displayed_forms(L, model.normal_basis)
     pulled = [pullback_to_plane(model, F) for F in forms]
-    a_el = L.from_base(L.base.coerce(a))
+    a_el = L.from_base(model.a)
     report = []
     for name, residual in _displayed_relations(pulled, a_el):
         homogeneous = residual.is_homogeneous()

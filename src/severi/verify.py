@@ -29,7 +29,6 @@ from .polyring import MultiPoly, jacobian, make_poly
 from .twisting import (SurfaceModel, appendix_model, fermat, image_defect,
                        picard_generator, proportional, pullback_to_plane,
                        surface_model, verify_theorem1_equations)
-from .veronese import monomial_basis
 
 SMOOTHNESS_MAX_P = 3  # one check per point, emitted by the `counts` suite
 
@@ -110,7 +109,7 @@ def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
                 f"no norm witness for a = {model.a} within bound {res.bound}")
         lam = res.witness
     Mw = lift_split_from_witness(L, model.a, lam)
-    D = mul(inverse(model.splitting_matrix), Mw)
+    D = mul(model.parametrization.matrix, Mw)
     for ent in D.entries:
         if not ent.in_base():
             raise InternalDescentFailure("base change matrix is not Galois-fixed")
@@ -182,13 +181,6 @@ def _jacobian_rank(partials, point: Sequence[int], p: int) -> int:
     rows = [[_eval_int(dF, point, p) for j, dF in enumerate(row) if j != fi]
             for row in partials]
     return len(row_reduce(GF(p), rows)[1])
-
-
-def jacobian_rank_at(equations: Sequence[MultiPoly], point: Sequence[int],
-                     p: int) -> int:
-    """Rank of the Jacobian of the system at a projective point, on the
-    affine chart of the first nonzero coordinate."""
-    return _jacobian_rank(_int_jacobians(equations, p), point, p)
 
 
 def smoothness_spot(model: SurfaceModel, p: int,
@@ -276,15 +268,16 @@ def _suite_paper_eqs(L, a, dprime) -> list[Check]:
     if L.degree != 3:
         return [Check("skipped", "pass", "requires a cubic extension")]
     checks = []
-    for row in verify_theorem1_equations(L, a):
+    for row in verify_theorem1_equations(surface_model(L, a)):
         checks.append(Check(row["name"], row["status"], row.get("note")))
     return checks
 
 
 def _suite_picard(L, a, dprime) -> list[Check]:
     n = L.degree - 1
-    nb = find_normal_basis(L)
-    basis = monomial_basis(n, n + 1)
+    model = surface_model(L, a)
+    nb = model.normal_basis
+    basis = model.parametrization.basis
     checks = []
     g1 = picard_generator(L, a, nb, 1)
     hyper = make_poly(L, basis.m, {
@@ -293,7 +286,6 @@ def _suite_picard(L, a, dprime) -> list[Check]:
     c = proportional(g1.equation, hyper)
     checks.append(_ok("dprime1-is-hyperplane-multiple",
                       c is not None and not c.is_zero()))
-    model = surface_model(L, a, nb)
     for dp in sorted({1, dprime}):
         g = picard_generator(L, a, nb, dp)
         pull = pullback_to_plane(model, g.equation)
@@ -365,8 +357,7 @@ def _suite_triviality(L, a, dprime) -> list[Check]:
                             "no witness found"))
     res = norm_witness(L, a, bound=WITNESS_BOUND)
     if res.status == "witness":
-        nb = find_normal_basis(L)
-        model = surface_model(L, a, nb)
+        model = surface_model(L, a)
         D = base_change_matrix(model, lam=res.witness)
         checks.append(_ok("witness-transports-model-to-veronese",
                           image_defect(model.equations_over_k,
@@ -386,7 +377,7 @@ def _suite_appendix(L, a, dprime) -> list[Check]:
     for p, ap in _APPENDIX_TOWERS:
         F = frobenius_extension(p, 3)
         main = surface_model(F, ap)
-        app = appendix_model(F, ap)
+        app = appendix_model(main)
         # equal equations and parametrization basis imply equal point sets
         same = (main.equations_over_k == app.equations_over_k
                 and main.parametrization.basis == app.parametrization.basis)

@@ -7,8 +7,14 @@ arithmetic, `linear_forms` writes the rows of a matrix as linear forms, and
 monomials.  None of them goes through `polyring.substitute_linear`,
 `twisting.pullback_to_plane` or `twisting.vanishes_on_image`, so agreeing
 with them is evidence for both sides.
+
+`evaluate`, `galois_poly`, `span_equal` and `in_span` are the point
+evaluation, the coefficientwise Galois action and the span comparisons the
+tests state their expectations in; the program itself needs none of them.
 """
-from severi.polyring import constant, make_poly, monomial, variables, zero_poly
+from severi.fields import galois_apply
+from severi.polyring import (MultiPoly, constant, make_poly, monomial,
+                             span_reduce, variables, zero_poly)
 
 
 def naive_substitute(F, polys, images=None):
@@ -67,3 +73,33 @@ def parametrization_residuals(equations, basis, P):
     coords = plane_coordinates(basis, P)
     images = {}
     return [naive_substitute(F, coords, images) for F in equations]
+
+
+def evaluate(F, point):
+    """F at a point of base-field or extension values."""
+    ext = F.ext
+    pt = [x if hasattr(x, "coeffs") else ext.from_base(x) for x in point]
+    acc = ext.zero()
+    for e, c in F.terms:
+        for x, k in zip(pt, e):
+            c = c * x ** k
+        acc = acc + c
+    return acc
+
+
+def galois_poly(L, F, j):
+    """sigma^j applied to every coefficient of F."""
+    return MultiPoly(F.ext, F.nvars,
+                     tuple((e, galois_apply(L, c, j)) for e, c in F.terms))
+
+
+def span_equal(S1, S2):
+    """Whether two families span the same space over L: their reduced
+    row-echelon bases (`span_reduce`) are equal."""
+    return span_reduce(list(S1)) == span_reduce(list(S2))
+
+
+def in_span(F, S):
+    """Whether F lies in the L-span of S."""
+    base = span_reduce(list(S))
+    return F.is_zero() or span_reduce(base + [F]) == base

@@ -55,8 +55,8 @@ def f7():
 
 
 @pytest.fixture(scope="session")
-def model_q(shanks1, nb1):
-    return surface_model(shanks1, Fraction(2), nb=nb1)
+def model_q(shanks1):
+    return surface_model(shanks1, Fraction(2))
 
 
 @pytest.fixture(scope="session")
@@ -80,5 +80,5 @@ def model_n3_f5():
 
 
 @pytest.fixture(scope="session")
-def appendix_q(shanks1, nb1):
-    return appendix_model(shanks1, Fraction(2), nb=nb1)
+def appendix_q(model_q):
+    return appendix_model(model_q)

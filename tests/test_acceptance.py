@@ -31,7 +31,6 @@ from severi import (
     mul,
     norm,
     norm_witness,
-    pgl_equal,
     picard_generator,
     pullback_to_plane,
     smoothness_spot,
@@ -151,7 +150,6 @@ def test_criterion_3_displayed_matrix_reproduction():
         expected_rows.append(row)
     expected = from_rows(L, expected_rows)
     assert M == expected
-    assert pgl_equal(M, expected)
     dt = elapsed_under(t0, 5.0, "criterion 3")
     print(f"\n[criterion 3] PASS displayed matrix matched entrywise in {dt:.2f}s")
 
@@ -159,7 +157,7 @@ def test_criterion_3_displayed_matrix_reproduction():
 def test_criterion_4_displayed_equations(shanks1, model_q):
     """First six displayed relations vanish symbolically; seventh flagged."""
     t0 = time.perf_counter()
-    rows = verify_theorem1_equations(shanks1, F(2), model=model_q)
+    rows = verify_theorem1_equations(model_q)
     assert len(rows) == 7
     for r in rows[:6]:
         assert r["status"] == "pass", f"{r['name']} residual: {r.get('residual')}"
@@ -182,7 +180,7 @@ def test_criterion_5_picard_generators(shanks1, nb1, model_q):
     c = proportional(g1.equation, h)
     assert c is not None and not c.is_zero()
     for dp in (1, 2):
-        eqs = twisted_curve_model(shanks1, a, nb1, dp, model=model_q)
+        eqs = twisted_curve_model(model_q, dp)
         pulled = pullback_to_plane(model_q, eqs[-1])
         c = proportional(pulled, fermat(shanks1, dp, a).poly)
         assert c is not None and not c.is_zero()
@@ -258,7 +256,7 @@ def test_criterion_9_appendix_equivalence():
     for p, a in ((7, 3), (2, 1)):
         L = frobenius_extension(p, 3)
         main = surface_model(L, a)
-        app = appendix_model(L, a)
+        app = appendix_model(main)
         pts_main = rational_points(main, p)
         pts_app = rational_points(app, p)
         assert len(pts_main) == len(pts_app) == p * p + p + 1

@@ -1,14 +1,21 @@
 """CLI surface: emissions, exit codes, determinism, env seed override."""
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
-from severi import model_from_json, surface_model
+import pytest
+
+from severi import (fermat, find_normal_basis, frobenius_extension,
+                    make_shanks_cubic, model_from_json, pullback_to_plane,
+                    surface_model)
 from severi.cli import main
+from severi.twisting import picard_from_json, proportional
 
 
 def run(capsys, *argv):
@@ -142,6 +149,44 @@ def test_picard_hyperplane(capsys):
     assert "degree in the plane: 3" in out
 
 
+# (field spec, n, a): Shanks t = 1 and F_3, F_5, F_7 at n = 2, F_2 at n = 3
+SAME_BASIS_CASES = [(spec, 2, a) for spec in ("shanks:t=1", "finite:p=3",
+                                              "finite:p=5", "finite:p=7")
+                    for a in (1, 2)] + [("finite:p=2", 3, 1)]
+
+
+def _field(spec, n):
+    if spec.startswith("shanks"):
+        return make_shanks_cubic(1)
+    return frobenius_extension(int(spec.split("=")[1]), n + 1)
+
+
+@pytest.mark.parametrize("spec,n,a", SAME_BASIS_CASES)
+def test_picard_generator_lives_on_the_surface_model(capsys, spec, n, a):
+    # `picard` writes its generator on the normal basis of the model that
+    # `surface` prints, so it pulls back to the Fermat form through that
+    # model's parametrization
+    L = _field(spec, n)
+    model = surface_model(L, a)
+    assert find_normal_basis(L) == model.normal_basis
+    code, out, _ = run(capsys, "picard", "--field", spec, "--n", str(n),
+                       "--a", str(a), "--dprime", "2", "--emit", "json")
+    assert code == 0
+    gen = picard_from_json(json.loads(out))
+    c = proportional(pullback_to_plane(model, gen.equation),
+                     fermat(L, 2, a).poly)
+    assert c is not None and not c.is_zero()
+
+
+def test_picard_f3_dprime2_emission_pinned(capsys):
+    code, out, _ = run(capsys, "picard", "--field", "finite:p=3", "--a", "2",
+                       "--dprime", "2")
+    assert code == 0
+    assert "equation: w0^2 + w6^2 + w9^2 = 0" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "82aeff4243393fac11d48ddab5f59f9eb3a33d70d47ea1a05b38250d1d4c029c"
+
+
 def test_picard_dprime_0_exit_2(capsys):
     code, out, err = run(capsys, "picard", "--dprime", "0")
     assert code == 2
@@ -182,13 +227,13 @@ def test_verify_json_has_null_elapsed(capsys):
     assert blob["seed"] == 0
 
 
-def test_surface_json_round_trip(capsys, shanks1, nb1):
+def test_surface_json_round_trip(capsys, shanks1):
     code, out, _ = run(capsys, "surface", "--field", "shanks:t=1", "--a", "2",
                        "--emit", "json")
     assert code == 0
     blob = json.loads(out)
     model = model_from_json(blob)
-    assert model == surface_model(shanks1, Fraction(2), nb=nb1)
+    assert model == surface_model(shanks1, Fraction(2))
 
 
 def test_byte_determinism(capsys):
@@ -216,6 +261,30 @@ def test_output_unwritable_exit_2(capsys, tmp_path):
     assert err.startswith(f"input error: cannot write {target}: ")
     assert "Traceback" not in err
     assert not target.parent.exists()
+    # checked before the job: an n = 3 model with its point count takes
+    # seconds, the refusal does not
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "surface", "--field", "finite:p=5", "--n", "3",
+                         "--a", "2", "--check", "--output", str(target))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"input error: cannot write {target}: "
+                   f"{os.strerror(errno.ENOENT)}\n")
+    code, _, err = run(capsys, "picard", "--output", str(tmp_path))
+    assert code == 2
+    assert err == (f"input error: cannot write {tmp_path}: "
+                   f"{os.strerror(errno.EISDIR)}\n")
+
+
+def test_output_left_unchanged_when_the_job_fails(capsys, tmp_path):
+    target = tmp_path / "model.txt"
+    target.write_text("earlier emission\n")
+    code, out, err = run(capsys, "surface", "--a", "0", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert target.read_text() == "earlier emission\n"
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from severi import (
     inverse,
     make_shanks_cubic,
     mul,
-    pgl_equal,
     rank,
 )
 from severi.errors import InputError, ShapeMismatch, Singular
@@ -108,14 +107,6 @@ def test_rank_and_rref(shanks1):
     R, pivots = rref(A)
     assert len(pivots) == 2
     assert R.at(0, pivots[0]) == shanks1.one()
-
-
-def test_pgl_equal(shanks1):
-    A = from_rows(shanks1, [[1, 2], [3, 4]])
-    th = shanks1.theta()
-    B = A.scale(th)
-    assert pgl_equal(A, B)
-    assert not pgl_equal(A, identity(shanks1, 2))
 
 
 def test_matrix_json_round_trip(shanks1):

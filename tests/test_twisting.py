@@ -12,9 +12,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from certificate_oracle import (
+    galois_poly,
+    in_span,
     naive_substitute,
     parametrization_residuals,
     plane_coordinates,
+    span_equal,
 )
 from severi import (
     QQ,
@@ -47,10 +50,7 @@ from severi import (
 from severi.errors import InputError, InternalDescentFailure, ShapeMismatch, ZeroA
 from severi.grammar import plane_names
 from severi.polyring import (
-    galois_poly,
-    in_span,
     poly_to_json,
-    span_equal,
     span_reduce,
     zero_poly,
 )
@@ -182,7 +182,7 @@ def _descend_over_L(L, family):
 def _twisted_family(L, a):
     n = L.degree - 1
     M = split_structured(lift_to_veronese(cyclic_cocycle(L, a)),
-                         find_normal_basis(L, seed=L.theta()))
+                         find_normal_basis(L))
     return [substitute_linear(Q, M)
             for Q in veronese_ideal(monomial_basis(n, n + 1), L)]
 
@@ -308,7 +308,7 @@ def test_n3_twist_pinned():
     # per quadric of `i.j:c0,c1,c2,c3` terms, pinned byte for byte
     L = frobenius_extension(5, 4)
     lift = lift_to_veronese(cyclic_cocycle(L, 2))
-    M = split_structured(lift, find_normal_basis(L, seed=L.theta()))
+    M = split_structured(lift, find_normal_basis(L))
     quads = veronese_ideal(monomial_basis(3, 4), L)
     text = "".join(
         " ".join(".".join(str(i) for i, k in enumerate(e) for _ in range(k))
@@ -427,8 +427,8 @@ def test_picard_n3(zeta5):
 # twisted curves
 # ---------------------------------------------------------------------------
 
-def test_twisted_curve_pullback_cubic(shanks1, nb1, model_q):
-    eqs = twisted_curve_model(shanks1, F(2), nb1, 1, model=model_q)
+def test_twisted_curve_pullback_cubic(shanks1, model_q):
+    eqs = twisted_curve_model(model_q, 1)
     assert len(eqs) == len(model_q.equations_over_k) + 1
     gen = eqs[-1]
     pulled = pullback_to_plane(model_q, gen)
@@ -436,16 +436,16 @@ def test_twisted_curve_pullback_cubic(shanks1, nb1, model_q):
     assert c is not None and not c.is_zero()
 
 
-def test_twisted_curve_pullback_sextic(shanks1, nb1, model_q):
-    eqs = twisted_curve_model(shanks1, F(2), nb1, 2, model=model_q)
+def test_twisted_curve_pullback_sextic(shanks1, model_q):
+    eqs = twisted_curve_model(model_q, 2)
     pulled = pullback_to_plane(model_q, eqs[-1])
     c = proportional(pulled, fermat(shanks1, 2, F(2)).poly)
     assert c is not None and not c.is_zero()
 
 
-def test_twisted_curve_trivial_class(shanks1, nb1):
-    model = surface_model(shanks1, F(1), nb=nb1)
-    eqs = twisted_curve_model(shanks1, F(1), nb1, 1, model=model)
+def test_twisted_curve_trivial_class(shanks1):
+    model = surface_model(shanks1, F(1))
+    eqs = twisted_curve_model(model, 1)
     assert len(eqs) == len(model.equations_over_k) + 1
 
 
@@ -454,7 +454,7 @@ def test_twisted_curve_trivial_class(shanks1, nb1):
 # ---------------------------------------------------------------------------
 
 def test_displayed_equations_report(shanks1, model_q):
-    rows = verify_theorem1_equations(shanks1, F(2), model=model_q)
+    rows = verify_theorem1_equations(model_q)
     assert [r["name"] for r in rows] == [f"equation-{i}" for i in range(1, 8)]
     for r in rows[:6]:
         assert r["status"] == "pass"
@@ -495,10 +495,11 @@ def _expanded_route_report(L, a, nb, model):
 
 
 def _factored_and_expanded(L, a, model_a=None):
-    nb = find_normal_basis(L, seed=L.theta())
-    model = surface_model(L, a if model_a is None else model_a, nb=nb)
-    return (verify_theorem1_equations(L, a, nb=nb, model=model),
-            _expanded_route_report(L, a, nb, model))
+    model = surface_model(L, a if model_a is None else model_a)
+    if model_a is not None:
+        model = replace(model, a=L.base.coerce(a))
+    return (verify_theorem1_equations(model),
+            _expanded_route_report(L, a, model.normal_basis, model))
 
 
 def _report_digest(report):
@@ -522,8 +523,9 @@ def test_displayed_report_matches_expanded_route_denominator_8():
 
 
 def test_displayed_report_mismatched_model(shanks1):
-    # a model built at a = 3 checked against the relations at a = 5: the
-    # failing residuals must be the same polynomials on both routes
+    # a model built at a = 3, relabelled a = 5, checked against the relations
+    # at a = 5: the failing residuals must be the same polynomials on both
+    # routes
     factored, expanded = _factored_and_expanded(shanks1, F(5), model_a=F(3))
     assert factored == expanded
     fails = [r for r in factored if r["status"] == "fail"]
@@ -536,7 +538,7 @@ def test_displayed_report_mismatched_model(shanks1):
 
 def test_displayed_report_pinned(shanks1):
     # shanks t=1, a=2 with the default normal basis and model
-    assert _report_digest(verify_theorem1_equations(shanks1, F(2))) == \
+    assert _report_digest(verify_theorem1_equations(surface_model(shanks1, F(2)))) == \
         "6e96fbafd000797ba2dc36a3bd177ad1bee06f63bebab3ce19a7cdb8a6676062"
 
 
@@ -548,7 +550,8 @@ def test_appendix_model_shape(appendix_q, model_q):
     assert appendix_q.provenance == "appendix_path"
     assert appendix_q.m == 10
     assert len(span_reduce(list(appendix_q.equations_over_k))) == 27
-    assert replace(appendix_q, provenance="main_path") == model_q
+    # appendix_q is appendix_model(model_q): the given model, relabelled
+    assert appendix_q == replace(model_q, provenance="appendix_path")
 
 
 def test_appendix_equations_vanish(appendix_q):
@@ -558,9 +561,10 @@ def test_appendix_equations_vanish(appendix_q):
         assert naive_substitute(eq, coords).is_zero()
 
 
-def test_appendix_rejects_wrong_degree(zeta5):
+def test_appendix_rejects_wrong_degree():
+    conic = surface_model(make_extension(QQ, [1, 0, 1], [0, -1]), F(3))
     with pytest.raises(InputError):
-        appendix_model(zeta5, F(5))
+        appendix_model(conic)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificate_oracle import linear_forms, naive_substitute, plane_coordinates
+from certificate_oracle import (in_span, linear_forms, naive_substitute,
+                               plane_coordinates)
 from severi import (
     ParametrizationMap,
     canonical_embedding,
@@ -26,7 +27,7 @@ from severi import (
     veronese_point,
 )
 from severi.errors import DegreeTooSmall, InputError, Singular, ZeroPoint
-from severi.polyring import in_span, monomial, span_reduce, variables
+from severi.polyring import monomial, span_reduce, variables
 
 
 def F(x):
