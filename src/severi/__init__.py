@@ -23,7 +23,6 @@ from .cohomology import (
     coboundary_from_witness,
     cocycle_value,
     cyclic_cocycle,
-    lift_split_from_witness,
     lift_to_veronese,
     make_cocycle,
     split_generic,
@@ -99,7 +98,6 @@ from .twisting import (
     picard_generator,
     pullback_to_plane,
     surface_model,
-    theorem1_equations,
     twisted_curve_model,
     verify_theorem1_equations,
 )

@@ -5,10 +5,11 @@ twisted product xi(sigma) * sigma(xi(sigma)) * ... * sigma^n(xi(sigma))
 is a scalar matrix; the cocycle is honest when that scalar is 1, and only
 honest cocycles split as xi(sigma) = M * sigma(M)^{-1}.
 
-Two splitters are provided: a randomized averaging split (Hilbert 90 made
-constructive) and a deterministic structured split for monomial cocycles
-built on a normal basis, which reproduces the classical 10x10 matrix for
-n = 2 entry for entry.
+The structured split writes the split of a monomial cocycle down on a
+normal basis; every certified path uses it, for the Veronese lift (the
+classical 10x10 matrix for n = 2, entry for entry) and for the companion
+value divided by a norm witness.  The randomized averaging split (Hilbert
+90 made constructive) is the `split` suite's independent reference.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .errors import (
     ShapeMismatch,
     ZeroA,
 )
-from .fields import CyclicExtension, ExtElement, galois_apply, norm
+from .fields import (CyclicExtension, ExtElement, find_normal_basis,
+                     galois_apply, norm)
 from .linalg import (
     Matrix,
     as_scaled_permutation,
@@ -147,7 +149,7 @@ def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
         f"all {_SPLIT_ATTEMPTS} averaging attempts were singular (seed {rng_seed})")
 
 
-def split_structured(xi_lift: Cocycle, nb) -> Matrix:
+def split_structured(xi: Cocycle, nb) -> Matrix:
     """Deterministic split for a monomial (scaled-permutation) cocycle.
 
     Writing the value as A e_j = s_{pi(j)} e_{pi(j)}, the split condition
@@ -156,19 +158,23 @@ def split_structured(xi_lift: Cocycle, nb) -> Matrix:
     orbit sits at its smallest index j0 and places normal-basis labels on
     the orbit's columns in ascending order, scaled by s_{j0}; an orbit of
     size d < n+1 uses the coset sums l_{1+t} + l_{1+t+d} + ... instead,
-    which live in the fixed field of sigma^d.  Fixed columns with unit
-    scale get the entry 1.
+    which live in the fixed field of sigma^d.  Fixed columns get the entry 1.
+
+    The orbit closes when the condition holds at j0 too,
+    s_{j0} * sigma(M[last]) = M[j0], else NotMonomialCocycle.  For scales in
+    k that says their product is 1, the free row being sigma^d-fixed; a full
+    orbit of an honest cocycle, such as A_sigma / lam, always closes.
     """
-    L = xi_lift.extension
+    L = xi.extension
     if nb.extension != L:
         raise InputError("normal basis is over a different extension")
-    sp = as_scaled_permutation(xi_lift.at_generator)
+    sp = as_scaled_permutation(xi.at_generator)
     if sp is None:
         raise NotMonomialCocycle("cocycle value is not a scaled permutation")
-    if xi_lift.scalar_class != L.one():
+    if xi.scalar_class != L.one():
         raise NotHonestCocycle("structured split requires an honest cocycle")
     n1 = L.degree
-    size = xi_lift.size
+    size = xi.size
     perm, scales = sp.perm, sp.scales
 
     seen = [False] * size
@@ -192,13 +198,6 @@ def split_structured(xi_lift: Cocycle, nb) -> Matrix:
             raise NotMonomialCocycle(
                 f"orbit size {d} does not divide the Galois order {n1}")
         j0 = min(orbit)
-        # the scale product around the orbit must be 1 for a row to exist
-        prod = L.one()
-        for i in orbit:
-            prod = prod * scales[perm[i]]
-        if prod != L.one():
-            raise NotMonomialCocycle(
-                "orbit scale product is not 1; no structured row exists")
         cols = sorted(orbit)
         row = [zero] * size
         if d == 1:
@@ -216,15 +215,16 @@ def split_structured(xi_lift: Cocycle, nb) -> Matrix:
         cur = j0
         for _ in range(d - 1):
             nxt = perm[cur]
-            prev = rows[cur]
-            assert prev is not None
-            rows[nxt] = [scales[nxt] * galois_apply(L, x, 1) for x in prev]
+            rows[nxt] = [scales[nxt] * galois_apply(L, x, 1) for x in rows[cur]]
             cur = nxt
+        if [scales[j0] * galois_apply(L, x, 1) for x in rows[cur]] != row:
+            raise NotMonomialCocycle(
+                "orbit rows do not close; no structured row exists")
 
     M = from_rows(L, rows)  # type: ignore[arg-type]
     if rank(M) < M.rows:
         raise InternalDescentFailure("structured split produced a singular matrix")
-    check_split(xi_lift, M)
+    check_split(xi, M)
     return M
 
 
@@ -232,21 +232,16 @@ def coboundary_from_witness(L: CyclicExtension, a, lam: ExtElement) -> Matrix:
     """P with A_sigma * sigma(P) = lam * P, where A_sigma is the companion
     cocycle value for a and norm(lam) = a.
 
-    Dividing A_sigma by lam gives an honest cocycle (the twisted product
-    picks up 1/norm(lam) = 1/a); its averaging split is P.  The identity
-    holds exactly and exhibits the companion cocycle as a coboundary in
-    PGL_{n+1}(L): A_sigma equals lam * P * sigma(P)^{-1}.
+    A_sigma / lam is an honest cocycle (twisted product a / norm(lam) = 1)
+    with one orbit, and P is its structured split, whose own check is the
+    identity above: A_sigma = lam * P * sigma(P)^{-1} in PGL_{n+1}(L).
     """
     a = L.base.coerce(a)
     if norm(L, lam) != a:
         raise NotAWitness(f"norm of the witness is {norm(L, lam)}, not {a}")
-    xi = cyclic_cocycle(L, a)
-    lam_inv = lam.inverse()
-    scaled = make_cocycle(L, xi.at_generator.scale(lam_inv))
-    P = split_generic(scaled)
-    if mul(xi.at_generator, galois_matrix(L, P, 1)) != P.scale(lam):
-        raise InternalDescentFailure("witness coboundary failed verification")
-    return P
+    A = cyclic_cocycle(L, a).at_generator
+    return split_structured(make_cocycle(L, A.scale(lam.inverse())),
+                            find_normal_basis(L))
 
 
 def witness_split_scalar(L: CyclicExtension, lam: ExtElement) -> ExtElement:
@@ -256,42 +251,3 @@ def witness_split_scalar(L: CyclicExtension, lam: ExtElement) -> ExtElement:
     for j in range(n + 1):
         s = s * galois_apply(L, lam, j) ** (n - j)
     return s
-
-
-def lift_split_from_witness(L: CyclicExtension, a, lam: ExtElement) -> Matrix:
-    """An honest split of the lifted cocycle built from a norm witness:
-    M' = s * Ver(P) with P = coboundary_from_witness(a, lam) and
-    s = witness_split_scalar(lam)."""
-    a = L.base.coerce(a)
-    P = coboundary_from_witness(L, a, lam)
-    n = L.degree - 1
-    basis = monomial_basis(n, n + 1)
-    VP = induced_matrix(basis, P)
-    s = witness_split_scalar(L, lam)
-    M = VP.scale(s)
-    lifted = lift_to_veronese(cyclic_cocycle(L, a))
-    check_split(lifted, M)
-    return M
-
-
-# ---------------------------------------------------------------------------
-# JSON form: {degree, size, at_generator, scalar_class, normalized}
-# ---------------------------------------------------------------------------
-
-def cocycle_to_json(xi: Cocycle) -> dict:
-    from .fields import element_to_json
-    from .linalg import matrix_to_json
-    return {
-        "degree": xi.extension.degree,
-        "size": xi.size,
-        "at_generator": matrix_to_json(xi.at_generator),
-        "scalar_class": element_to_json(xi.scalar_class),
-        "normalized": xi.scalar_class == xi.extension.one(),
-    }
-
-
-def cocycle_from_json(L: CyclicExtension, obj: dict) -> Cocycle:
-    from .linalg import matrix_from_json
-    if obj["degree"] != L.degree:
-        raise InputError("extension degree does not match the emission")
-    return make_cocycle(L, matrix_from_json(L, obj["at_generator"]))

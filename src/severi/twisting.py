@@ -477,22 +477,6 @@ def _equation7_reconstruction(forms: Sequence[MultiPoly]) -> MultiPoly:
     return F9 * F2 * F2 - F5 * F5 * F2
 
 
-def theorem1_equations(L: CyclicExtension, a, nb: NormalBasis
-                       ) -> list[tuple[str, MultiPoly, bool]]:
-    """The seven displayed cubic relations for n = 2 as (name, poly, homogeneous)
-    triples, each written as left side minus right side."""
-    forms = _displayed_forms(L, nb)
-    relations = _displayed_relations(forms, L.from_base(L.base.coerce(a)))
-    return [(name, poly, poly.is_homogeneous()) for name, poly in relations]
-
-
-def theorem1_equation7_reconstruction(L: CyclicExtension, a, nb: NormalBasis
-                                      ) -> MultiPoly:
-    """Nearest homogeneous candidate for the seventh relation: lower the cube
-    to a square so both sides have degree 3.  A reconstruction, not a quote."""
-    return _equation7_reconstruction(_displayed_forms(L, nb))
-
-
 def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
     """Substitute the model's parametrization into each displayed relation,
     written on the model's normal basis, and report pass, fail, or flagged
@@ -608,11 +592,3 @@ def picard_to_json(g: PicardGenerator, L: CyclicExtension) -> dict:
         "nvars": g.equation.nvars,
         "equation": poly_to_json(g.equation),
     }
-
-
-def picard_from_json(obj: dict) -> PicardGenerator:
-    if obj.get("kind") != "picard_generator":
-        raise InputError("not a picard_generator emission")
-    L = extension_from_json(obj["field"])
-    eq = poly_from_json(L, obj["nvars"], obj["equation"])
-    return PicardGenerator(obj["dprime"], eq, obj["degree_in_plane"])

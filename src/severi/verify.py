@@ -9,6 +9,7 @@ the equations cut out exactly that image, so the count is a theorem.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from .algebra import (build_algebra, center_dimension, diagonal_table,
                       is_associative, left_multiplication_is_singular,
                       table_center_dimension, zero_divisor_from_witness)
 from .cohomology import (cocycle_value, coboundary_from_witness,
-                         cyclic_cocycle, lift_split_from_witness,
-                         lift_to_veronese, split_generic, split_structured)
+                         cyclic_cocycle, lift_to_veronese, split_generic,
+                         split_structured, witness_split_scalar)
 from .errors import InputError, InternalDescentFailure, SearchExhausted
 from .fields import (GF, CyclicExtension, find_normal_basis, frobenius_extension,
                      norm_witness, row_reduce)
@@ -29,6 +30,7 @@ from .polyring import MultiPoly, jacobian, make_poly
 from .twisting import (SurfaceModel, appendix_model, fermat, image_defect,
                        picard_generator, proportional, pullback_to_plane,
                        surface_model, verify_theorem1_equations)
+from .veronese import induced_matrix
 
 SMOOTHNESS_MAX_P = 3  # one check per point, emitted by the `counts` suite
 
@@ -62,12 +64,6 @@ def report_to_json(r: Report) -> dict:
             "elapsed_ms": r.elapsed_ms}
 
 
-def report_from_json(obj: dict) -> Report:
-    checks = tuple(Check(c["name"], c["status"], c.get("witness"))
-                   for c in obj["checks"])
-    return Report(obj["suite"], checks, obj["elapsed_ms"])
-
-
 def genus_plane(d: int) -> int:
     """Genus of a smooth plane curve of degree d."""
     if d < 1:
@@ -99,8 +95,12 @@ def _plane_reps(p: int, k: int):
 
 
 def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
-    """A matrix D in GL_m(k) carrying the standard Veronese image onto the
-    model, built from a norm witness; exists whenever the class is split."""
+    """D = P * Mw in GL_m(k), carrying the standard Veronese image onto the
+    model: P is the model's parametrization matrix, Mw = s * Ver(Pw) with
+    Pw = coboundary_from_witness(lam) and s = witness_split_scalar(lam).
+    The test that D lies in k certifies that Mw splits the lifted cocycle
+    xi: sigma(P) = P * xi, so sigma(D) = D exactly when xi * sigma(Mw) = Mw.
+    """
     L = model.extension
     if lam is None:
         res = norm_witness(L, model.a)
@@ -108,7 +108,9 @@ def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
             raise SearchExhausted(
                 f"no norm witness for a = {model.a} within bound {res.bound}")
         lam = res.witness
-    Mw = lift_split_from_witness(L, model.a, lam)
+    Pw = coboundary_from_witness(L, model.a, lam)
+    Mw = induced_matrix(model.parametrization.basis, Pw).scale(
+        witness_split_scalar(L, lam))
     D = mul(model.parametrization.matrix, Mw)
     for ent in D.entries:
         if not ent.in_base():
@@ -230,7 +232,7 @@ def _ok(name: str, cond: bool, witness: Optional[str] = None) -> Check:
                  None if cond else witness)
 
 
-def _suite_cocycle(L, a, dprime) -> list[Check]:
+def _suite_cocycle(L, a, dprime, model_of) -> list[Check]:
     n1 = L.degree
     xi = cyclic_cocycle(L, a)
     power = cocycle_value(xi, n1)
@@ -244,7 +246,7 @@ def _suite_cocycle(L, a, dprime) -> list[Check]:
     ]
 
 
-def _suite_split(L, a, dprime) -> list[Check]:
+def _suite_split(L, a, dprime, model_of) -> list[Check]:
     lift = lift_to_veronese(cyclic_cocycle(L, a))
     nb = find_normal_basis(L)
     xi = lift.at_generator
@@ -264,18 +266,18 @@ def _suite_split(L, a, dprime) -> list[Check]:
     return checks
 
 
-def _suite_paper_eqs(L, a, dprime) -> list[Check]:
+def _suite_paper_eqs(L, a, dprime, model_of) -> list[Check]:
     if L.degree != 3:
         return [Check("skipped", "pass", "requires a cubic extension")]
     checks = []
-    for row in verify_theorem1_equations(surface_model(L, a)):
+    for row in verify_theorem1_equations(model_of(L, a)):
         checks.append(Check(row["name"], row["status"], row.get("note")))
     return checks
 
 
-def _suite_picard(L, a, dprime) -> list[Check]:
+def _suite_picard(L, a, dprime, model_of) -> list[Check]:
     n = L.degree - 1
-    model = surface_model(L, a)
+    model = model_of(L, a)
     nb = model.normal_basis
     basis = model.parametrization.basis
     checks = []
@@ -305,11 +307,11 @@ def _suite_picard(L, a, dprime) -> list[Check]:
 _COUNT_TOWERS = ((2, 1), (3, 2), (7, 3))
 
 
-def _suite_counts(L, a, dprime) -> list[Check]:
+def _suite_counts(L, a, dprime, model_of) -> list[Check]:
     checks = []
     for p, ap in _COUNT_TOWERS:
         F = frobenius_extension(p, 3)
-        model = surface_model(F, ap)
+        model = model_of(F, ap)
         cnt, rep = count_and_smoothness(model, p)
         expected = projective_point_count(model.n, p)
         checks.append(_ok(f"count-p{p}-is-{expected}", cnt == expected,
@@ -320,7 +322,7 @@ def _suite_counts(L, a, dprime) -> list[Check]:
     return checks
 
 
-def _suite_algebra(L, a, dprime) -> list[Check]:
+def _suite_algebra(L, a, dprime, model_of) -> list[Check]:
     n1 = L.degree
     A = build_algebra(L, a)
     checks = [
@@ -341,7 +343,7 @@ def _suite_algebra(L, a, dprime) -> list[Check]:
     return checks
 
 
-def _suite_triviality(L, a, dprime) -> list[Check]:
+def _suite_triviality(L, a, dprime, model_of) -> list[Check]:
     checks = []
     minus1 = L.base.coerce(-1)
     res1 = norm_witness(L, minus1, bound=WITNESS_BOUND)
@@ -357,7 +359,7 @@ def _suite_triviality(L, a, dprime) -> list[Check]:
                             "no witness found"))
     res = norm_witness(L, a, bound=WITNESS_BOUND)
     if res.status == "witness":
-        model = surface_model(L, a)
+        model = model_of(L, a)
         D = base_change_matrix(model, lam=res.witness)
         checks.append(_ok("witness-transports-model-to-veronese",
                           image_defect(model.equations_over_k,
@@ -372,11 +374,11 @@ def _suite_triviality(L, a, dprime) -> list[Check]:
 _APPENDIX_TOWERS = ((2, 1), (7, 3))
 
 
-def _suite_appendix(L, a, dprime) -> list[Check]:
+def _suite_appendix(L, a, dprime, model_of) -> list[Check]:
     checks = []
     for p, ap in _APPENDIX_TOWERS:
         F = frobenius_extension(p, 3)
-        main = surface_model(F, ap)
+        main = model_of(F, ap)
         app = appendix_model(main)
         # equal equations and parametrization basis imply equal point sets
         same = (main.equations_over_k == app.equations_over_k
@@ -402,15 +404,17 @@ _SUITE_RUNNERS = {
 def run_all(L: CyclicExtension, a, suites: Sequence[str] = ALL_SUITES,
             dprime: int = 2) -> Report:
     """Run the named suites on the extension L and the scalar a; `dprime`
-    is the Picard-generator degree the `picard` suite checks beside 1."""
+    is the Picard-generator degree the `picard` suite checks beside 1.
+    The suites share one `surface_model` cache for the run."""
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise InputError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
     a = L.base.coerce(a)
+    model_of = functools.lru_cache(maxsize=None)(surface_model)
     checks: list[Check] = []
     for name in suites:
-        for c in _SUITE_RUNNERS[name](L, a, dprime):
+        for c in _SUITE_RUNNERS[name](L, a, dprime, model_of):
             checks.append(Check(f"{name}:{c.name}", c.status, c.witness))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return Report("+".join(suites), tuple(checks), elapsed)

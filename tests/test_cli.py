@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from severi import (fermat, find_normal_basis, frobenius_extension,
+from severi import (cohomology, fermat, find_normal_basis, frobenius_extension,
                     make_shanks_cubic, model_from_json, pullback_to_plane,
-                    surface_model)
+                    surface_model, verify)
 from severi.cli import main
-from severi.twisting import picard_from_json, proportional
+from severi.fields import extension_from_json
+from severi.polyring import poly_from_json
+from severi.twisting import proportional
 
 
 def run(capsys, *argv):
@@ -172,10 +174,37 @@ def test_picard_generator_lives_on_the_surface_model(capsys, spec, n, a):
     code, out, _ = run(capsys, "picard", "--field", spec, "--n", str(n),
                        "--a", str(a), "--dprime", "2", "--emit", "json")
     assert code == 0
-    gen = picard_from_json(json.loads(out))
-    c = proportional(pullback_to_plane(model, gen.equation),
-                     fermat(L, 2, a).poly)
+    blob = json.loads(out)
+    assert extension_from_json(blob["field"]) == L
+    equation = poly_from_json(L, blob["nvars"], blob["equation"])
+    c = proportional(pullback_to_plane(model, equation), fermat(L, 2, a).poly)
     assert c is not None and not c.is_zero()
+
+
+# stdout digests recorded when the witness coboundary was an averaging split
+WITNESS_PATH_RUNS = [
+    (("surface", "--field", "finite:p=7", "--a", "3", "--check"),
+     "23ea5d4896bbd5cb768afb61237c7d25a1e06dbe2d84b8544e1f6682f24fee43"),
+    (("verify", "--suite", "counts"),
+     "214301517edb3388f9d4da0b71b9e700904d25c60b002eaafa8d1e25454f70e6"),
+    (("verify", "--field", "shanks:t=1", "--a=-1", "--suite", "triviality"),
+     "183f5715b6a47da65f9bad2c730dd9264380cd922ec830b70ae18ce5ce0642e5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", WITNESS_PATH_RUNS,
+                         ids=["surface-f7", "counts", "triviality-minus1"])
+def test_witness_path_needs_no_averaging_split(capsys, monkeypatch, argv, digest):
+    # point counts and the triviality transport carry the model by D from a
+    # norm witness; the witness coboundary is the structured split
+    def refuse(*args, **kwargs):
+        raise AssertionError("split_generic called off the split suite")
+
+    monkeypatch.setattr(cohomology, "split_generic", refuse)
+    monkeypatch.setattr(verify, "split_generic", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_picard_f3_dprime2_emission_pinned(capsys):

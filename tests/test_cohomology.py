@@ -1,32 +1,40 @@
 """Cocycles for the cyclic Galois group and constructive splittings."""
-import json
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from severi import (
+    QQ,
     coboundary_from_witness,
     cocycle_value,
     cyclic_cocycle,
+    find_normal_basis,
     from_rows,
     galois_matrix,
     identity,
     induced_matrix,
     inverse,
-    lift_split_from_witness,
     lift_to_veronese,
     make_cocycle,
+    make_extension,
+    make_shanks_cubic,
     monomial_basis,
     mul,
     norm,
+    norm_witness,
+    rank,
     split_generic,
     split_structured,
+    surface_model,
     witness_split_scalar,
 )
 from severi import cohomology
-from severi.cohomology import check_split, cocycle_from_json, cocycle_to_json
+from severi.cohomology import check_split
 from severi.linalg import zeros
+from severi.twisting import image_defect
+from severi.verify import base_change_matrix
+from severi.veronese import ParametrizationMap
 from severi.errors import (
     AllAttemptsSingular,
     InternalDescentFailure,
@@ -195,6 +203,17 @@ def test_structured_rejects_dense_cocycle(shanks1, nb1):
         split_structured(dense, nb1)
 
 
+def test_structured_rejects_orbit_that_does_not_close():
+    # over Q(i), [-1] is honest ((-1) * sigma(-1) = 1) and splits as
+    # i / sigma(i), but its one-point orbit has scale -1, so no structured
+    # row exists
+    Qi = make_extension(QQ, [1, 0, 1], [0, -1])
+    xi = make_cocycle(Qi, from_rows(Qi, [[-1]]))
+    assert xi.scalar_class == Qi.one()
+    with pytest.raises(NotMonomialCocycle, match="do not close"):
+        split_structured(xi, find_normal_basis(Qi))
+
+
 def test_splits_reject_singular_matrices(shanks1, monkeypatch):
     """Both splitters test full rank: labels that are all 1 make the
     structured rows dependent, and zero trial matrices make every
@@ -253,28 +272,58 @@ def test_witness_split_scalar_law(shanks1):
 
 
 def test_lift_split_from_witness(shanks1):
+    # s * Ver(P_lam) splits the lift, and the model's parametrization
+    # carries it to D in GL_10(Q)
     lam = shanks1.one() + shanks1.theta()
-    lift = lift_to_veronese(cyclic_cocycle(shanks1, F(-1)))
-    Mw = lift_split_from_witness(shanks1, F(-1), lam)
-    check_split(lift, Mw)
+    model = surface_model(shanks1, F(-1))
+    Mw = induced_matrix(model.parametrization.basis,
+                        coboundary_from_witness(shanks1, F(-1), lam)).scale(
+        witness_split_scalar(shanks1, lam))
+    check_split(lift_to_veronese(cyclic_cocycle(shanks1, F(-1))), Mw)
+    D = base_change_matrix(model, lam)
+    assert D == mul(model.parametrization.matrix, Mw)
+    assert all(e.in_base() for e in D.entries)
+    assert rank(D) == 10
+
+
+def _witness_case(name, request):
+    """(L, a, lam, model): Shanks t = 1 with the named witness of -1, and
+    F_7, F_{5^4} and Q(zeta5) with a searched witness.  Over Q(zeta5) the
+    model stands on its structured parametrization alone, with no
+    equations: the n = 3 model over Q takes about 20 s to build."""
+    if name == "shanks1":
+        L = make_shanks_cubic(1)
+        return L, F(-1), L.one() + L.theta(), surface_model(L, F(-1))
+    if name == "zeta5":
+        L = make_extension(QQ, [1, 1, 1, 1, 1], [0, 0, 1])
+        a = F(5)
+        lift = lift_to_veronese(cyclic_cocycle(L, a))
+        P = inverse(split_structured(lift, find_normal_basis(L)))
+        model = SimpleNamespace(extension=L, a=a, parametrization=
+                                ParametrizationMap(monomial_basis(3, 4), P))
+    else:
+        model = request.getfixturevalue({"f7": "model_f7",
+                                         "f625": "model_n3_f5"}[name])
+        L, a = model.extension, model.a
+    return L, a, norm_witness(L, a, bound=1000).witness, model
+
+
+@pytest.mark.parametrize("name", ["shanks1", "f7", "f625", "zeta5"])
+def test_witness_coboundary_and_base_change(name, request):
+    L, a, lam, model = _witness_case(name, request)
+    P = coboundary_from_witness(L, a, lam)
+    A = cyclic_cocycle(L, a).at_generator
+    assert mul(A, galois_matrix(L, P, 1)) == P.scale(lam)
+    assert rank(P) == L.degree
+    D = base_change_matrix(model, lam)
+    assert all(e.in_base() for e in D.entries)
+    assert rank(D) == D.rows == model.parametrization.basis.m
+    if name != "zeta5":
+        assert image_defect(model.equations_over_k,
+                            model.parametrization.basis, D) is None
 
 
 def test_check_split_rejects_wrong_matrix(shanks1):
     lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
     with pytest.raises(VerificationError):
         check_split(lift, identity(shanks1, 10))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def test_cocycle_json_round_trip(shanks1):
-    xi = cyclic_cocycle(shanks1, F(2))
-    blob = json.loads(json.dumps(cocycle_to_json(xi)))
-    assert blob["normalized"] is False
-    assert cocycle_from_json(shanks1, blob) == xi
-    lift = lift_to_veronese(xi)
-    blob = cocycle_to_json(lift)
-    assert blob["normalized"] is True
-    assert cocycle_from_json(shanks1, blob) == lift

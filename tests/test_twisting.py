@@ -43,7 +43,6 @@ from severi import (
     split_structured,
     substitute_linear,
     surface_model,
-    theorem1_equations,
     twisted_curve_model,
     verify_theorem1_equations,
 )
@@ -55,10 +54,10 @@ from severi.polyring import (
     zero_poly,
 )
 from severi.twisting import (
-    picard_from_json,
-    picard_to_json,
+    _displayed_forms,
+    _displayed_relations,
+    _equation7_reconstruction,
     proportional,
-    theorem1_equation7_reconstruction,
     vanishes_on_image,
 )
 from severi.verify import base_change_matrix
@@ -471,13 +470,15 @@ def _expanded_route_report(L, a, nb, model):
     # parametrization into the expansions
     coords = plane_coordinates(model.parametrization.basis,
                                model.parametrization.matrix)
-    relations = theorem1_equations(L, a, nb)
-    recon = theorem1_equation7_reconstruction(L, a, nb)
+    forms = _displayed_forms(L, nb)
+    relations = _displayed_relations(forms, L.from_base(L.base.coerce(a)))
+    recon = _equation7_reconstruction(forms)
     images = {}
     *residuals, recon_res = [naive_substitute(poly, coords, images) for poly in
-                             [poly for _, poly, _ in relations] + [recon]]
+                             [poly for _, poly in relations] + [recon]]
     report = []
-    for (name, _, homogeneous), residual in zip(relations, residuals):
+    for (name, poly), residual in zip(relations, residuals):
+        homogeneous = poly.is_homogeneous()
         entry = {"name": name, "homogeneous": homogeneous}
         if not homogeneous:
             entry["status"] = "flagged"
@@ -815,9 +816,3 @@ def test_model_json_rejects_malformed_fields(model_f7, tamper):
     blob = json.loads(json.dumps(model_to_json(model_f7)))
     with pytest.raises(InputError):
         model_from_json(tamper(blob))
-
-
-def test_picard_json_round_trip(shanks1, nb1):
-    g = picard_generator(shanks1, F(2), nb1, 2)
-    blob = json.loads(json.dumps(picard_to_json(g, shanks1)))
-    assert picard_from_json(blob) == g
