@@ -56,9 +56,7 @@ from .fields import (
 from .grammar import (
     format_poly,
     omega_names,
-    parse_element,
     parse_field_spec,
-    parse_poly,
     parse_univariate,
     plane_names,
 )
@@ -93,7 +91,6 @@ from .twisting import (
     descend_to_base,
     fermat,
     image_defect,
-    model_from_json,
     model_to_json,
     picard_generator,
     pullback_to_plane,

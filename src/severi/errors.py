@@ -35,10 +35,6 @@ class SearchExhausted(SeveriError):
     pass
 
 
-class ZeroInput(InputError):
-    pass
-
-
 # -- linear algebra ----------------------------------------------------------
 
 class Singular(SeveriError):

@@ -20,13 +20,16 @@ All exact linear algebra of the package, over k and over L, is one
 Gauss-Jordan elimination, `row_reduce`; a CyclicExtension offers the
 BaseField operations it uses.  The plain-text term joiner `format_terms`
 is shared with severi.grammar.
+
+Scalars, elements and extensions have JSON writers (`scalar_to_json`,
+`element_to_json`, `extension_to_json`) and no readers: no program path
+reads an emission back.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +42,7 @@ from .errors import (
     NotIrreducible,
     SearchExhausted,
     WrongOrder,
-    ZeroInput,
+    ZeroA,
 )
 
 Scalar = Union[Fraction, int]
@@ -695,6 +698,8 @@ def frobenius_extension(p: int, degree: int) -> CyclicExtension:
     """F_{p^degree}/F_p with the first irreducible monic f in odometer order
     (constant coefficient varying fastest) and the Frobenius generator x^p."""
     k = GF(p)
+    if degree < 2:
+        raise InputError("extension degree must be >= 2")
     for rev in itertools.product(range(p), repeat=degree):
         tail = rev[::-1]  # constant coefficient varies fastest
         f = poly_trim(k, list(tail) + [1])
@@ -876,7 +881,7 @@ def norm_witness(L: CyclicExtension, a, bound: int = 1000) -> WitnessResult:
     """
     a = L.base.coerce(a)
     if L.base.is_zero(a):
-        raise ZeroInput("a must be nonzero")
+        raise ZeroA("a must be nonzero")
     if L.base.p is not None:
         for tried, x in enumerate(L.enumerate_elements(), start=1):
             if x.is_zero():
@@ -967,48 +972,8 @@ def scalar_to_json(x: Scalar):
     return int(x)
 
 
-_JSON_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def scalar_from_json(v) -> Fraction:
-    """Always a Fraction; BaseField.coerce maps it into F_p when needed.
-
-    Accepts only what scalar_to_json writes: an int, or a string
-    `-?digits` or `-?digits/digits` with a nonzero denominator.  Anything
-    else (floats, bools, exponents, None) raises InputError."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    if isinstance(v, str) and _JSON_SCALAR.fullmatch(v):
-        num, _, den = v.partition("/")
-        if den and int(den) == 0:
-            raise InputError(f"scalar {v!r} has a zero denominator")
-        return Fraction(int(num), int(den or 1))
-    raise InputError(f"not a JSON scalar: {v!r}")
-
-
 def element_to_json(x: ExtElement) -> list:
     return [scalar_to_json(c) for c in x.coeffs]
-
-
-def json_value(obj, key: str, kind):
-    """obj[key], present and of type `kind` (a bool is never an int), or
-    InputError: a malformed blob never surfaces as TypeError or KeyError."""
-    if not isinstance(obj, dict):
-        raise InputError(f"expected a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise InputError(f"missing field {key!r}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, kind):
-        raise InputError(f"field {key!r} has type {type(v).__name__}")
-    return v
-
-
-def element_from_json(L: CyclicExtension, v: Sequence) -> ExtElement:
-    """An element from its [L:k] power-basis coordinates; any other length
-    raises InputError instead of being reduced mod f or padded."""
-    if not isinstance(v, list) or len(v) != L.degree:
-        raise InputError(f"an element is a list of {L.degree} coordinates, got {v!r}")
-    return L.el([scalar_from_json(c) for c in v])
 
 
 def extension_to_json(L: CyclicExtension) -> dict:
@@ -1018,11 +983,3 @@ def extension_to_json(L: CyclicExtension) -> dict:
         "g": [scalar_to_json(c) for c in L.g],
         "character_convention": L.character_convention,
     }
-
-
-def extension_from_json(obj: dict) -> CyclicExtension:
-    base = BaseField(json_value(obj, "p", (int, type(None))))
-    f = [scalar_from_json(c) for c in json_value(obj, "f", list)]
-    g = [scalar_from_json(c) for c in json_value(obj, "g", list)]
-    chi = json_value(obj, "character_convention", (int, type(None)))
-    return CyclicExtension(base, f, g, chi)

@@ -1,9 +1,15 @@
-"""Plain-text grammar for polynomials and extension elements.
+"""Plain-text grammar: the polynomial formatter and the user-input readers.
 
-Coefficients are integers `p` or fractions `p/q`; the extension generator is
-spelled `t`; `^` is exponentiation and `*` is explicit multiplication.
-Variable names are supplied by the caller: `X,Y,Z` for the plane (n = 2),
-`X0..Xn` in general, `w0..w{m-1}` for Veronese coordinates.
+`format_poly` writes polynomials over L: coefficients are integers `p` or
+fractions `p/q`, a coefficient outside k is a parenthesized polynomial in
+the generator `t`, `^` is exponentiation and `*` is explicit
+multiplication.  Variable names are supplied by the caller: `X,Y,Z` for
+the plane (n = 2), `X0..Xn` in general, `w0..w{m-1}` for Veronese
+coordinates.
+
+The only text read back is user input: `parse_univariate` reads a
+polynomial in `x` over k, and `parse_field_spec` builds a cyclic extension
+from a one-line field spec.  No emission is parsed.
 """
 
 from __future__ import annotations
@@ -52,16 +58,15 @@ def _tokenize(s: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^, parentheses, numbers, t, variables."""
+    """Recursive descent over +, -, *, ^, parentheses, numbers, variables."""
 
     def __init__(self, ext: CyclicExtension, names: Sequence[str],
-                 tokens: list[str], allow_theta: bool):
+                 tokens: list[str]):
         self.ext = ext
         self.names = {name: i for i, name in enumerate(names)}
         self.nvars = len(names)
         self.toks = tokens
         self.pos = 0
-        self.allow_theta = allow_theta
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -135,11 +140,6 @@ class _Parser:
                 return constant(self.ext, self.nvars,
                                 self.ext.base.coerce(Fraction(num, int(den))))
             return constant(self.ext, self.nvars, self.ext.base.coerce(num))
-        if tok == "t":
-            if not self.allow_theta:
-                raise GrammarError("generator t not allowed here")
-            exp = (0,) * self.nvars
-            return make_poly(self.ext, self.nvars, {exp: self.ext.theta()})
         if tok in self.names:
             i = self.names[tok]
             exp = tuple(1 if j == i else 0 for j in range(self.nvars))
@@ -147,24 +147,12 @@ class _Parser:
         raise GrammarError(f"unknown name {tok!r}")
 
 
-def parse_poly(ext: CyclicExtension, s: str, names: Sequence[str],
-               allow_theta: bool = True) -> MultiPoly:
-    return _Parser(ext, names, _tokenize(s), allow_theta).parse()
-
-
-def parse_element(L: CyclicExtension, s: str) -> ExtElement:
-    poly = _Parser(L, [], _tokenize(s), allow_theta=True).parse()
-    if poly.is_zero():
-        return L.zero()
-    return poly.terms[0][1]
-
-
 def parse_univariate(field: BaseField, s: str) -> tuple[Scalar, ...]:
     """Coefficient tuple (low degree first) of a polynomial in x over
-    `field`: the grammar of `parse_poly` in one variable, over k seen as
-    the degree-1 extension k[x]/(x), with no generator t."""
+    `field`, read as a polynomial in one variable over k seen as the
+    degree-1 extension k[x]/(x)."""
     k = CyclicExtension(field, (0, 1), (0, 1), _validate=False)
-    poly = _Parser(k, ("x",), _tokenize(s), allow_theta=False).parse()
+    poly = _Parser(k, ("x",), _tokenize(s)).parse()
     coeffs = [field.zero()] * (poly.degree() + 1)
     for (d,), c in poly.terms:
         coeffs[d] = c.coeffs[0]

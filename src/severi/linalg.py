@@ -15,8 +15,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
-from .fields import (CyclicExtension, ExtElement, element_from_json, galois_apply,
-                     json_value, row_reduce)
+from .fields import CyclicExtension, ExtElement, galois_apply, row_reduce
 from .fields import scalar_to_json as _scalar_to_json
 
 
@@ -190,9 +189,3 @@ def matrix_to_json(A: Matrix) -> dict:
         "cols": A.cols,
         "entries": [[_scalar_to_json(c) for c in e.coeffs] for e in A.entries],
     }
-
-
-def matrix_from_json(L: CyclicExtension, obj: dict) -> Matrix:
-    ent = tuple(element_from_json(L, coeffs)
-                for coeffs in json_value(obj, "entries", list))
-    return Matrix(L, json_value(obj, "rows", int), json_value(obj, "cols", int), ent)

@@ -294,13 +294,3 @@ def poly_to_json(F: MultiPoly) -> list:
     from .fields import scalar_to_json
     return [[list(e), [scalar_to_json(c) for c in coeff.coeffs]]
             for e, coeff in F.terms]
-
-
-def poly_from_json(ext: CyclicExtension, nvars: int, obj: Sequence) -> MultiPoly:
-    from .fields import element_from_json
-    if not (isinstance(obj, list)
-            and all(isinstance(t, list) and len(t) == 2 and isinstance(t[0], list)
-                    and all(type(x) is int for x in t[0]) for t in obj)):
-        raise InputError("a polynomial must be a list of [exponents, coordinates] pairs")
-    return make_poly(ext, nvars, {
-        tuple(e): element_from_json(ext, coeffs) for e, coeffs in obj})

@@ -35,29 +35,24 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_structured
-from .errors import InputError, InternalDescentFailure, Singular, ZeroA
+from .errors import InputError, InternalDescentFailure, ZeroA
 from .fields import (
     CyclicExtension,
     ExtElement,
     NormalBasis,
     Scalar,
-    element_from_json,
     element_to_json,
-    extension_from_json,
     extension_to_json,
     find_normal_basis,
-    json_value,
     row_reduce,
-    scalar_from_json,
     scalar_to_json,
 )
 from .grammar import format_poly, omega_names, plane_names
-from .linalg import Matrix, inverse, matrix_from_json, matrix_to_json
+from .linalg import Matrix, inverse, matrix_to_json
 from .polyring import (
     Exponents,
     MultiPoly,
     family_support,
-    poly_from_json,
     poly_to_json,
     make_poly,
     substitute_linear,
@@ -536,50 +531,6 @@ def model_to_json(model: SurfaceModel) -> dict:
         "splitting_matrix": matrix_to_json(model.splitting_matrix),
         "equations_over_k": [poly_to_json(F) for F in model.equations_over_k],
     }
-
-
-def model_from_json(obj: dict) -> SurfaceModel:
-    """Rebuild a model and check that its equations are exactly the
-    degree-2 part of the ideal of its image (`image_defect`).  Anything
-    else raises InputError."""
-    if json_value(obj, "kind", str) != "surface_model":
-        raise InputError("not a surface_model emission")
-    L = extension_from_json(json_value(obj, "field", dict))
-    a = L.base.coerce(scalar_from_json(json_value(obj, "a", (int, str))))
-    n, m = json_value(obj, "n", int), json_value(obj, "m", int)
-    if n != L.degree - 1:
-        raise InputError(f"n = {n} but the field has degree {L.degree}")
-    degree = json_value(obj, "veronese_degree", int)
-    if degree != n + 1:
-        raise InputError(f"veronese_degree = {degree}, expected n + 1 = {n + 1}")
-    basis = monomial_basis(n, degree)
-    if m != basis.m:
-        raise InputError(f"m = {m} but the Veronese basis has {basis.m} monomials")
-    provenance = json_value(obj, "provenance", str)
-    if provenance not in ("main_path", "appendix_path"):
-        raise InputError(f"unknown provenance {provenance!r}")
-    orbit = tuple(element_from_json(L, v)
-                  for v in json_value(obj, "normal_basis", list))
-    if len(orbit) != L.degree:
-        raise InputError(f"normal basis has {len(orbit)} elements, expected {L.degree}")
-    tr = sum(orbit, L.zero())
-    if not tr.in_base():
-        raise InputError("normal basis is not a Galois orbit")
-    nb = NormalBasis(orbit, tr.base_value())
-    M = matrix_from_json(L, json_value(obj, "splitting_matrix", dict))
-    if (M.rows, M.cols) != (m, m):
-        raise InputError(f"splitting matrix is {M.rows}x{M.cols}, expected {m}x{m}")
-    eqs = tuple(poly_from_json(L, m, f)
-                for f in json_value(obj, "equations_over_k", list))
-    try:
-        P = inverse(M)
-    except Singular as e:
-        raise InputError(f"invalid surface model: {e}") from None
-    defect = image_defect(eqs, basis, P)
-    if defect is not None:
-        raise InputError(defect)
-    return SurfaceModel(L, a, n, m, M, eqs, ParametrizationMap(basis, P),
-                        provenance, nb)
 
 
 def picard_to_json(g: PicardGenerator, L: CyclicExtension) -> dict:

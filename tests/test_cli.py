@@ -6,17 +6,16 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from severi import (cohomology, fermat, find_normal_basis, frobenius_extension,
-                    make_shanks_cubic, model_from_json, pullback_to_plane,
+                    make_shanks_cubic, picard_generator, pullback_to_plane,
                     surface_model, verify)
 from severi.cli import main
-from severi.fields import extension_from_json
-from severi.polyring import poly_from_json
+from severi.fields import extension_to_json
+from severi.polyring import poly_to_json
 from severi.twisting import proportional
 
 
@@ -69,15 +68,23 @@ def test_surface_check_conic_over_q(capsys):
     assert "2 checks: 2 pass, 0 flagged, 0 fail" in out
 
 
-def test_surface_json_digest_denominator_8_field(capsys):
+@pytest.mark.parametrize("argv,digest", [
     # theta-power table of this field has denominator 8; digest of the
     # emission recorded before the integer product kernel
-    code, out, _ = run(capsys, "surface", "--field",
-                       "poly:x^3 - 3/4*x + 1/8;galois:2*x^2 - 1", "--a", "5/3",
-                       "--check", "--emit", "json")
+    (("--field", "poly:x^3 - 3/4*x + 1/8;galois:2*x^2 - 1", "--a", "5/3",
+      "--check"),
+     "27fec3e1773d9adb47a153d0e2f9e345a81eb3667a8397e492382527d03b4867"),
+    # pin what model_to_json writes of a, the normal basis and the
+    # splitting matrix
+    (("--field", "finite:p=7", "--a", "3"),
+     "a5aff49f17c935bd249d71f5d8355590cad29fc39bfa792f1f961d91891b5382"),
+    (("--field", "shanks:t=1", "--a", "2"),
+     "64bd6f336b568d3dc586977327dfb802c662e5d4c8fd2d48c74fe2127710bc28"),
+], ids=["denominator-8", "f7-a3", "shanks1-a2"])
+def test_surface_json_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, "surface", *argv, "--emit", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "27fec3e1773d9adb47a153d0e2f9e345a81eb3667a8397e492382527d03b4867")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_import_does_not_load_numpy():
@@ -123,6 +130,16 @@ def test_zero_a_exit_2(capsys):
         code, _, err = run(capsys, command, "--a", "0")
         assert code == 2
         assert "ZeroA" in err
+
+
+@pytest.mark.parametrize("command", [("surface",), ("verify", "--suite", "cocycle")],
+                         ids=["surface", "verify-cocycle"])
+@pytest.mark.parametrize("n", ["0", "-1", "-3"])
+def test_extension_degree_below_2_exit_2(capsys, command, n):
+    code, out, err = run(capsys, *command, "--field", "finite:p=5", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "input error: InputError: extension degree must be >= 2" in err
 
 
 def test_field_spec_degree_must_match_n(capsys):
@@ -175,9 +192,10 @@ def test_picard_generator_lives_on_the_surface_model(capsys, spec, n, a):
                        "--a", str(a), "--dprime", "2", "--emit", "json")
     assert code == 0
     blob = json.loads(out)
-    assert extension_from_json(blob["field"]) == L
-    equation = poly_from_json(L, blob["nvars"], blob["equation"])
-    c = proportional(pullback_to_plane(model, equation), fermat(L, 2, a).poly)
+    g = picard_generator(L, a, model.normal_basis, 2)
+    assert blob["field"] == extension_to_json(L)
+    assert blob["equation"] == poly_to_json(g.equation)
+    c = proportional(pullback_to_plane(model, g.equation), fermat(L, 2, a).poly)
     assert c is not None and not c.is_zero()
 
 
@@ -254,15 +272,6 @@ def test_verify_json_has_null_elapsed(capsys):
     assert blob["schema"] == 1
     assert blob["elapsed_ms"] is None
     assert blob["seed"] == 0
-
-
-def test_surface_json_round_trip(capsys, shanks1):
-    code, out, _ = run(capsys, "surface", "--field", "shanks:t=1", "--a", "2",
-                       "--emit", "json")
-    assert code == 0
-    blob = json.loads(out)
-    model = model_from_json(blob)
-    assert model == surface_model(shanks1, Fraction(2))
 
 
 def test_byte_determinism(capsys):

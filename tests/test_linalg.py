@@ -1,6 +1,5 @@
 """Exact matrices over extension elements: product, inverse, rank, Galois."""
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -19,8 +18,8 @@ from severi import (
     mul,
     rank,
 )
-from severi.errors import InputError, ShapeMismatch, Singular
-from severi.linalg import matrix_from_json, matrix_to_json, rref
+from severi.errors import ShapeMismatch, Singular
+from severi.linalg import rref
 
 
 def F(x):
@@ -107,21 +106,6 @@ def test_rank_and_rref(shanks1):
     R, pivots = rref(A)
     assert len(pivots) == 2
     assert R.at(0, pivots[0]) == shanks1.one()
-
-
-def test_matrix_json_round_trip(shanks1):
-    A = from_rows(shanks1, [[shanks1.theta(), Fraction(1, 3)], [0, 1]])
-    blob = json.loads(json.dumps(matrix_to_json(A)))
-    assert matrix_from_json(shanks1, blob) == A
-
-
-def test_matrix_json_rejects_wrong_length_entries(shanks1):
-    A = from_rows(shanks1, [[shanks1.theta(), Fraction(1, 3)], [0, 1]])
-    for bad in ([0, 0, 0, 1], [5]):
-        blob = matrix_to_json(A)
-        blob["entries"][1] = bad
-        with pytest.raises(InputError, match="coordinates"):
-            matrix_from_json(shanks1, blob)
 
 
 def test_sparse_rows_match_dense_entries(shanks1, f5):

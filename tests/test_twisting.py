@@ -1,5 +1,4 @@
 """End-to-end constructions: Fermat family, descent, models, Picard forms."""
-import copy
 import functools
 import hashlib
 import json
@@ -34,8 +33,6 @@ from severi import (
     make_extension,
     make_poly,
     make_shanks_cubic,
-    model_from_json,
-    model_to_json,
     norm,
     omega_names,
     picard_generator,
@@ -709,110 +706,3 @@ def test_pullback_matches_naive_expansion(n, p, seed, degree, nterms, kind):
     model = replace(base, parametrization=ParametrizationMap(basis, P))
     assert pullback_to_plane(model, Fw) == \
         naive_substitute(Fw, plane_coordinates(basis, P))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def test_model_json_round_trip(model_q):
-    blob = json.loads(json.dumps(model_to_json(model_q)))
-    assert blob["schema"] == 1
-    assert model_from_json(blob) == model_q
-
-
-def test_model_json_round_trip_finite(model_f7):
-    blob = json.loads(json.dumps(model_to_json(model_f7)))
-    assert model_from_json(blob) == model_f7
-
-
-def test_model_json_rejects_truncated_equations(model_f3):
-    blob = json.loads(json.dumps(model_to_json(model_f3)))
-    blob["equations_over_k"] = blob["equations_over_k"][:3]
-    with pytest.raises(InputError, match="3 equations, expected 27"):
-        model_from_json(blob)
-
-
-def test_model_json_rejects_tampered_coefficient(model_q):
-    blob = json.loads(json.dumps(model_to_json(model_q)))
-    term = blob["equations_over_k"][5][-1]
-    term[1][0] = str(Fraction(term[1][0]) + 1)
-    with pytest.raises(InputError, match="does not vanish"):
-        model_from_json(blob)
-
-
-def test_model_json_rejects_shape_errors(model_f3):
-    blob = json.loads(json.dumps(model_to_json(model_f3)))
-    for key, value in (("m", 9), ("n", 3)):
-        with pytest.raises(InputError):
-            model_from_json({**blob, key: value})
-    eqs = blob["equations_over_k"]
-    with pytest.raises(InputError, match="distinct leading monomials"):
-        model_from_json({**blob, "equations_over_k": eqs[:-1] + [eqs[0]]})
-    cubic = [[[3] + [0] * 9, [1, 0, 0]]]
-    with pytest.raises(InputError, match="homogeneous quadric"):
-        model_from_json({**blob, "equations_over_k": eqs[:-1] + [cubic]})
-
-
-def test_model_json_rejects_malformed_scalars(model_q, model_f7):
-    """Only what model_to_json writes is read back: a float, a bool, an
-    exponent, a non-number or a zero denominator raises InputError in the
-    scalar a, the field, the splitting matrix and the equations, instead of
-    becoming the nearest Fraction (0.1, True and "1e3" once did)."""
-    places = (lambda b: (b, "a"),
-              lambda b: (b["field"]["f"], 0),
-              lambda b: (b["splitting_matrix"]["entries"][0], 0),
-              lambda b: (b["equations_over_k"][0][0][1], 0))
-    for model in (model_q, model_f7):
-        blob = json.loads(json.dumps(model_to_json(model)))
-        for bad in (0.1, True, "1e3", "abc", None, "1/0"):
-            for place in places:
-                tampered = copy.deepcopy(blob)
-                container, key = place(tampered)
-                container[key] = bad
-                with pytest.raises(InputError):
-                    model_from_json(tampered)
-
-
-def _set(*path, value=None, delete=False):
-    """A tamper that sets (or deletes) the field at `path` of a blob."""
-    def tamper(blob):
-        *parents, last = path
-        node = blob
-        for key in parents:
-            node = node[key]
-        if delete:
-            del node[last]
-        else:
-            node[last] = value
-        return blob
-    return tamper
-
-
-@pytest.mark.parametrize("tamper", [
-    _set("field", "p", value="7"),
-    _set("field", "character_convention", value="1"),
-    _set("veronese_degree", value="3"),
-    _set("veronese_degree", value=4),
-    _set("splitting_matrix", "entries", value=5),
-    _set("equations_over_k", value=3),
-    _set("equations_over_k", 0, value=[[[2] + [0] * 9]]),
-    _set("normal_basis", delete=True),
-    _set("normal_basis", value=[]),
-    _set("normal_basis", 2, delete=True),
-    _set("normal_basis", value=[[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
-    _set("m", value=10.0),
-    _set("n", value=True),
-    _set("provenance", value=5),
-    _set("provenance", value="elsewhere"),
-    _set("kind", delete=True),
-    _set("a", delete=True),
-    lambda blob: [blob],
-])
-def test_model_json_rejects_malformed_fields(model_f7, tamper):
-    """A malformed field raises InputError (exit 2), not a TypeError,
-    KeyError, IndexError or InternalDescentFailure, and a float or bool
-    never stands in for an int."""
-    blob = json.loads(json.dumps(model_to_json(model_f7)))
-    with pytest.raises(InputError):
-        model_from_json(tamper(blob))
