@@ -63,7 +63,7 @@ def main() -> int:
     for eq in model.equations_over_k:
         print(f"  {format_poly(eq, names)} = 0")
 
-    gen = picard_generator(L, a, nb, args.dprime)
+    gen = picard_generator(L, a, args.dprime)
     print(f"\nPicard generator (d' = {args.dprime}, plane degree "
           f"{gen.degree_in_plane}):")
     print(f"  {format_poly(gen.equation, names)} = 0")

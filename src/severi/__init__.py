@@ -115,7 +115,6 @@ from .veronese import (
     induced_matrix,
     monomial_basis,
     veronese_ideal,
-    veronese_point,
 )
 
 __version__ = "1.0.0"

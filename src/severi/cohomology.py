@@ -100,7 +100,7 @@ def lift_to_veronese(xi: Cocycle) -> Cocycle:
         raise InputError("lift requires cocycle entries in the base field")
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
-    B = induced_matrix(basis, xi.at_generator, normalize_by=xi.scalar_class)
+    B = induced_matrix(basis, xi.at_generator).scale(xi.scalar_class.inverse())
     lifted = make_cocycle(L, B)
     if lifted.scalar_class != L.one():
         raise InternalDescentFailure("normalized lift is not honest")

@@ -51,10 +51,6 @@ class MixedDegrees(InputError):
     pass
 
 
-class ZeroPoint(InputError):
-    pass
-
-
 class DegreeTooSmall(InputError):
     pass
 

@@ -5,7 +5,11 @@ field F_p (scalars are ints in 0..p-1).  A cyclic extension L/k of degree
 n+1 is k[x]/(f) together with a polynomial g of degree <= n such that
 theta |-> g(theta) generates Gal(L/k); elements are stored in the power
 basis 1, theta, ..., theta^n.  Normal bases are derived values, never the
-internal representation.
+internal representation.  Polynomials over k are dense coefficient tuples,
+low degree first (`poly_add`, `poly_mul`, ...): f and g are stored so, and
+severi.grammar parses user input straight into them.  Every
+CyclicExtension checks f and g when it is constructed: degree >= 2, monic,
+irreducible, g a root of f that generates a cyclic group of order deg f.
 
 Products in L are computed in Python ints: over Q each operand is scaled
 by the lcm of its coordinate denominators (once per element, then cached
@@ -405,21 +409,16 @@ class CyclicExtension:
     """
 
     def __init__(self, base: BaseField, f: Sequence[Scalar], g: Sequence[Scalar],
-                 character_convention: Optional[int] = None, _validate: bool = True):
+                 character_convention: Optional[int] = None):
         self.base = base
         self.f = poly_trim(base, [base.coerce(c) for c in f])
-        self.g = poly_mod(base, [base.coerce(c) for c in g], self.f)
-        self.degree = len(self.f) - 1
-        if character_convention is None:
-            character_convention = self.degree - 1
-        self.character_convention = character_convention % self.degree
-        if _validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        n1 = self.degree
+        self.degree = n1 = len(self.f) - 1
         if n1 < 2:
             raise InputError("extension degree must be >= 2")
+        self.g = poly_mod(base, [base.coerce(c) for c in g], self.f)
+        if character_convention is None:
+            character_convention = n1 - 1
+        self.character_convention = character_convention % n1
         if self.f[-1] != self.base.one():
             raise InputError("minimal polynomial must be monic")
         if math.gcd(self.character_convention, n1) != 1:
@@ -951,13 +950,13 @@ def _power(var: str, i: int) -> str:
     return "" if i == 0 else (var if i == 1 else f"{var}^{i}")
 
 
-def format_univariate(f: Sequence[Scalar], var: str = "x") -> str:
-    return format_terms((*signed_scalar(f[i]), _power(var, i))
+def format_univariate(f: Sequence[Scalar]) -> str:
+    return format_terms((*signed_scalar(f[i]), _power("x", i))
                         for i in range(len(f) - 1, -1, -1) if f[i])
 
 
-def format_element(x: ExtElement, var: str = "t") -> str:
-    return format_terms((*signed_scalar(c), _power(var, i))
+def format_element(x: ExtElement) -> str:
+    return format_terms((*signed_scalar(c), _power("t", i))
                         for i, c in enumerate(x.coeffs) if c)
 
 

@@ -8,8 +8,11 @@ the plane (n = 2), `X0..Xn` in general, `w0..w{m-1}` for Veronese
 coordinates.
 
 The only text read back is user input: `parse_univariate` reads a
-polynomial in `x` over k, and `parse_field_spec` builds a cyclic extension
-from a one-line field spec.  No emission is parsed.
+polynomial in `x` over k straight into a dense coefficient tuple and
+refuses one whose degree, or the degree of any product or power on the
+way, is above a given bound; `parse_field_spec` builds a cyclic extension
+from a one-line field spec, with the extension degree as that bound.  No
+emission is parsed.
 """
 
 from __future__ import annotations
@@ -20,16 +23,23 @@ from typing import Optional, Sequence
 
 from .errors import GrammarError, InputError
 from .fields import (
+    QQ,
     BaseField,
-    CyclicExtension,
     ExtElement,
     Scalar,
     format_element,
     format_terms,
+    frobenius_extension,
+    make_extension,
+    make_shanks_cubic,
+    poly_add,
+    poly_mul,
+    poly_neg,
+    poly_sub,
     poly_trim,
     signed_scalar,
 )
-from .polyring import MultiPoly, constant, make_poly
+from .polyring import MultiPoly
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\^|\*|\+|-|/|\(|\))")
 
@@ -58,15 +68,16 @@ def _tokenize(s: str) -> list[str]:
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^, parentheses, numbers, variables."""
+    """Recursive descent over +, -, *, ^, parentheses, numbers and x, straight
+    into dense coefficient tuples over k (low degree first).  No exponent,
+    product or power may go above degree `bound`; that is checked before the
+    product or power is formed."""
 
-    def __init__(self, ext: CyclicExtension, names: Sequence[str],
-                 tokens: list[str]):
-        self.ext = ext
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
+    def __init__(self, field: BaseField, tokens: list[str], bound: int):
+        self.k = field
         self.toks = tokens
         self.pos = 0
+        self.bound = bound
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -83,20 +94,25 @@ class _Parser:
         if got != tok:
             raise GrammarError(f"expected {tok!r}, got {got!r}")
 
-    def parse(self) -> MultiPoly:
+    def check_degree(self, degree: int, what: str = "degree") -> None:
+        if degree > self.bound:
+            raise GrammarError(f"{what} {degree} is above the degree bound "
+                               f"{self.bound}")
+
+    def parse(self) -> tuple[Scalar, ...]:
         out = self.expr()
         if self.peek() is not None:
             raise GrammarError(f"trailing input at token {self.peek()!r}")
         return out
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> tuple[Scalar, ...]:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
         out = self.term()
         if sign < 0:
-            out = -out
+            out = poly_neg(self.k, out)
         while self.peek() in ("+", "-"):
             op = self.take()
             sign = 1 if op == "+" else -1
@@ -104,59 +120,71 @@ class _Parser:
                 if self.take() == "-":
                     sign = -sign
             nxt = self.term()
-            out = out + nxt if sign > 0 else out - nxt
+            out = (poly_add if sign > 0 else poly_sub)(self.k, out, nxt)
         return out
 
-    def term(self) -> MultiPoly:
+    def term(self) -> tuple[Scalar, ...]:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = out * self.factor()
+            nxt = self.factor()
+            if out and nxt:
+                self.check_degree(len(out) + len(nxt) - 2)
+            out = poly_mul(self.k, out, nxt)
         return out
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> tuple[Scalar, ...]:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not e.isdigit():
-                raise GrammarError(f"exponent must be a nonneg integer, got {e!r}")
-            return base ** int(e)
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        tok = self.take()
+        if not tok.isdigit():
+            raise GrammarError(f"exponent must be a nonneg integer, got {tok!r}")
+        e = _integer(tok)
+        self.check_degree(e, "exponent")
+        if base:
+            self.check_degree((len(base) - 1) * e)
+        out = (self.k.one(),)
+        for _ in range(e):
+            out = poly_mul(self.k, out, base)
+        return out
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> tuple[Scalar, ...]:
         tok = self.take()
         if tok == "(":
             inner = self.expr()
             self.expect(")")
             return inner
         if tok.isdigit():
-            num = int(tok)
+            value = Fraction(_integer(tok))
             if self.peek() == "/":
                 self.take()
                 den = self.take()
-                if not den.isdigit() or int(den) == 0:
+                if not den.isdigit() or _integer(den) == 0:
                     raise GrammarError(f"bad denominator {den!r}")
-                return constant(self.ext, self.nvars,
-                                self.ext.base.coerce(Fraction(num, int(den))))
-            return constant(self.ext, self.nvars, self.ext.base.coerce(num))
-        if tok in self.names:
-            i = self.names[tok]
-            exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-            return make_poly(self.ext, self.nvars, {exp: self.ext.one()})
+                value /= _integer(den)
+            return poly_trim(self.k, [self.k.coerce(value)])
+        if tok == "x":
+            self.check_degree(1)
+            return (self.k.zero(), self.k.one())
         raise GrammarError(f"unknown name {tok!r}")
 
 
-def parse_univariate(field: BaseField, s: str) -> tuple[Scalar, ...]:
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise GrammarError(f"number with {len(tok)} digits is too long") from None
+
+
+def parse_univariate(field: BaseField, s: str, bound: int) -> tuple[Scalar, ...]:
     """Coefficient tuple (low degree first) of a polynomial in x over
-    `field`, read as a polynomial in one variable over k seen as the
-    degree-1 extension k[x]/(x)."""
-    k = CyclicExtension(field, (0, 1), (0, 1), _validate=False)
-    poly = _Parser(k, ("x",), _tokenize(s)).parse()
-    coeffs = [field.zero()] * (poly.degree() + 1)
-    for (d,), c in poly.terms:
-        coeffs[d] = c.coeffs[0]
-    return poly_trim(field, coeffs)
+    `field`, of degree at most `bound`; GrammarError otherwise."""
+    try:
+        return _Parser(field, _tokenize(s), bound).parse()
+    except RecursionError:
+        raise GrammarError("parentheses nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +237,9 @@ def parse_field_spec(spec: str, degree: int = 3,
     Forms: `shanks:t=1` (simplest cubic over Q), `finite:p=7` (degree from
     the `degree` argument, Frobenius generator), and
     `poly:<f>;galois:<g>` with both polynomials over Q in `x`.  A spec whose
-    extension degree is not `degree` raises GrammarError.
+    extension degree is not `degree`, or whose polynomials go above degree
+    `degree` anywhere in their text, raises GrammarError.
     """
-    from .fields import (QQ, frobenius_extension, make_extension,
-                         make_shanks_cubic)
     head, sep, rest = spec.strip().partition(":")
     if not sep:
         raise GrammarError(f"field spec needs a kind prefix: {spec!r}")
@@ -232,9 +259,10 @@ def parse_field_spec(spec: str, degree: int = 3,
         fpart, sep2, gpart = rest.partition(";")
         if not sep2 or not gpart.strip().lower().startswith("galois:"):
             raise GrammarError("poly spec needs ';galois:<g>' after the polynomial")
-        f = parse_univariate(QQ, _unquote(fpart))
+        f = parse_univariate(QQ, _unquote(fpart), degree)
         _check_degree(spec, len(f) - 1, degree)
-        g = parse_univariate(QQ, _unquote(gpart.strip()[len("galois:"):]))
+        g = parse_univariate(QQ, _unquote(gpart.strip()[len("galois:"):]),
+                             degree)
         return make_extension(QQ, f, g, character_convention)
     raise GrammarError(f"unknown field spec kind {head!r}")
 

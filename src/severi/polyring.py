@@ -159,10 +159,8 @@ def variables(ext: CyclicExtension, nvars: int) -> tuple[MultiPoly, ...]:
     return tuple(out)
 
 
-def monomial(ext: CyclicExtension, exps: Sequence[int], coeff=None) -> MultiPoly:
-    c = ext.one() if coeff is None else (coeff if isinstance(coeff, ExtElement)
-                                         else ext.from_base(coeff))
-    return make_poly(ext, len(exps), {tuple(exps): c})
+def monomial(ext: CyclicExtension, exps: Sequence[int]) -> MultiPoly:
+    return make_poly(ext, len(exps), {tuple(exps): ext.one()})
 
 
 # ---------------------------------------------------------------------------

@@ -327,18 +327,18 @@ class PicardGenerator:
     degree_in_plane: int       # (n+1) d'
 
 
-def picard_generator(L: CyclicExtension, a, nb: NormalBasis,
-                     dprime: int) -> PicardGenerator:
+def picard_generator(L: CyclicExtension, a, dprime: int) -> PicardGenerator:
     """sum_i (sum_j l_{i+j} w_{X_j^{n+1}})^{d'}, the twisted Fermat form in
     the pure-power Veronese coordinates; its coefficients land in k.
 
-    The normal basis l_1, ..., l_{n+1} fixes those coordinates, so pass the
-    model's: `model.normal_basis`, which is `find_normal_basis(L)`."""
+    The normal basis l_1, ..., l_{n+1} fixes those coordinates; it is
+    `find_normal_basis(L)`, the basis every model is built on."""
     if dprime < 1:
         raise InputError("d' must be >= 1")
     if L.base.is_zero(L.base.coerce(a)):
         raise ZeroA("a must be nonzero")
     n = L.degree - 1
+    nb = find_normal_basis(L)
     basis = monomial_basis(n, n + 1)
     pure = basis.pure_power_indices()
     m = basis.m
@@ -396,7 +396,7 @@ def twisted_curve_model(model: SurfaceModel, dprime: int) -> list[MultiPoly]:
     basis.  The generator's pullback through the parametrization must be a
     nonzero multiple of the Fermat polynomial; that identity is checked
     here."""
-    gen = picard_generator(model.extension, model.a, model.normal_basis, dprime)
+    gen = picard_generator(model.extension, model.a, dprime)
     pulled = pullback_to_plane(model, gen.equation)
     target = fermat(model.extension, dprime, model.a).poly
     c = proportional(pulled, target)
@@ -476,8 +476,9 @@ def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
     """Substitute the model's parametrization into each displayed relation,
     written on the model's normal basis, and report pass, fail, or flagged
     per equation.  The seventh relation mixes degrees 3 and 4 and is
-    reported as printed, flagged, with the residual and a homogeneous
-    reconstruction that does vanish.
+    reported as printed, with the residual and a homogeneous
+    reconstruction: flagged when the reconstruction vanishes, failed when
+    it does not.
 
     Only the ten linear factors are pulled back, one `pullback_to_plane`
     each; each residual is then the same product of the pulled-back factors
@@ -498,12 +499,12 @@ def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
         entry: dict = {"name": name, "homogeneous": homogeneous}
         if not homogeneous:
             recon = _equation7_reconstruction(forms)
-            entry["status"] = "flagged"
+            vanishes = _equation7_reconstruction(pulled).is_zero()
+            entry["status"] = "flagged" if vanishes else "fail"
             entry["note"] = "degree-inhomogeneous as printed (3 vs 4)"
             entry["residual"] = format_poly(residual, plane_names(2))
             entry["reconstruction"] = format_poly(recon, omega_names(10))
-            entry["reconstruction_vanishes"] = \
-                _equation7_reconstruction(pulled).is_zero()
+            entry["reconstruction_vanishes"] = vanishes
         elif residual.is_zero():
             entry["status"] = "pass"
         else:

@@ -3,7 +3,11 @@
 The monomial basis is kept in alphabetical order: exponent vectors sorted
 so the words X0^a0...Xn^an read lexicographically (X0^d first, Xn^d last).
 For the degree-(n+1) embedding the basis has m = C(2n+1, n) monomials and
-every invertible (n+1)x(n+1) matrix induces an m x m matrix on it.
+every invertible (n+1)x(n+1) matrix induces an m x m matrix on it
+(`induced_matrix`, one `substitute_linear` per basis monomial, unscaled:
+callers that normalize it scale the result).  No Veronese point is formed
+here; the F_p-points of a model are enumerated in integers by
+severi.verify.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import DegreeTooSmall, InputError, Singular, ZeroPoint
-from .fields import CyclicExtension, ExtElement
+from .errors import DegreeTooSmall, InputError, Singular
+from .fields import CyclicExtension
 from .linalg import Matrix, from_rows, rank
 from .polyring import MultiPoly, make_poly, monomial, substitute_linear
 
@@ -60,31 +64,12 @@ def canonical_embedding(d: int) -> MonomialBasis:
     return basis
 
 
-def veronese_point(basis: MonomialBasis, point: Sequence,
-                   ext: Optional[CyclicExtension] = None) -> tuple[ExtElement, ...]:
-    if len(point) != basis.n + 1:
-        raise InputError(f"point must have {basis.n + 1} coordinates")
-    if ext is None:
-        ext = next(x.ext for x in point if isinstance(x, ExtElement))
-    pt = [x if isinstance(x, ExtElement) else ext.from_base(x) for x in point]
-    if all(x.is_zero() for x in pt):
-        raise ZeroPoint("the zero tuple is not a projective point")
-    out = []
-    for e in basis.list:
-        v = ext.one()
-        for i, k in enumerate(e):
-            if k:
-                v = v * pt[i] ** k
-        out.append(v)
-    return tuple(out)
-
-
-def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix:
-    """The unique B with veronese_point(A x) = B veronese_point(x).
+def induced_matrix(basis: MonomialBasis, A: Matrix) -> Matrix:
+    """The unique B with Ver(A x) = B Ver(x), Ver(x) being the column of
+    basis monomials at x.
 
     Row i of B is the coefficient row of basis monomial i composed with A,
-    x^{b_i}(A x) = sum_j B[i][j] x^{b_j}.  Optionally divides every entry
-    by normalize_by.
+    x^{b_i}(A x) = sum_j B[i][j] x^{b_j}.
     """
     n1 = basis.n + 1
     if A.rows != n1 or A.cols != n1:
@@ -96,14 +81,7 @@ def induced_matrix(basis: MonomialBasis, A: Matrix, normalize_by=None) -> Matrix
     for b in basis.list:
         image = substitute_linear(monomial(ext, b), A).terms_dict()
         rows.append([image.get(e, zero) for e in basis.list])
-    B = from_rows(ext, rows)
-    if normalize_by is not None:
-        s = normalize_by if isinstance(normalize_by, ExtElement) else ext.from_base(normalize_by)
-        if s.is_zero():
-            raise InputError("normalize_by must be nonzero")
-        si = s.inverse()
-        B = B.scale(si)
-    return B
+    return from_rows(ext, rows)
 
 
 def ideal_quadric_count(basis: MonomialBasis) -> int:

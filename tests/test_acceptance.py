@@ -169,11 +169,11 @@ def test_criterion_4_displayed_equations(shanks1, model_q):
           f"in {dt:.2f}s")
 
 
-def test_criterion_5_picard_generators(shanks1, nb1, model_q):
+def test_criterion_5_picard_generators(shanks1, model_q):
     """d'=1 hyperplane w0+w6+w9; pullbacks hit the Fermat family; genus."""
     t0 = time.perf_counter()
     a = F(2)
-    g1 = picard_generator(shanks1, a, nb1, 1)
+    g1 = picard_generator(shanks1, a, 1)
     h = make_poly(shanks1, 10, {
         tuple(1 if j == i else 0 for j in range(10)): shanks1.one()
         for i in (0, 6, 9)})

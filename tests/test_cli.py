@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from severi import (cohomology, fermat, find_normal_basis, frobenius_extension,
                     make_shanks_cubic, picard_generator, pullback_to_plane,
                     surface_model, verify)
+from severi import cli
 from severi.cli import main
 from severi.fields import extension_to_json
 from severi.polyring import poly_to_json
@@ -142,6 +144,16 @@ def test_extension_degree_below_2_exit_2(capsys, command, n):
     assert "input error: InputError: extension degree must be >= 2" in err
 
 
+@pytest.mark.parametrize("spec,n", [("poly:1;galois:1", "-1"),
+                                    ("poly:0;galois:0", "-2")])
+def test_poly_spec_degree_below_2_exit_2(capsys, spec, n):
+    # a constant f: the degree is refused before g is reduced mod f
+    code, out, err = run(capsys, "surface", "--field", spec, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "input error: InputError: extension degree must be >= 2" in err
+
+
 def test_field_spec_degree_must_match_n(capsys):
     for spec in ("shanks:t=1", "poly:x^3 - 3*x - 1;galois:x^2 - 2"):
         code, out, err = run(capsys, "surface", "--field", spec, "--n", "3")
@@ -158,6 +170,47 @@ def test_bad_field_spec_exit_2(capsys):
 def test_bad_scalar_exit_2(capsys):
     code, _, err = run(capsys, "picard", "--a", "two")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--field", "poly:x^99999999999;galois:x"),
+    ("--field", "poly:(x+1)^100000;galois:x"),
+    ("--field", "finite:p=5", "--a", "1e999999999"),
+    ("--field", "finite:p=5", "--a", "1E5"),
+], ids=["exponent", "power", "a-exponent", "a-exponent-upper"])
+def test_unbounded_input_exit_2_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "surface", *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: GrammarError: ")
+
+
+def test_scalar_forms_accepted(capsys):
+    _, half, _ = run(capsys, "algebra", "--a", "1/2")
+    code, decimal, _ = run(capsys, "algebra", "--a", "0.5")
+    assert code == 0 and decimal == half
+    code, out, _ = run(capsys, "algebra", "--a=-3/2")
+    assert code == 0 and "a: -3/2\n" in out
+    code, out, _ = run(capsys, "algebra", "--a", "3/4")
+    assert code == 0 and "a: 3/4\n" in out
+
+
+def test_equation_7_fails_on_another_normal_basis(capsys, monkeypatch):
+    # the displayed relations written on a normal basis the model was not
+    # built on do not hold, and equation 7's reconstruction does not vanish
+    def other_basis_model(L, a):
+        model = surface_model(L, a)
+        nb = find_normal_basis(L, seed=L.theta() + L.one())
+        assert nb != model.normal_basis
+        return replace(model, normal_basis=nb)
+
+    monkeypatch.setattr(cli, "surface_model", other_basis_model)
+    code, out, _ = run(capsys, "surface", "--a", "2", "--check")
+    assert code == 1
+    assert "FAIL equation-7" in out
+    assert "0 flagged" in out
 
 
 def test_picard_hyperplane(capsys):
@@ -192,7 +245,7 @@ def test_picard_generator_lives_on_the_surface_model(capsys, spec, n, a):
                        "--a", str(a), "--dprime", "2", "--emit", "json")
     assert code == 0
     blob = json.loads(out)
-    g = picard_generator(L, a, model.normal_basis, 2)
+    g = picard_generator(L, a, 2)
     assert blob["field"] == extension_to_json(L)
     assert blob["equation"] == poly_to_json(g.equation)
     c = proportional(pullback_to_plane(model, g.equation), fermat(L, 2, a).poly)

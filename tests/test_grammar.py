@@ -1,4 +1,5 @@
 """Text grammar: univariate input, field specs, canonical formatting."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,15 +26,15 @@ def F(x):
 
 
 def test_parse_univariate_shanks():
-    assert parse_univariate(QQ, "x^3 - x^2 - 4*x - 1") == (F(-1), F(-4), F(-1), F(1))
+    assert parse_univariate(QQ, "x^3 - x^2 - 4*x - 1", 3) == (F(-1), F(-4), F(-1), F(1))
 
 
 def test_parse_univariate_rational_coeffs():
-    assert parse_univariate(QQ, "1/2 + x") == (Fraction(1, 2), F(1))
+    assert parse_univariate(QQ, "1/2 + x", 1) == (Fraction(1, 2), F(1))
 
 
 def test_parse_univariate_mod_p():
-    assert parse_univariate(GF(2), "x^3 + x + 1") == (1, 1, 0, 1)
+    assert parse_univariate(GF(2), "x^3 + x + 1", 3) == (1, 1, 0, 1)
 
 
 def test_format_poly_text(shanks1):
@@ -62,14 +63,38 @@ def test_plane_and_omega_names():
 def test_parse_errors():
     for text in ("x +* x", "y", "x^"):
         with pytest.raises(GrammarError):
-            parse_univariate(QQ, text)
+            parse_univariate(QQ, text, 3)
 
 
 @pytest.mark.parametrize("k", [QQ, GF(2), GF(7)], ids=repr)
 def test_parse_univariate_rejects_malformed(k):
-    for text in ("x^", "t", "1/0", "(x", "x x"):
+    for text in ("x^", "t", "1/0", "(x", "x x", "(" * 1000 + "x" + ")" * 1000):
         with pytest.raises(GrammarError):
-            parse_univariate(k, text)
+            parse_univariate(k, text, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "x^4",                   # an exponent above the bound
+    "2^4",                   # also on a constant
+    "x^99999999999",
+    "(x + 1)^100000",
+    "x^2*x^2",               # a product above the bound
+    "x*x*x*x - x^3*x",
+    "(x^2 + 1)^2",           # a power above the bound
+    "(x*x)^2 - x^4",
+    "1" * 5000,              # more digits than int() reads
+])
+def test_parse_univariate_rejects_degree_above_bound(text):
+    t0 = time.perf_counter()
+    with pytest.raises(GrammarError):
+        parse_univariate(QQ, text, 3)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_parse_univariate_bound_is_inclusive():
+    assert parse_univariate(QQ, "x^3 - x^2*x + (x + 1)^3", 3) == \
+        (F(1), F(3), F(3), F(1))
+    assert parse_univariate(GF(7), "2^3*x - 0^3 + 0*x^3", 3) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +147,34 @@ def _render(k, tree):
     return f"{lt} {op} {rt}", _SUM, combine(k, lv, rv)
 
 
+def _degree_bound(tree) -> int:
+    """A degree bound that no part of the tree's text goes above: the
+    largest syntactic degree of any subtree (an inner power may be of
+    higher degree than the whole, as in ((x^2)^2)^0), and at least the
+    largest exponent (3)."""
+    def degree(tree) -> tuple[int, int]:  # (of the tree, largest of a subtree)
+        op = tree[0]
+        if op == "x":
+            return 1, 1
+        if op == "num":
+            return 0, 0
+        d, top = degree(tree[1])
+        if op == "^":
+            return d * tree[2], max(top, d * tree[2])
+        if op == "neg":
+            return d, top
+        d2, top2 = degree(tree[2])
+        d = d + d2 if op == "*" else max(d, d2)
+        return d, max(top, top2, d)
+    return max(3, degree(tree)[1])
+
+
 @pytest.mark.parametrize("k", [QQ, GF(2), GF(7)], ids=repr)
 @settings(max_examples=60, deadline=None)
 @given(tree=_trees)
 def test_parse_univariate_matches_poly_arithmetic(k, tree):
     text, _, want = _render(k, tree)
-    assert parse_univariate(k, text) == want
+    assert parse_univariate(k, text, _degree_bound(tree)) == want
 
 
 # ---------------------------------------------------------------------------

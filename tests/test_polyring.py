@@ -68,9 +68,9 @@ def test_jacobian_power_rule(shanks1):
     a = F(2)
     Fp = fermat_cubic(shanks1, a)
     px, py, pz = jacobian(Fp)
-    assert px == monomial(shanks1, (2, 0, 0), shanks1.from_base(3))
-    assert py == monomial(shanks1, (0, 2, 0), shanks1.from_base(3 * a))
-    assert pz == monomial(shanks1, (0, 0, 2), shanks1.from_base(3 * a * a))
+    assert px == monomial(shanks1, (2, 0, 0)) * shanks1.from_base(3)
+    assert py == monomial(shanks1, (0, 2, 0)) * shanks1.from_base(3 * a)
+    assert pz == monomial(shanks1, (0, 0, 2)) * shanks1.from_base(3 * a * a)
 
 
 def test_char2_partials_common_zero_only_origin(f2):

@@ -388,8 +388,8 @@ def test_unstable_twist_is_an_internal_failure(request, monkeypatch, capsys,
 # picard generators
 # ---------------------------------------------------------------------------
 
-def test_picard_hyperplane(shanks1, nb1):
-    g = picard_generator(shanks1, F(2), nb1, 1)
+def test_picard_hyperplane(shanks1):
+    g = picard_generator(shanks1, F(2), 1)
     assert g.degree_in_plane == 3
     h = w_mono(shanks1, 10, 0) + w_mono(shanks1, 10, 6) + w_mono(shanks1, 10, 9)
     c = proportional(g.equation, h)
@@ -398,8 +398,8 @@ def test_picard_hyperplane(shanks1, nb1):
     assert g.equation == h
 
 
-def test_picard_dprime2_support(shanks1, nb1):
-    g = picard_generator(shanks1, F(2), nb1, 2)
+def test_picard_dprime2_support(shanks1):
+    g = picard_generator(shanks1, F(2), 2)
     assert g.degree_in_plane == 6
     assert g.equation.degree() == 2
     for e, c in g.equation.terms:
@@ -408,8 +408,7 @@ def test_picard_dprime2_support(shanks1, nb1):
 
 
 def test_picard_n3(zeta5):
-    nb = find_normal_basis(zeta5)
-    g = picard_generator(zeta5, F(5), nb, 1)
+    g = picard_generator(zeta5, F(5), 1)
     m = 35
     from severi import monomial_basis
     pure = monomial_basis(3, 4).pure_power_indices()

@@ -255,7 +255,7 @@ def test_verify_rejects_bad_field_spec(capsys):
 # ---------------------------------------------------------------------------
 
 def test_report_ok_semantics():
-    rep = Report("s", (Check("a", "pass"), Check("b", "flagged", "note")), 1)
+    rep = Report("s", (Check("a", "pass"), Check("b", "flagged", "note")))
     assert rep.ok
-    rep2 = Report("s", (Check("a", "fail", "boom"),), 1)
+    rep2 = Report("s", (Check("a", "fail", "boom"),))
     assert not rep2.ok
