@@ -88,7 +88,8 @@ def cyclic_cocycle(L: CyclicExtension, a) -> Cocycle:
     for i in range(1, n1):
         rows[i][i - 1] = 1
     xi = make_cocycle(L, from_rows(L, rows))
-    assert xi.scalar_class == L.from_base(a)
+    if xi.scalar_class != L.from_base(a):
+        raise InternalDescentFailure("companion twisted product is not a * I")
     return xi
 
 

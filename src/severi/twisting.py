@@ -264,7 +264,7 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
     coefficients in k, and is decided exactly in integers by
     `vanishes_on_image`: no floating point, no evaluation points.
     """
-    expected = ideal_quadric_count(basis)
+    expected = ideal_quadric_count(basis.n, basis.degree)
     if len(equations) != expected:
         return f"{len(equations)} equations, expected {expected}"
     if any(F.is_zero() or F.degree() != 2 or not F.is_homogeneous()
@@ -279,14 +279,22 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
     return None
 
 
+# at n = 4 the dense k-rref of the 7000 twisted quadrics holds 280M cells
+SURFACE_MAX_N = 3
+
+
 def surface_model(L: CyclicExtension, a) -> SurfaceModel:
     """Main pipeline: companion cocycle, Veronese lift, structured split on
     the normal basis `find_normal_basis(L)`, twisted ideal quadrics, descent
     to the base field; the model is certified by `image_defect` before it
     is returned.  Every later step takes the model and reads L, a, the
     normal basis and P = M^{-1} from it."""
-    a = L.base.coerce(a)
     n = L.degree - 1
+    if n > SURFACE_MAX_N:  # refused before any work
+        raise InputError(f"n = {n} is out of reach: its model has "
+                         f"{ideal_quadric_count(n, n + 1)} quadrics; "
+                         f"surface models go up to n = {SURFACE_MAX_N}")
+    a = L.base.coerce(a)
     basis = monomial_basis(n, n + 1)
     xi = cyclic_cocycle(L, a)
     lifted = lift_to_veronese(xi)

@@ -45,11 +45,12 @@ class MonomialBasis:
 def monomial_basis(n: int, degree: int) -> MonomialBasis:
     if n < 1 or degree < 1:
         raise InputError("need n >= 1 and degree >= 1")
-    exps = sorted(
-        (e for e in itertools.product(range(degree + 1), repeat=n + 1)
-         if sum(e) == degree),
-        reverse=True)
-    basis = MonomialBasis(n, degree, tuple(exps), len(exps))
+    # stars and bars: the gaps between n bars placed among degree + n slots;
+    # bar positions in descending order give the exponents in descending order
+    slots = degree + n
+    exps = tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                 for bars in reversed(list(itertools.combinations(range(slots), n))))
+    basis = MonomialBasis(n, degree, exps, len(exps))
     assert basis.m == comb(n + degree, degree)
     return basis
 
@@ -84,11 +85,11 @@ def induced_matrix(basis: MonomialBasis, A: Matrix) -> Matrix:
     return from_rows(ext, rows)
 
 
-def ideal_quadric_count(basis: MonomialBasis) -> int:
+def ideal_quadric_count(n: int, degree: int) -> int:
     """Dimension C(m+1, 2) - C(2d+n, n) of the degree-2 part of the ideal of
-    the degree-d Veronese image of P^n: quadrics in the m coordinates minus
-    the degree-2d forms on P^n they restrict to."""
-    return comb(basis.m + 1, 2) - comb(2 * basis.degree + basis.n, basis.n)
+    the degree-d Veronese image of P^n, m = C(n+d, d): quadrics in the m
+    coordinates minus the degree-2d forms on P^n they restrict to."""
+    return comb(comb(n + degree, degree) + 1, 2) - comb(2 * degree + n, n)
 
 
 def veronese_ideal(basis: MonomialBasis, ext: CyclicExtension) -> list[MultiPoly]:

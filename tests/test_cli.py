@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from severi import (cohomology, fermat, find_normal_basis, frobenius_extension,
-                    make_shanks_cubic, picard_generator, pullback_to_plane,
-                    surface_model, verify)
+from severi import (algebra, cohomology, fermat, find_normal_basis,
+                    frobenius_extension, make_shanks_cubic, picard_generator,
+                    pullback_to_plane, surface_model, twisting, verify)
 from severi import cli
 from severi.cli import main
 from severi.fields import extension_to_json
@@ -211,6 +211,41 @@ def test_equation_7_fails_on_another_normal_basis(capsys, monkeypatch):
     assert code == 1
     assert "FAIL equation-7" in out
     assert "0 flagged" in out
+
+
+@pytest.mark.parametrize("n,quadrics", [("4", 7000), ("8", 293937930)])
+def test_surface_refuses_n_beyond_reach(capsys, n, quadrics):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "surface", "--field", "finite:p=2", "--n", n,
+                         "--a", "1")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert f"{quadrics} quadrics" in err
+
+
+def test_picard_and_algebra_take_n_4(capsys):
+    for command in ("picard", "algebra"):
+        code, out, _ = run(capsys, command, "--field", "finite:p=2", "--n", "4",
+                           "--a", "1")
+        assert code == 0 and "field: x^5 + x^2 + 1 over F_2" in out
+
+
+def test_algebra_identities_are_reported_from_build_algebra(capsys, monkeypatch):
+    monkeypatch.setattr(algebra, "is_associative", lambda A: False)
+    for argv in (("algebra",), ("verify", "--suite", "algebra")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "PASS" not in out
+        assert "not associative" in err
+
+
+def test_surface_check_is_reported_from_image_defect(capsys, monkeypatch):
+    # over Q at n != 2, equation-count and equations-vanish are the
+    # `image_defect` that surface_model passed
+    monkeypatch.setattr(twisting, "image_defect", lambda *args: "broken")
+    code, out, err = run(capsys, "surface", "--field", "poly:x^2 + 1;galois:-x",
+                         "--n", "1", "--a", "2", "--check")
+    assert code == 1 and "PASS" not in out
+    assert "broken" in err
 
 
 def test_picard_hyperplane(capsys):

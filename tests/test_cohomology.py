@@ -1,4 +1,5 @@
 """Cocycles for the cyclic Galois group and constructive splittings."""
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -212,6 +213,16 @@ def test_structured_rejects_orbit_that_does_not_close():
     assert xi.scalar_class == Qi.one()
     with pytest.raises(NotMonomialCocycle, match="do not close"):
         split_structured(xi, find_normal_basis(Qi))
+
+
+def test_companion_scalar_class_is_checked(shanks1, monkeypatch):
+    # the `cocycle` suite's companion-twisted-power-is-aI PASS rests on this
+    # raise, which `python -O` keeps
+    build = cohomology.make_cocycle
+    monkeypatch.setattr(cohomology, "make_cocycle", lambda L, A: replace(
+        build(L, A), scalar_class=L.one()))
+    with pytest.raises(InternalDescentFailure, match="a \\* I"):
+        cyclic_cocycle(shanks1, F(2))
 
 
 def test_splits_reject_singular_matrices(shanks1, monkeypatch):

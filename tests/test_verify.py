@@ -11,13 +11,21 @@ from severi import (
     Check,
     Report,
     count_points,
+    cyclic_cocycle,
+    find_normal_basis,
+    from_rows,
     frobenius_extension,
     genus_plane,
+    inverse,
+    lift_to_veronese,
     make_shanks_cubic,
+    mul,
     rational_points,
     report_to_json,
     run_all,
     smoothness_spot,
+    split_generic,
+    split_structured,
     surface_model,
 )
 from severi import verify
@@ -238,6 +246,26 @@ def test_run_all_builds_each_model_once(monkeypatch):
     del rep["elapsed_ms"]
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() \
         == "96b6c304f5c0c61bcdfa2ad6c5d74589163fbeaed91649bd8088788ee4ab171a"
+
+
+@pytest.mark.parametrize("L", [make_shanks_cubic(1), frobenius_extension(3, 3)],
+                         ids=["shanks1", "f27"])
+def test_split_difference_in_k_either_way(L):
+    # the `split` suite tests inverse(Ms) * Mg in k, with one inverse per
+    # run; it is in k exactly when inverse(Mg) * Ms is, for splits as built
+    # and for one whose column is scaled by theta
+    lift = lift_to_veronese(cyclic_cocycle(L, 2))
+    Ms = split_structured(lift, find_normal_basis(L))
+
+    def in_k(M):
+        return all(e.in_base() for e in M.entries)
+
+    for seed in range(5):
+        Mg = split_generic(lift, rng_seed=seed)
+        bent = from_rows(L, [[e * L.theta() if j == 0 else e
+                              for j, e in enumerate(row)] for row in Mg.as_rows()])
+        for G, fixed in ((Mg, True), (bent, False)):
+            assert in_k(mul(inverse(G), Ms)) is in_k(mul(inverse(Ms), G)) is fixed
 
 
 def test_run_all_rejects_unknown_suite():

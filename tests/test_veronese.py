@@ -1,6 +1,7 @@
 """Degree-(n+1) Veronese: ordering, parametrization, induced matrices, ideal."""
 import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -54,6 +55,21 @@ def test_basis_1_2():
 
 def test_basis_3_4_count():
     assert monomial_basis(3, 4).m == comb(7, 3) == 35
+
+
+def test_basis_matches_brute_force_enumeration():
+    for n in range(1, 6):
+        for d in range(1, 7):
+            brute = sorted((e for e in itertools.product(range(d + 1), repeat=n + 1)
+                            if sum(e) == d), reverse=True)
+            assert monomial_basis(n, d).list == tuple(brute)
+
+
+def test_basis_is_built_without_enumerating_all_tuples():
+    # 10^9 exponent tuples would be enumerated for the 24310 that sum to 9
+    t0 = time.perf_counter()
+    assert monomial_basis(8, 9).m == 24310
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_basis_bad_input():
