@@ -25,7 +25,6 @@ from severi import (
     plane_names,
     pullback_to_plane,
     surface_model,
-    twisted_curve_model,
     verify_theorem1_equations,
 )
 from severi.fields import format_element, format_scalar, format_univariate
@@ -68,11 +67,13 @@ def main() -> int:
           f"{gen.degree_in_plane}):")
     print(f"  {format_poly(gen.equation, names)} = 0")
 
-    eqs = twisted_curve_model(model, args.dprime)
-    pulled = pullback_to_plane(model, eqs[-1])
-    c = proportional(pulled, fermat(L, args.dprime, a).poly)
+    target = fermat(L, args.dprime, a).poly
+    c = proportional(pullback_to_plane(model, gen.equation), target)
+    if c is None:
+        print("  pullback through the parametrization is not a Fermat multiple")
+        return 1
     print(f"  pullback through the parametrization = "
-          f"({format_element(c)}) * [{format_poly(fermat(L, args.dprime, a).poly, plane_names(2))}]")
+          f"({format_element(c)}) * [{format_poly(target, plane_names(2))}]")
 
     if L.degree == 3:
         print("\nequation report (paper-eqs suite):")

@@ -21,7 +21,6 @@ from .algebra import (
 from .cohomology import (
     Cocycle,
     coboundary_from_witness,
-    cocycle_value,
     cyclic_cocycle,
     lift_to_veronese,
     make_cocycle,
@@ -51,7 +50,6 @@ from .fields import (
     make_shanks_cubic,
     norm,
     norm_witness,
-    trace,
 )
 from .grammar import (
     format_poly,
@@ -95,7 +93,6 @@ from .twisting import (
     picard_generator,
     pullback_to_plane,
     surface_model,
-    twisted_curve_model,
     verify_theorem1_equations,
 )
 from .verify import (

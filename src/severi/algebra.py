@@ -141,16 +141,27 @@ def is_associative(A: CyclicAlgebra) -> bool:
 
 
 def table_is_associative(field: BaseField, table: Table) -> bool:
+    """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple.  Each side is a
+    combination of table rows, over their nonzero entries only:
+    sum_t T[i][j][t] T[t][k] on the left and sum_t T[j][k][t] T[i][t] on
+    the right."""
     dim = len(table)
-    basis = [tuple(field.one() if t == i else field.zero() for t in range(dim))
-             for i in range(dim)]
+    nonzero = [[[(t, c) for t, c in enumerate(v) if not field.is_zero(c)]
+                for v in row] for row in table]
+
+    def combine(coeffs, rows):
+        out = _vec(field, dim)
+        for t, c in coeffs:
+            for s, x in rows[t]:
+                out[s] = field.add(out[s], field.mul(c, x))
+        return out
+
+    columns = [[nonzero[t][k] for t in range(dim)] for k in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            ij = table[i][j]
             for k in range(dim):
-                left = multiply_table(field, table, ij, basis[k])
-                right = multiply_table(field, table, basis[i], table[j][k])
-                if left != right:
+                left = combine(nonzero[i][j], columns[k])
+                if left != combine(nonzero[j][k], nonzero[i]):
                     return False
     return True
 

@@ -1,15 +1,18 @@
 """1-cocycles of a cyclic Galois group with matrix values, and their splits.
 
-A cocycle of Gal(L/k) = <sigma> is stored by its value at sigma.  The
-twisted product xi(sigma) * sigma(xi(sigma)) * ... * sigma^n(xi(sigma))
+A cocycle of Gal(L/k) = <sigma> is stored by its value at sigma and by
+its values xi(sigma^j) = xi(sigma) * sigma(xi(sigma)) * ... *
+sigma^{j-1}(xi(sigma)) for j = 0..n.  The twisted product xi(sigma^{n+1})
 is a scalar matrix; the cocycle is honest when that scalar is 1, and only
 honest cocycles split as xi(sigma) = M * sigma(M)^{-1}.
 
-The structured split writes the split of a monomial cocycle down on a
-normal basis; every certified path uses it, for the Veronese lift (the
-classical 10x10 matrix for n = 2, entry for entry) and for the companion
-value divided by a norm witness.  The randomized averaging split (Hilbert
-90 made constructive) is the `split` suite's independent reference.
+Both splits are Hilbert 90's average M = sum_j xi(sigma^j) sigma^j(R),
+which splits an honest cocycle whenever it is invertible.  The structured
+split averages a matrix R written down on a normal basis; every certified
+path uses it, for the Veronese lift (the classical 10x10 matrix for n = 2,
+entry for entry) and for the companion value divided by a norm witness.
+The randomized split averages pseudo-random R and is the `split` suite's
+independent reference.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ class Cocycle:
     size: int
     at_generator: Matrix
     scalar_class: ExtElement
+    values: tuple[Matrix, ...]  # xi(sigma^j) for j = 0..n
 
 
 def make_cocycle(L: CyclicExtension, A: Matrix) -> Cocycle:
@@ -56,24 +60,16 @@ def make_cocycle(L: CyclicExtension, A: Matrix) -> Cocycle:
         raise ShapeMismatch("cocycle values must be square")
     if A.ext != L:
         raise InputError("matrix is not over the given extension")
-    T = identity(L, A.rows)
+    values = [identity(L, A.rows)]
     for j in range(L.degree):
-        T = mul(T, galois_matrix(L, A, j))
+        values.append(mul(values[j], galois_matrix(L, A, j)))
+    T = values.pop()
     c = T.at(0, 0)
     if c.is_zero():
         raise InputError("cocycle value is singular")
     if T != identity(L, A.rows).scale(c):
         raise InputError("twisted product is not a scalar matrix")
-    return Cocycle(L, A.rows, A, c)
-
-
-def cocycle_value(xi: Cocycle, j: int) -> Matrix:
-    """xi(sigma^j) = xi(sigma) * sigma(xi(sigma)) * ... * sigma^{j-1}(xi(sigma))."""
-    L = xi.extension
-    out = identity(L, xi.size)
-    for i in range(j):
-        out = mul(out, galois_matrix(L, xi.at_generator, i))
-    return out
+    return Cocycle(L, A.rows, A, c, tuple(values))
 
 
 def cyclic_cocycle(L: CyclicExtension, a) -> Cocycle:
@@ -125,24 +121,31 @@ def check_split(xi: Cocycle, M: Matrix) -> None:
         raise InternalDescentFailure("splitting residual is nonzero")
 
 
+def _average(xi: Cocycle, R: Matrix) -> Matrix:
+    """Hilbert 90's average sum_j xi(sigma^j) sigma^j(R), j = 0..n.  For an
+    honest cocycle it satisfies xi(sigma) sigma(M) = M, because the sum
+    is the same after the shift j -> j + 1 when xi(sigma^{n+1}) = I."""
+    L = xi.extension
+    M = zeros(L, xi.size, xi.size)
+    for j, value in enumerate(xi.values):
+        M = M + mul(value, galois_matrix(L, R, j))
+    return M
+
+
 # pseudo-random trial matrices tried by split_generic
 _SPLIT_ATTEMPTS = 32
 
 
 def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
-    """Averaging split: M = sum_j xi(sigma^j) sigma^j(R) for pseudo-random R,
-    retried until invertible.  Requires an honest cocycle."""
+    """The average of pseudo-random R, retried until invertible.  Requires
+    an honest cocycle."""
     L = xi.extension
     if xi.scalar_class != L.one():
         raise NotHonestCocycle(
             f"scalar class {xi.scalar_class!r} != 1; normalize before splitting")
-    values = [cocycle_value(xi, j) for j in range(L.degree)]
     rng = random.Random(rng_seed)
     for _ in range(_SPLIT_ATTEMPTS):
-        R = _random_matrix(L, xi.size, rng)
-        M = zeros(L, xi.size, xi.size)
-        for j in range(L.degree):
-            M = M + mul(values[j], galois_matrix(L, R, j))
+        M = _average(xi, _random_matrix(L, xi.size, rng))
         if rank(M) == M.rows:
             check_split(xi, M)
             return M
@@ -151,20 +154,18 @@ def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
 
 
 def split_structured(xi: Cocycle, nb) -> Matrix:
-    """Deterministic split for a monomial (scaled-permutation) cocycle.
+    """The average of a structured R, for a monomial (scaled-permutation)
+    cocycle A e_j = s_{pi(j)} e_{pi(j)}, on the normal basis l_1, ..., l_{n+1}.
 
-    Writing the value as A e_j = s_{pi(j)} e_{pi(j)}, the split condition
-    xi * sigma(M) = M forces M[pi(i)] = s_{pi(i)} * sigma(M[i]), so rows
-    propagate along pi-orbits from one free row each.  The free row of an
-    orbit sits at its smallest index j0 and places normal-basis labels on
-    the orbit's columns in ascending order, scaled by s_{j0}; an orbit of
-    size d < n+1 uses the coset sums l_{1+t} + l_{1+t+d} + ... instead,
-    which live in the fixed field of sigma^d.  Fixed columns get the entry 1.
-
-    The orbit closes when the condition holds at j0 too,
-    s_{j0} * sigma(M[last]) = M[j0], else NotMonomialCocycle.  For scales in
-    k that says their product is 1, the free row being sigma^d-fixed; a full
-    orbit of an honest cocycle, such as A_sigma / lam, always closes.
+    R is zero except on the smallest index j0 of each pi-orbit: there it
+    holds s_{j0} l_1, s_{j0} l_2, ... on the orbit's columns in ascending
+    order, and l_1 / Tr(l_1) when the orbit is the fixed index j0 alone.
+    When an orbit's scale product is 1 and its scales lie in k, the
+    averaged row j0 is s_{j0} times the coset sums l_{1+t} + l_{1+t+d} + ...
+    of sigma^d, d the orbit size, and a fixed index gets 1.  Otherwise it is
+    Hilbert 90's row for L over the fixed field of sigma^d, which exists for
+    every honest cocycle; the average is then certified like any other, by
+    its rank and `check_split`.
     """
     L = xi.extension
     if nb.extension != L:
@@ -174,55 +175,22 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
         raise NotMonomialCocycle("cocycle value is not a scaled permutation")
     if xi.scalar_class != L.one():
         raise NotHonestCocycle("structured split requires an honest cocycle")
-    n1 = L.degree
-    size = xi.size
-    perm, scales = sp.perm, sp.scales
-
-    seen = [False] * size
-    orbits: list[list[int]] = []
-    for j in range(size):
-        if seen[j]:
+    labels = nb.elements
+    rows = [[L.zero()] * xi.size for _ in range(xi.size)]
+    seen: set[int] = set()
+    for j0 in range(xi.size):
+        if j0 in seen:
             continue
-        orbit = []
-        cur = j
-        while not seen[cur]:
-            seen[cur] = True
-            orbit.append(cur)
-            cur = perm[cur]
-        orbits.append(orbit)
-
-    rows: list[list[ExtElement] | None] = [None] * size
-    zero = L.zero()
-    for orbit in orbits:
-        d = len(orbit)
-        if n1 % d != 0:
-            raise NotMonomialCocycle(
-                f"orbit size {d} does not divide the Galois order {n1}")
-        j0 = min(orbit)
-        cols = sorted(orbit)
-        row = [zero] * size
-        if d == 1:
-            row[j0] = L.one()
+        orbit = [j0]
+        while sp.perm[orbit[-1]] != j0:
+            orbit.append(sp.perm[orbit[-1]])
+        seen.update(orbit)
+        if len(orbit) == 1:
+            rows[j0][j0] = labels[0] * sum(labels, L.zero()).inverse()
         else:
-            labels = []
-            for t in range(d):
-                s = L.zero()
-                for rep in range(n1 // d):
-                    s = s + nb.elements[(t + rep * d) % n1]
-                labels.append(s)
-            for t, c in enumerate(cols):
-                row[c] = scales[j0] * labels[t]
-        rows[j0] = row
-        cur = j0
-        for _ in range(d - 1):
-            nxt = perm[cur]
-            rows[nxt] = [scales[nxt] * galois_apply(L, x, 1) for x in rows[cur]]
-            cur = nxt
-        if [scales[j0] * galois_apply(L, x, 1) for x in rows[cur]] != row:
-            raise NotMonomialCocycle(
-                "orbit rows do not close; no structured row exists")
-
-    M = from_rows(L, rows)  # type: ignore[arg-type]
+            for t, c in enumerate(sorted(orbit)):
+                rows[j0][c] = sp.scales[j0] * labels[t]
+    M = _average(xi, from_rows(L, rows))
     if rank(M) < M.rows:
         raise InternalDescentFailure("structured split produced a singular matrix")
     check_split(xi, M)

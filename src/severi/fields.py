@@ -713,7 +713,7 @@ def frobenius_extension(p: int, degree: int) -> CyclicExtension:
 def galois_apply(L: CyclicExtension, x: ExtElement, j: int) -> ExtElement:
     """sigma^j applied to x; sigma^0 is the identity."""
     j %= L.degree
-    if j == 0:
+    if j == 0 or not x:
         return x
     k = L.base
     cols = L._galois_coord_maps[j]
@@ -736,13 +736,6 @@ def norm(L: CyclicExtension, x: ExtElement) -> Scalar:
     out = L.one()
     for c in conjugates(L, x):
         out = out * c
-    return out.base_value()
-
-
-def trace(L: CyclicExtension, x: ExtElement) -> Scalar:
-    out = L.zero()
-    for c in conjugates(L, x):
-        out = out + c
     return out.base_value()
 
 

@@ -58,15 +58,6 @@ class Matrix:
         return Matrix(self.ext, self.rows, self.cols,
                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.map(lambda e: -e)
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        return mul(self, other)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def __repr__(self) -> str:
         rows = [" ".join(repr(self.at(i, j)) for j in range(self.cols))
                 for i in range(self.rows)]

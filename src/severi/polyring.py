@@ -44,12 +44,6 @@ class MultiPoly:
         degs = {sum(e) for e, _ in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps: Exponents) -> ExtElement:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return self.ext.zero()
-
     def __add__(self, other):
         other = self._coerce(other)
         acc = self.terms_dict()
@@ -65,9 +59,6 @@ class MultiPoly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):

@@ -398,22 +398,6 @@ def proportional(F: MultiPoly, G: MultiPoly) -> Optional[ExtElement]:
     return c
 
 
-def twisted_curve_model(model: SurfaceModel, dprime: int) -> list[MultiPoly]:
-    """Equations of the twisted degree-(n+1)d' curve inside P^{m-1}: the
-    surface equations plus the Picard generator on the model's normal
-    basis.  The generator's pullback through the parametrization must be a
-    nonzero multiple of the Fermat polynomial; that identity is checked
-    here."""
-    gen = picard_generator(model.extension, model.a, dprime)
-    pulled = pullback_to_plane(model, gen.equation)
-    target = fermat(model.extension, dprime, model.a).poly
-    c = proportional(pulled, target)
-    if c is None or c.is_zero():
-        raise InternalDescentFailure(
-            "Picard generator does not pull back to the Fermat polynomial")
-    return list(model.equations_over_k) + [gen.equation]
-
-
 # ---------------------------------------------------------------------------
 # the displayed n = 2 equation system
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from .fields import (GF, CyclicExtension, find_normal_basis, frobenius_extension
                      norm_witness, row_reduce)
 from .linalg import Matrix, inverse, mul
 from .polyring import MultiPoly, jacobian, make_poly
-from .twisting import (SurfaceModel, appendix_model, fermat, image_defect,
-                       picard_generator, proportional, pullback_to_plane,
-                       surface_model, verify_theorem1_equations)
+from .twisting import (SURFACE_MAX_N, SurfaceModel, appendix_model, fermat,
+                       image_defect, picard_generator, proportional,
+                       pullback_to_plane, surface_model,
+                       verify_theorem1_equations)
 from .veronese import induced_matrix
 
 SMOOTHNESS_MAX_P = 3  # one check per point, emitted by the `counts` suite
@@ -247,6 +248,9 @@ def _suite_cocycle(L, a, dprime, model_of) -> list[Check]:
 def _suite_split(L, a, dprime, model_of) -> list[Check]:
     # both splits pass `check_split`, the zero residual, before they return;
     # two splits of one cocycle differ by X = Ms^{-1} Mg in GL_m(k)
+    if L.degree - 1 > SURFACE_MAX_N:  # refused before the lift
+        raise InputError(f"n = {L.degree - 1} is out of reach: the split suite "
+                         f"goes up to n = {SURFACE_MAX_N}")
     lift = lift_to_veronese(cyclic_cocycle(L, a))
     Ms_inv = inverse(split_structured(lift, find_normal_basis(L)))
     checks = [Check("structured-residual-zero", "pass")]

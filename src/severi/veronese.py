@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 from .errors import DegreeTooSmall, InputError, Singular
 from .fields import CyclicExtension
@@ -29,9 +28,6 @@ class MonomialBasis:
     degree: int
     list: tuple[tuple[int, ...], ...]
     m: int
-
-    def index(self, exps: Sequence[int]) -> int:
-        return self.list.index(tuple(exps))
 
     def pure_power_indices(self) -> tuple[int, ...]:
         """Indices of X_i^degree for i = 0..n, in variable order."""

@@ -223,6 +223,15 @@ def test_surface_refuses_n_beyond_reach(capsys, n, quadrics):
     assert f"{quadrics} quadrics" in err
 
 
+def test_split_suite_refuses_n_beyond_reach(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--field", "finite:p=2", "--n", "4",
+                         "--a", "1", "--suite", "split")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2 and out == ""
+    assert "split suite goes up to n = 3" in err
+
+
 def test_picard_and_algebra_take_n_4(capsys):
     for command in ("picard", "algebra"):
         code, out, _ = run(capsys, command, "--field", "finite:p=2", "--n", "4",

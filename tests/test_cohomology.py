@@ -1,4 +1,6 @@
 """Cocycles for the cyclic Galois group and constructive splittings."""
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,9 +10,9 @@ import pytest
 from severi import (
     QQ,
     coboundary_from_witness,
-    cocycle_value,
     cyclic_cocycle,
     find_normal_basis,
+    frobenius_extension,
     from_rows,
     galois_matrix,
     identity,
@@ -32,7 +34,7 @@ from severi import (
 )
 from severi import cohomology
 from severi.cohomology import check_split
-from severi.linalg import zeros
+from severi.linalg import matrix_to_json, zeros
 from severi.twisting import image_defect
 from severi.verify import base_change_matrix
 from severi.veronese import ParametrizationMap
@@ -91,12 +93,14 @@ def test_zero_a_rejected(shanks1):
 
 def test_twisted_product_value(shanks1):
     xi = cyclic_cocycle(shanks1, F(2))
-    assert cocycle_value(xi, 0) == identity(shanks1, 3)
-    assert cocycle_value(xi, 1) == xi.at_generator
+    assert len(xi.values) == 3
+    assert xi.values[0] == identity(shanks1, 3)
+    assert xi.values[1] == xi.at_generator
     # xi(sigma^2) = xi(sigma) . sigma(xi(sigma))
     expected = mul(xi.at_generator, galois_matrix(shanks1, xi.at_generator, 1))
-    assert cocycle_value(xi, 2) == expected
-    assert cocycle_value(xi, 3) == identity(shanks1, 3).scale(a_el(shanks1, 2))
+    assert xi.values[2] == expected
+    assert mul(expected, galois_matrix(shanks1, xi.at_generator, 2)) == identity(
+        shanks1, 3).scale(a_el(shanks1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,8 @@ def test_lift_is_honest_scaled_permutation(shanks1):
     assert lift.size == 10
     assert lift.scalar_class == shanks1.one()
     assert as_scaled_permutation(lift.at_generator) is not None
-    assert cocycle_value(lift, 3) == identity(shanks1, 10)
+    assert mul(lift.values[2], galois_matrix(shanks1, lift.at_generator, 2)) == identity(
+        shanks1, 10)
 
 
 def test_lift_identity_cocycle(shanks1):
@@ -121,10 +126,10 @@ def test_lift_commutes_with_twisted_product(shanks1):
     xi = cyclic_cocycle(shanks1, F(2))
     lift = lift_to_veronese(xi)
     mb = monomial_basis(2, 3)
-    for j in range(4):
+    for j in range(3):
         norm_by = a_el(shanks1, 2 ** j)
-        assert induced_matrix(mb, cocycle_value(xi, j)).scale(
-            norm_by.inverse()) == cocycle_value(lift, j)
+        assert induced_matrix(mb, xi.values[j]).scale(
+            norm_by.inverse()) == lift.values[j]
 
 
 def test_lift_of_coboundary_splits_over_base(shanks1):
@@ -146,7 +151,7 @@ def test_split_identity_cocycle(shanks1):
 def test_split_generic_residual_zero(shanks1):
     lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
     M = split_generic(lift, rng_seed=0)
-    assert (mul(lift.at_generator, galois_matrix(shanks1, M, 1)) - M).is_zero()
+    assert mul(lift.at_generator, galois_matrix(shanks1, M, 1)) == M
 
 
 def test_split_generic_finite_field(f7):
@@ -204,15 +209,66 @@ def test_structured_rejects_dense_cocycle(shanks1, nb1):
         split_structured(dense, nb1)
 
 
-def test_structured_rejects_orbit_that_does_not_close():
-    # over Q(i), [-1] is honest ((-1) * sigma(-1) = 1) and splits as
-    # i / sigma(i), but its one-point orbit has scale -1, so no structured
-    # row exists
+def test_structured_splits_fixed_index_of_scale_minus_one():
+    # over Q(i), [-1] is honest ((-1) * sigma(-1) = 1); its one-point orbit
+    # has scale -1, so the split is not 1 but the Hilbert 90 average
+    # (l_1 - l_2) / Tr(l_1), which sigma negates
     Qi = make_extension(QQ, [1, 0, 1], [0, -1])
     xi = make_cocycle(Qi, from_rows(Qi, [[-1]]))
     assert xi.scalar_class == Qi.one()
-    with pytest.raises(NotMonomialCocycle, match="do not close"):
-        split_structured(xi, find_normal_basis(Qi))
+    nb = find_normal_basis(Qi)
+    M = split_structured(xi, nb)
+    check_split(xi, M)
+    l1, l2 = nb.elements
+    assert M.at(0, 0) == (l1 - l2) / (l1 + l2)
+
+
+def test_structured_splits_sym2_orbits_of_scale_product_minus_one(zeta5):
+    # Sym^2 of the companion value at a = -1 is honest ((-1)^2 = 1), and its
+    # orbit {x0x2, x1x3} of size 2 has scale product -1
+    A = cyclic_cocycle(zeta5, F(-1)).at_generator
+    xi = make_cocycle(zeta5, induced_matrix(monomial_basis(3, 2), A))
+    assert xi.scalar_class == zeta5.one()
+    M = split_structured(xi, find_normal_basis(zeta5))
+    assert M.rows == 10 and rank(M) == 10
+    check_split(xi, M)
+
+
+def _structured_split(L, a):
+    return split_structured(lift_to_veronese(cyclic_cocycle(L, a)),
+                            find_normal_basis(L))
+
+
+def _witness_coboundary():
+    L = make_shanks_cubic(1)
+    return coboundary_from_witness(L, F(-1), L.one() + L.theta())
+
+
+# sha256 of json.dumps(matrix_to_json(M)), recorded before the structured
+# split became an average; every split the program makes stays the same
+STRUCTURED_SPLITS = {
+    "shanks3": ("b5ed2fffa31d03f5afba5594fe5998b1d477b0359e03a7f0ad82b763d1be8917",
+                lambda: _structured_split(make_shanks_cubic(3), F(-5) / 2)),
+    "f343": ("3c15690002261155a3c5787be5727c7c018cd1f1d0e47c3d65ae8015d0cfbd1f",
+             lambda: _structured_split(frobenius_extension(7, 3), 3)),
+    "f625": ("af737b7ff7591e679c3a9b742ffe498f8849a1962333b8793bc90503ed98951d",
+             lambda: _structured_split(frobenius_extension(5, 4), 2)),
+    "zeta5": ("6db3bb20e5fd9974a6c566284f1592041a92abafb6cd1ae7feb5f1e0deceef09",
+              lambda: _structured_split(
+                  make_extension(QQ, [1, 1, 1, 1, 1], [0, 0, 1]), F(5))),
+    "qi-conic": ("684beefbae1501eb4ee130d213153f77949f13e8bfeecf4fc192ef368ff7c9ac",
+                 lambda: _structured_split(
+                     make_extension(QQ, [1, 0, 1], [0, -1]), F(2))),
+    "witness": ("3cef6cde547a7b043c5a25f97317868c251a0dc21d71cc98491e80b108f00189",
+                _witness_coboundary),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_SPLITS))
+def test_structured_split_pinned(name):
+    digest, build = STRUCTURED_SPLITS[name]
+    M = build()
+    assert hashlib.sha256(json.dumps(matrix_to_json(M)).encode()).hexdigest() == digest
 
 
 def test_companion_scalar_class_is_checked(shanks1, monkeypatch):

@@ -17,7 +17,6 @@ from severi import (
     make_shanks_cubic,
     norm,
     norm_witness,
-    trace,
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroA
 from severi.fields import (NormalBasis, conjugates, poly_check_irreducible,
@@ -26,6 +25,12 @@ from severi.fields import (NormalBasis, conjugates, poly_check_irreducible,
 
 def F(x):
     return Fraction(x)
+
+
+def trace(L, x):
+    """The sum of the conjugates, the reference for `find_normal_basis`'s
+    trace_value."""
+    return sum(conjugates(L, x), L.zero()).base_value()
 
 
 # ---------------------------------------------------------------------------

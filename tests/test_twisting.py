@@ -40,7 +40,6 @@ from severi import (
     split_structured,
     substitute_linear,
     surface_model,
-    twisted_curve_model,
     verify_theorem1_equations,
 )
 from severi.errors import InputError, InternalDescentFailure, ShapeMismatch, ZeroA
@@ -422,26 +421,27 @@ def test_picard_n3(zeta5):
 # twisted curves
 # ---------------------------------------------------------------------------
 
-def test_twisted_curve_pullback_cubic(shanks1, model_q):
-    eqs = twisted_curve_model(model_q, 1)
-    assert len(eqs) == len(model_q.equations_over_k) + 1
-    gen = eqs[-1]
-    pulled = pullback_to_plane(model_q, gen)
-    c = proportional(pulled, fermat(shanks1, 1, F(2)).poly)
+def _fermat_multiple(model, dprime):
+    """The c with Picard generator o P o Ver = c * Fermat, or None: the
+    twisted curve is the model cut by the generator."""
+    gen = picard_generator(model.extension, model.a, dprime)
+    return proportional(pullback_to_plane(model, gen.equation),
+                        fermat(model.extension, dprime, model.a).poly)
+
+
+def test_twisted_curve_pullback_cubic(model_q):
+    c = _fermat_multiple(model_q, 1)
     assert c is not None and not c.is_zero()
 
 
-def test_twisted_curve_pullback_sextic(shanks1, model_q):
-    eqs = twisted_curve_model(model_q, 2)
-    pulled = pullback_to_plane(model_q, eqs[-1])
-    c = proportional(pulled, fermat(shanks1, 2, F(2)).poly)
+def test_twisted_curve_pullback_sextic(model_q):
+    c = _fermat_multiple(model_q, 2)
     assert c is not None and not c.is_zero()
 
 
 def test_twisted_curve_trivial_class(shanks1):
-    model = surface_model(shanks1, F(1))
-    eqs = twisted_curve_model(model, 1)
-    assert len(eqs) == len(model.equations_over_k) + 1
+    c = _fermat_multiple(surface_model(shanks1, F(1)), 1)
+    assert c is not None and not c.is_zero()
 
 
 # ---------------------------------------------------------------------------
