@@ -40,7 +40,6 @@ from .linalg import (
     identity,
     mul,
     rank,
-    zeros,
 )
 from .veronese import induced_matrix, monomial_basis
 
@@ -124,12 +123,21 @@ def check_split(xi: Cocycle, M: Matrix) -> None:
 def _average(xi: Cocycle, R: Matrix) -> Matrix:
     """Hilbert 90's average sum_j xi(sigma^j) sigma^j(R), j = 0..n.  For an
     honest cocycle it satisfies xi(sigma) sigma(M) = M, because the sum
-    is the same after the shift j -> j + 1 when xi(sigma^{n+1}) = I."""
+    is the same after the shift j -> j + 1 when xi(sigma^{n+1}) = I.
+
+    Only the nonzero products of the two factors' `sparse_rows` are
+    summed, into entries that start from L.zero()."""
     L = xi.extension
-    M = zeros(L, xi.size, xi.size)
+    size = xi.size
+    entries = [L.zero()] * (size * size)
     for j, value in enumerate(xi.values):
-        M = M + mul(value, galois_matrix(L, R, j))
-    return M
+        conj = [[(k, galois_apply(L, r, j)) for k, r in row]
+                for row in R.sparse_rows]
+        for i, row in enumerate(value.sparse_rows):
+            for t, v in row:
+                for k, r in conj[t]:
+                    entries[i * size + k] += v * r
+    return Matrix(L, size, size, tuple(entries))
 
 
 # pseudo-random trial matrices tried by split_generic

@@ -21,9 +21,10 @@ instead of one per scalar operation.  Sums and differences work on the
 coordinate tuples directly.
 
 All exact linear algebra of the package, over k and over L, is one
-Gauss-Jordan elimination, `row_reduce`; a CyclicExtension offers the
-BaseField operations it uses.  The plain-text term joiner `format_terms`
-is shared with severi.grammar.
+sparse Gauss-Jordan elimination, `row_reduce`, which keeps only the
+nonzero entries of each row; a CyclicExtension offers the BaseField
+operations it uses, `zero` and `inv`.  The plain-text term joiner
+`format_terms` is shared with severi.grammar.
 
 Scalars, elements and extensions have JSON writers (`scalar_to_json`,
 `element_to_json`, `extension_to_json`) and no readers: no program path
@@ -530,13 +531,7 @@ class CyclicExtension:
                 little = tup[::-1]  # first coordinate varies fastest
                 yield self.el([seq[i] for i in little])
 
-    # -- the BaseField operations row_reduce uses ---------------------------
-
-    def mul(self, a: "ExtElement", b: "ExtElement") -> "ExtElement":
-        return a * b
-
-    def sub(self, a: "ExtElement", b: "ExtElement") -> "ExtElement":
-        return a - b
+    # -- the BaseField operation row_reduce uses besides zero() -------------
 
     def inv(self, a: "ExtElement") -> "ExtElement":
         return a.inverse()
@@ -629,11 +624,15 @@ class ExtElement:
         return tuple(c.numerator * (d // c.denominator) for c in self.coeffs), d
 
     def inverse(self) -> "ExtElement":
+        """The product of the other conjugates sigma^j(x), j = 1..n, divided
+        by the norm, which is x times that product."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in extension")
-        k, ext = self.ext.base, self.ext
-        u = poly_ext_euclid(k, poly_trim(k, self.coeffs), ext.f)
-        return ExtElement(ext, ext._pad(u))
+        ext = self.ext
+        rest = galois_apply(ext, self, 1)
+        for j in range(2, ext.degree):
+            rest = rest * galois_apply(ext, self, j)
+        return rest * ext.base.inv((self * rest).coeffs[0])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -741,35 +740,63 @@ def norm(L: CyclicExtension, x: ExtElement) -> Scalar:
 
 def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]
                ) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension.
+    """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension,
+    on sparse rows.
 
-    Returns the reduced row echelon form and its pivot columns.  Each pivot
-    is inverted once, and zero entries of the pivot row are skipped; zero
-    tests use truthiness, which is false for Fraction(0), the int 0 and a
-    zero ExtElement.
+    Returns the reduced row echelon form, dense: its pivot rows in pivot
+    order, then its zero rows, every zero entry `field.zero()`; and its
+    pivot columns.  Each row is kept as a dict from column to nonzero
+    entry, and each column as the set of rows holding it.  Columns are
+    taken in order; the pivot of a column is the unpivoted row with the
+    fewest nonzeros that holds it (the lowest index on ties), scaled by one
+    inverse and cleared from every other row that holds the column.  The
+    reduced row echelon form is unique, so the pivot choice changes no
+    entry.  Zero tests use truthiness, which is false for Fraction(0), the
+    int 0 and a zero ExtElement.
     """
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    mul, sub = field.mul, field.sub
+    ncols = len(rows[0]) if rows else 0
+    p = field.p if isinstance(field, BaseField) else None
+    zero = field.zero()
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    free = set(range(len(sparse)))
+    order: list[int] = []
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        if r == len(m):
+        if not free:
             break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+        held = holders.get(c, ())
+        r = min((i for i in held if i in free),
+                key=lambda i: (len(sparse[i]), i), default=None)
+        if r is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [mul(x, inv) if x else x for x in m[r]]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(m[i], m[r])]
+        inv = field.inv(sparse[r][c])
+        prow = sparse[r] = {j: (x * inv) % p if p else x * inv
+                            for j, x in sparse[r].items()}
+        for i in [i for i in held if i != r]:
+            row = sparse[i]
+            f = row[c]
+            for j, y in prow.items():
+                x = row.get(j)
+                v = (zero if x is None else x) - f * y
+                if p:
+                    v %= p
+                if v:
+                    row[j] = v
+                    if x is None:
+                        holders[j].add(i)
+                elif x is not None:
+                    del row[j]
+                    holders[j].discard(i)
+        free.discard(r)
+        order.append(r)
         pivots.append(c)
-        r += 1
-    return m, pivots
+    dense = [[sparse[i].get(j, zero) for j in range(ncols)] for i in order]
+    dense += [[zero] * ncols for _ in range(len(sparse) - len(order))]
+    return dense, pivots
 
 
 @dataclass(frozen=True)

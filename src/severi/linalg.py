@@ -1,8 +1,9 @@
 """Exact dense matrices over cyclic-extension elements.
 
-Inverses, ranks and row echelon forms are all read off one Gauss-Jordan
-elimination, severi.fields.row_reduce, with exact field arithmetic in L
-(see severi.fields for the integer product kernel); a square matrix is
+Inverses, ranks and row echelon forms are all read off one sparse
+Gauss-Jordan elimination, severi.fields.row_reduce, which touches only the
+nonzero entries of each row, with exact field arithmetic in L (see
+severi.fields for the integer product kernel); a square matrix is
 invertible exactly when its rank is its size.  A scaled-permutation
 recognizer supports the structured Hilbert 90 split, whose input matrices
 are monomial.
@@ -52,12 +53,6 @@ class Matrix:
     def scale(self, c: ExtElement) -> "Matrix":
         return self.map(lambda e: e * c)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix addition shape mismatch")
-        return Matrix(self.ext, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __repr__(self) -> str:
         rows = [" ".join(repr(self.at(i, j)) for j in range(self.cols))
                 for i in range(self.rows)]
@@ -80,11 +75,6 @@ def identity(ext: CyclicExtension, n: int) -> Matrix:
     one, zero = ext.one(), ext.zero()
     return Matrix(ext, n, n,
                   tuple(one if i == j else zero for i in range(n) for j in range(n)))
-
-
-def zeros(ext: CyclicExtension, rows: int, cols: int) -> Matrix:
-    z = ext.zero()
-    return Matrix(ext, rows, cols, tuple(z for _ in range(rows * cols)))
 
 
 def mul(A: Matrix, B: Matrix) -> Matrix:

@@ -5,12 +5,19 @@ Fermat-type Picard generators.
 The splitting matrix M maps the model to the standard Veronese image, so
 model points are M^{-1} (Veronese points) and model equations are the
 ideal quadrics composed with M: Q(M w) = 0.  Descent to k is one row
-reduction over k, of the theta-coordinates F_i of every twisted quadric
-F = sum_i theta^i F_i.  The L-span V of the family lies in the L-span of
-the F_i, and equals it exactly when V is Galois stable; the k-reduced basis
-of the F_i then has dim_L V rows and is the unique reduced basis of V.
-`surface_model` proves that of each model it returns by `image_defect`,
-whose count clause fails when the reduction returns more rows.
+reduction over k, of the theta-coordinates F_i of twisted quadrics
+F = sum_i theta^i F_i.  The F_i span over L the same space as the
+conjugates sigma^s(F), so the k-reduced basis of the F_i is the reduced
+basis of the smallest sigma-stable L-space that holds the family: its
+sigma-closure.  The lift rotates exponent sums in the plane variables, so
+sigma carries the twisted quadrics of one exponent sum onto those of the
+rotated sum, and the sigma-closure of one exponent-sum group per rotation
+orbit (`orbit_representatives`) is the whole twisted ideal V when V is
+sigma-stable; only those groups are twisted and descended.  A reduced row
+echelon form is unique, so the result is V's reduced basis, entry for
+entry.  `surface_model` proves that of each model it returns by
+`image_defect`: when the twist is not sigma-stable, the sigma-closure is
+not V, and the count or the vanishing clause fails.
 
 The certificate's last clause, that every equation vanishes on P o Ver, is
 decided in integers over k, with no substitution over L.  It is exact for
@@ -126,18 +133,20 @@ class SurfaceModel:
 def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
                     ) -> list[MultiPoly]:
     """The reduced row-echelon basis over k of the theta-coordinates of the
-    family: the reduced basis of its L-span V exactly when it has dim_L V
-    rows.
+    family: the reduced basis of the sigma-closure of the family, the
+    smallest sigma-stable L-space that holds it.
 
     Write each member as F = sum_i theta^i F_i with every F_i over k, and
-    let W be the k-span of the F_i.  V lies in L W, so dim_L V <= dim_k W.
-    When V is sigma-stable each F_i lies in V, since the F_i are
-    L-combinations of the conjugates sigma^s(F) (the Vandermonde matrix of
-    the conjugates of theta is invertible); then V = L W and the result is
-    the unique reduced basis of V.  Otherwise it has more than dim_L V
-    rows.  Nothing here tells the cases apart: `surface_model` certifies
-    each model by `image_defect`.  A member over another extension raises
-    InputError.
+    let W be the k-span of the F_i.  Each conjugate sigma^s(F) is
+    sum_i sigma^s(theta)^i F_i, and the Vandermonde matrix of the
+    conjugates of theta is invertible, so the F_i and the conjugates of F
+    span the same L-space: L W is the sigma-closure of the family.  A
+    k-basis of W is an L-basis of L W, and reduced row echelon forms are
+    unique, so the result is the reduced basis of L W.  When the family's
+    L-span V is sigma-stable that is V's reduced basis; `surface_model`
+    descends only one exponent-sum group per rotation orbit, whose
+    sigma-closure is the whole twisted ideal, and certifies each model by
+    `image_defect`.  A member over another extension raises InputError.
     """
     for F in family:
         if F.ext is not L and F.ext != L:
@@ -279,7 +288,32 @@ def image_defect(equations: Sequence[MultiPoly], basis: MonomialBasis,
     return None
 
 
-# at n = 4 the dense k-rref of the 7000 twisted quadrics holds 280M cells
+def orbit_representatives(basis: MonomialBasis, quads: Sequence[MultiPoly]
+                          ) -> list[MultiPoly]:
+    """The quadrics whose exponent sum in the plane variables comes first in
+    its orbit under cyclic shift of the n+1 entries, in the given order.
+
+    Each quadric of `veronese_ideal` is a binomial in one group of pairs
+    with equal exponent sum s = b_i + b_j, read here from its leading
+    monomial w_i w_j.  The lift rotates exponent sums, so sigma carries the
+    twisted group of s onto that of the rotated s, and the sigma-closure of
+    one group per orbit is the whole twisted ideal (see `descend_to_base`).
+    """
+    first: dict[Exponents, Exponents] = {}
+    out = []
+    for Q in quads:
+        e = Q.terms[0][0]
+        s = tuple(sum(k * b[i] for k, b in zip(e, basis.list) if k)
+                  for i in range(basis.n + 1))
+        orbit = min(s[t:] + s[:t] for t in range(len(s)))
+        if first.setdefault(orbit, s) == s:
+            out.append(Q)
+    return out
+
+
+# n = 4 is refused: the k-reduction of its 1420 orbit representatives,
+# 7100 rows on 8001 columns, takes about a minute, and its dense rows in and
+# out of row_reduce peak near 1.9 GB
 SURFACE_MAX_N = 3
 
 
@@ -300,7 +334,7 @@ def surface_model(L: CyclicExtension, a) -> SurfaceModel:
     lifted = lift_to_veronese(xi)
     nb = find_normal_basis(L)
     M = split_structured(lifted, nb)
-    quads = veronese_ideal(basis, L)
+    quads = orbit_representatives(basis, veronese_ideal(basis, L))
     twisted = [substitute_linear(Q, M) for Q in quads]
     equations = tuple(descend_to_base(L, twisted))
     P = inverse(M)

@@ -290,3 +290,19 @@ def test_criterion_11_n3_check_over_f5(capsys):
     dt = elapsed_under(t0, 20.0, "criterion 11")
     print(f"\n[criterion 11] PASS n = 3 --check over F_5 (156 points) "
           f"in {dt:.2f}s")
+
+
+def test_criterion_12_n3_check_over_q_zeta5(capsys):
+    """`surface --n 3 --check` over Q(zeta_5), a = 5: 465 quadrics over Q,
+    their count and their vanishing on P o Ver, with the stdout pinned."""
+    t0 = time.perf_counter()
+    code = cli_main(["surface", "--field", "poly:x^4+x^3+x^2+x+1;galois:x^2",
+                     "--n", "3", "--a", "5", "--check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("2 checks: 2 pass, 0 flagged, 0 fail\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e236edd830dd2a2b74e1631d8ffd838c00048d2915ca05d50609d8e8ee2e46b9")
+    dt = elapsed_under(t0, 60.0, "criterion 12")
+    print(f"\n[criterion 12] PASS n = 3 --check over Q(zeta_5) (465 quadrics) "
+          f"in {dt:.2f}s")

@@ -34,7 +34,7 @@ from severi import (
 )
 from severi import cohomology
 from severi.cohomology import check_split
-from severi.linalg import matrix_to_json, zeros
+from severi.linalg import matrix_to_json
 from severi.twisting import image_defect
 from severi.verify import base_change_matrix
 from severi.veronese import ParametrizationMap
@@ -290,7 +290,7 @@ def test_splits_reject_singular_matrices(shanks1, monkeypatch):
     with pytest.raises(InternalDescentFailure, match="singular"):
         split_structured(lift, ones)
     monkeypatch.setattr(cohomology, "_random_matrix",
-                        lambda L, size, rng: zeros(L, size, size))
+                        lambda L, size, rng: from_rows(L, [[0] * size] * size))
     with pytest.raises(AllAttemptsSingular):
         split_generic(lift)
 

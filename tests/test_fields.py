@@ -19,8 +19,8 @@ from severi import (
     norm_witness,
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroA
-from severi.fields import (NormalBasis, conjugates, poly_check_irreducible,
-                           row_reduce)
+from severi.fields import (BaseField, NormalBasis, conjugates,
+                           poly_check_irreducible, row_reduce)
 
 
 def F(x):
@@ -471,3 +471,88 @@ def test_row_reduce_matches_sympy(p):
         if want_det != 0:
             want_inv = [[_sympy_scalar(x, p) for x in row] for row in D.inv().to_list()]
             assert [row[r:] for row in R2] == want_inv
+
+
+# ---------------------------------------------------------------------------
+# row_reduce against a dense Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+def _dense_row_reduce(field, rows):
+    """Dense Gauss-Jordan elimination, kept as the reference: the first
+    unreduced row holding a column is its pivot, and every row is walked
+    over all columns."""
+    if isinstance(field, BaseField):
+        mul, sub = field.mul, field.sub
+    else:
+        mul, sub = (lambda a, b: a * b), (lambda a, b: a - b)
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [mul(x, inv) if x else x for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [sub(x, mul(f, y)) if y else x for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _entry_types(R):
+    """The type of each nonzero entry, and of each coordinate of an
+    extension element."""
+    return [[(type(x), tuple(map(type, getattr(x, "coeffs", ())))) for x in row if x]
+            for row in R]
+
+
+def _random_rows(field, scalar, rng, rows, cols, density):
+    """rows x cols entries, each nonzero with probability `density`, with
+    some rows repeated as combinations of others so the rank drops."""
+    p = field.p if isinstance(field, BaseField) else None
+    zero = field.zero()
+    out = [[scalar() if rng.random() < density else zero for _ in range(cols)]
+           for _ in range(rows)]
+    for i in range(rows // 3):
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        c = scalar()
+        out[i] = [(x + c * y) % p if p else x + c * y
+                  for x, y in zip(out[a], out[b])]
+    return out
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "shanks1", "F_7^3"])
+def test_row_reduce_matches_dense_reference(name):
+    rng = random.Random(11)
+    if name == "Q":
+        field = QQ
+        scalar = lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    elif name == "F7":
+        field = GF(7)
+        scalar = lambda: rng.randrange(1, 7)
+    else:
+        field = make_shanks_cubic(1) if name == "shanks1" else frobenius_extension(7, 3)
+        if field.base.p is None:
+            coord = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        else:
+            coord = lambda: rng.randrange(7)
+        scalar = lambda: field.el([coord() for _ in range(3)]) or field.one()
+    shapes = [(1, 1), (4, 4), (6, 3), (3, 7), (12, 12), (20, 9), (9, 25)]
+    for rows, cols in shapes:
+        for density in (0.1, 0.3, 1.0):
+            A = _random_rows(field, scalar, rng, rows, cols, density)
+            R, pivots = row_reduce(field, A)
+            want_R, want_pivots = _dense_row_reduce(field, A)
+            assert pivots == want_pivots
+            assert R == want_R
+            assert _entry_types(R) == _entry_types(want_R)
+            assert all(not x for row in R[len(pivots):] for x in row)

@@ -53,6 +53,7 @@ from severi.twisting import (
     _displayed_forms,
     _displayed_relations,
     _equation7_reconstruction,
+    orbit_representatives,
     proportional,
     vanishes_on_image,
 )
@@ -184,7 +185,20 @@ def _twisted_family(L, a):
 
 def _assert_descent_matches_reference(L, a):
     family = _twisted_family(L, a)
-    assert descend_to_base(L, family) == _descend_over_L(L, family)
+    full = descend_to_base(L, family)
+    assert full == _descend_over_L(L, family)
+    assert _descend_representatives(L, a) == full
+
+
+def _descend_representatives(L, a):
+    """The descent as `surface_model` runs it: only the quadrics of
+    `orbit_representatives` are twisted."""
+    n = L.degree - 1
+    basis = monomial_basis(n, n + 1)
+    M = split_structured(lift_to_veronese(cyclic_cocycle(L, a)),
+                         find_normal_basis(L))
+    reps = orbit_representatives(basis, veronese_ideal(basis, L))
+    return descend_to_base(L, [substitute_linear(Q, M) for Q in reps])
 
 
 # each example twists and descends, so a failure is reported as drawn, unshrunk
@@ -195,7 +209,7 @@ def test_descent_matches_reference_shanks(t, a):
     _assert_descent_matches_reference(SHANKS[t], a)
 
 
-@pytest.mark.parametrize("p,a", [(2, 1), (3, 2), (7, 3), (53, 5)])
+@pytest.mark.parametrize("p,a", [(2, 1), (3, 2), (5, 2), (7, 3), (53, 5)])
 def test_descent_matches_reference_finite(p, a):
     _assert_descent_matches_reference(frobenius_extension(p, 3), a)
 
@@ -207,6 +221,28 @@ def test_descent_matches_reference_denominator_8():
 
 def test_descent_matches_reference_conic_over_q_i():
     _assert_descent_matches_reference(make_extension(QQ, [1, 0, 1], [0, -1]), F(2))
+
+
+def test_orbit_representatives_counts():
+    # n = 2: 27 quadrics in 19 exponent-sum groups, 11 of them kept;
+    # n = 3: 465 quadrics, 127 kept
+    for n, quads, kept in ((2, 27, 11), (3, 465, 127)):
+        L = frobenius_extension(5, n + 1)
+        basis = monomial_basis(n, n + 1)
+        all_quads = veronese_ideal(basis, L)
+        reps = orbit_representatives(basis, all_quads)
+        assert (len(all_quads), len(reps)) == (quads, kept)
+        assert all(any(Q is R for R in all_quads) for Q in reps)
+
+
+def test_descent_of_representatives_n3_f625(model_n3_f5):
+    # the whole twisted ideal and one exponent-sum group per orbit descend
+    # to the same reduced basis, the pinned n = 3 model over F_{5^4}
+    L = model_n3_f5.extension
+    full = descend_to_base(L, _twisted_family(L, 2))
+    assert len(full) == 465
+    assert tuple(full) == model_n3_f5.equations_over_k
+    assert _descend_representatives(L, 2) == full
 
 
 @pytest.mark.parametrize("field", ["shanks1", "f7"])
@@ -371,16 +407,34 @@ def _break_split(monkeypatch):
                                           ("f7", "finite:p=7", 3)])
 def test_unstable_twist_is_an_internal_failure(request, monkeypatch, capsys,
                                                field, spec, a):
-    # the k-reduction of an unstable family has more rows than dim_L V = 27,
-    # which the model certificate's count clause rejects: a program fault
+    # the sigma-closure of the orbit representatives twisted by a matrix
+    # that does not split is not the twisted ideal, and its equations do
+    # not vanish on P o Ver, which the model certificate rejects: a program
+    # fault
     from severi.cli import main
     _break_split(monkeypatch)
     with pytest.raises(InternalDescentFailure) as info:
         surface_model(request.getfixturevalue(field), a)
-    assert str(info.value) == "45 equations, expected 27"
+    assert str(info.value) == "model equation does not vanish on the parametrization"
     assert main(["surface", "--field", spec, "--a", str(a)]) == 1
-    assert capsys.readouterr().err == ("verification failure: "
-                                       "InternalDescentFailure: 45 equations, expected 27\n")
+    assert capsys.readouterr().err == (
+        "verification failure: InternalDescentFailure: "
+        "model equation does not vanish on the parametrization\n")
+
+
+@pytest.mark.parametrize("field,a", [("shanks1", 2), ("f7", 3)])
+def test_unstable_twist_of_all_quadrics_descends_to_45_rows(request, monkeypatch,
+                                                            field, a):
+    # the k-reduction of all 27 quadrics twisted by a matrix that does not
+    # split has more rows than dim_L V = 27
+    import severi.twisting as tw
+    _break_split(monkeypatch)
+    L = request.getfixturevalue(field)
+    M = tw.split_structured(lift_to_veronese(cyclic_cocycle(L, a)),
+                            find_normal_basis(L))
+    quads = veronese_ideal(monomial_basis(2, 3), L)
+    assert len(quads) == 27
+    assert len(descend_to_base(L, [substitute_linear(Q, M) for Q in quads])) == 45
 
 
 # ---------------------------------------------------------------------------
