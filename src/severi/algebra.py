@@ -181,7 +181,7 @@ def table_center_dimension(field: BaseField, table: Table) -> int:
             for i in range(dim):
                 row.append(field.sub(table[i][g][t], table[g][i][t]))
             rows.append(row)
-    return dim - len(row_reduce(field, rows)[1])
+    return dim - len(row_reduce(field, map(enumerate, rows))[1])
 
 
 def diagonal_table(field: BaseField, copies: int) -> Table:
@@ -221,7 +221,7 @@ def zero_divisor_from_witness(A: CyclicAlgebra, lam) -> tuple[Scalar, ...]:
 
 def left_multiplication_is_singular(A: CyclicAlgebra, x: Sequence[Scalar]) -> bool:
     M = left_multiplication_matrix(A, x)
-    return len(row_reduce(A.extension.base, M)[1]) < A.dim
+    return len(row_reduce(A.extension.base, map(enumerate, M))[1]) < A.dim
 
 
 def table_to_json(A: CyclicAlgebra) -> list:

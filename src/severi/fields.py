@@ -21,10 +21,11 @@ instead of one per scalar operation.  Sums and differences work on the
 coordinate tuples directly.
 
 All exact linear algebra of the package, over k and over L, is one
-sparse Gauss-Jordan elimination, `row_reduce`, which keeps only the
-nonzero entries of each row; a CyclicExtension offers the BaseField
-operations it uses, `zero` and `inv`.  The plain-text term joiner
-`format_terms` is shared with severi.grammar.
+sparse Gauss-Jordan elimination, `row_reduce`: rows go in as (column,
+entry) pairs and come out as the nonzero reduced rows alone, each a dict
+of its nonzero entries, so no dense matrix is built around it.  A
+CyclicExtension offers the BaseField operations it uses, `zero` and `inv`.
+The plain-text term joiner `format_terms` is shared with severi.grammar.
 
 Scalars, elements and extensions have JSON writers (`scalar_to_json`,
 `element_to_json`, `extension_to_json`) and no readers: no program path
@@ -245,19 +246,6 @@ def poly_gcd(field, a, b):
     return a
 
 
-def poly_ext_euclid(field, a, m):
-    """u with u*a == 1 mod m; requires gcd(a, m) = 1."""
-    r0, r1 = tuple(m), poly_mod(field, a, m)
-    s0, s1 = (), (field.one(),)
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(field, s0, poly_mul(field, q, s1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("not invertible modulo m")
-    return poly_trim(field, poly_scale(field, s0, field.inv(r0[0])))
-
-
 def poly_compose_mod(field, a, b, m):
     """a(b(x)) mod m by Horner on the coefficients of a."""
     out: tuple[Scalar, ...] = ()
@@ -428,16 +416,15 @@ class CyclicExtension:
         fg = poly_compose_mod(self.base, self.f, self.g, self.f)
         if fg != ():
             raise NotGalois("g does not map the root to a root: f(g) != 0 mod f")
-        it = self.g
-        order = 1
-        x = _X(self.base)
-        while it != poly_trim(self.base, x):
-            it = poly_compose_mod(self.base, self.g, it, self.f)
-            order += 1
-            if order > n1:
-                break
-        if order != n1:
-            raise WrongOrder(f"generator has order {order}, expected {n1}")
+        # its[j] is g composed with itself j times mod f, until it is x again
+        # or j passes n+1; sigma^j(theta) for j = 0 .. n is its[j]
+        x = poly_trim(self.base, _X(self.base))
+        its = [x, self.g]
+        while its[-1] != x and len(its) <= n1 + 1:
+            its.append(poly_compose_mod(self.base, self.g, its[-1], self.f))
+        if len(its) - 1 != n1:
+            raise WrongOrder(f"generator has order {len(its) - 1}, expected {n1}")
+        self._galois_iterates = its[:-1]
 
     # -- cached structure ---------------------------------------------------
 
@@ -463,14 +450,6 @@ class CyclicExtension:
         rows = tuple(tuple((t, int(c * d)) for t, c in enumerate(row) if c)
                      for row in table)
         return rows, d
-
-    @cached_property
-    def _galois_iterates(self) -> list[tuple[Scalar, ...]]:
-        """g composed with itself j times mod f, j = 0 .. n."""
-        out = [poly_trim(self.base, _X(self.base))]
-        for _ in range(self.degree - 1):
-            out.append(poly_compose_mod(self.base, self.g, out[-1], self.f))
-        return out
 
     @cached_property
     def _galois_coord_maps(self) -> list[list[tuple[Scalar, ...]]]:
@@ -685,10 +664,10 @@ def make_extension(base: BaseField, f: Sequence, g: Sequence,
 
 def make_shanks_cubic(t: int) -> CyclicExtension:
     """Shanks simplest cubic x^3 - t x^2 - (t+3) x - 1 over Q, with the
-    closed-form generator sigma(theta) = -1/(1+theta)."""
+    generator sigma(theta) = -1/(1+theta) = theta^2 - (t+1) theta - 2: the
+    product (theta^2 - (t+1) theta - 2)(1 + theta) is f(theta) - 1 = -1."""
     f = (Fraction(-1), Fraction(-(t + 3)), Fraction(-t), Fraction(1))
-    inv_1_plus_x = poly_ext_euclid(QQ, (Fraction(1), Fraction(1)), f)
-    g = poly_neg(QQ, inv_1_plus_x)
+    g = (Fraction(-2), Fraction(-(t + 1)), Fraction(1))
     return make_extension(QQ, f, g)
 
 
@@ -738,37 +717,37 @@ def norm(L: CyclicExtension, x: ExtElement) -> Scalar:
     return out.base_value()
 
 
-def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence]
-               ) -> tuple[list[list], list[int]]:
+def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable]
+               ) -> tuple[list[dict], list[int]]:
     """Gauss-Jordan elimination over `field`, a BaseField or a CyclicExtension,
     on sparse rows.
 
-    Returns the reduced row echelon form, dense: its pivot rows in pivot
-    order, then its zero rows, every zero entry `field.zero()`; and its
-    pivot columns.  Each row is kept as a dict from column to nonzero
-    entry, and each column as the set of rows holding it.  Columns are
-    taken in order; the pivot of a column is the unpivoted row with the
-    fewest nonzeros that holds it (the lowest index on ties), scaled by one
-    inverse and cleared from every other row that holds the column.  The
-    reduced row echelon form is unique, so the pivot choice changes no
-    entry.  Zero tests use truthiness, which is false for Fraction(0), the
-    int 0 and a zero ExtElement.
+    Each row is given as (column, entry) pairs in any order; zero entries
+    are dropped, so a dense row is passed as `enumerate(row)`.  Returns the
+    nonzero rows of the reduced row echelon form in pivot order, each a
+    dict from column to nonzero entry, and their pivot columns.  Each row
+    is kept as such a dict, and each column as the set of rows holding it.
+    Columns are taken in order; the pivot of a column is the unpivoted row
+    with the fewest nonzeros that holds it (the lowest index on ties),
+    scaled by one inverse and cleared from every other row that holds the
+    column.  The reduced row echelon form is unique, so the pivot choice
+    changes no entry.  Zero tests use truthiness, which is false for
+    Fraction(0), the int 0 and a zero ExtElement.
     """
-    ncols = len(rows[0]) if rows else 0
     p = field.p if isinstance(field, BaseField) else None
     zero = field.zero()
-    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    sparse = [{j: x for j, x in r if x} for r in rows]
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(sparse):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    free = set(range(len(sparse)))
-    order: list[int] = []
+    free = {i for i, row in enumerate(sparse) if row}
+    reduced: list[dict] = []
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in sorted(holders):
         if not free:
             break
-        held = holders.get(c, ())
+        held = holders[c]
         r = min((i for i in held if i in free),
                 key=lambda i: (len(sparse[i]), i), default=None)
         if r is None:
@@ -792,11 +771,9 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Sequence[Sequence
                     del row[j]
                     holders[j].discard(i)
         free.discard(r)
-        order.append(r)
+        reduced.append(prow)
         pivots.append(c)
-    dense = [[sparse[i].get(j, zero) for j in range(ncols)] for i in order]
-    dense += [[zero] * ncols for _ in range(len(sparse) - len(order))]
-    return dense, pivots
+    return reduced, pivots
 
 
 @dataclass(frozen=True)
@@ -814,7 +791,8 @@ class NormalBasis:
             nxt = self.elements[(i + 1) % L.degree]
             if galois_apply(L, self.elements[i], 1) != nxt:
                 raise InputError("orbit is not sigma-cyclic")
-        if len(row_reduce(L.base, [e.coeffs for e in self.elements])[1]) < L.degree:
+        coords = [enumerate(e.coeffs) for e in self.elements]
+        if len(row_reduce(L.base, coords)[1]) < L.degree:
             raise InputError("orbit is linearly dependent")
         if L.base.is_zero(self.trace_value):
             raise InputError("orbit has zero trace")

@@ -1,12 +1,14 @@
 """Exact dense matrices over cyclic-extension elements.
 
 Inverses, ranks and row echelon forms are all read off one sparse
-Gauss-Jordan elimination, severi.fields.row_reduce, which touches only the
-nonzero entries of each row, with exact field arithmetic in L (see
-severi.fields for the integer product kernel); a square matrix is
-invertible exactly when its rank is its size.  A scaled-permutation
-recognizer supports the structured Hilbert 90 split, whose input matrices
-are monomial.
+Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
+arithmetic in L (see severi.fields for the integer product kernel).  It is
+handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity
+pair each, and returns the nonzero reduced rows as dicts: `inverse` reads
+the right block from them, and `rref` alone pads them back into a dense
+Matrix.  A square matrix is invertible exactly when its rank is its size.
+A scaled-permutation recognizer supports the structured Hilbert 90 split,
+whose input matrices are monomial.
 """
 
 from __future__ import annotations
@@ -100,15 +102,17 @@ def mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def inverse(A: Matrix) -> Matrix:
-    """The right block of the reduced form of [A | I]."""
+    """The right block of the reduced form of [A | I], with I given as one
+    (n + i, 1) pair on row i."""
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    n = A.rows
-    eye = identity(A.ext, n)
-    R, pivots = row_reduce(A.ext, [A.row(i) + eye.row(i) for i in range(n)])
+    n, one, zero = A.rows, A.ext.one(), A.ext.zero()
+    R, pivots = row_reduce(A.ext, [row + ((n + i, one),)
+                                   for i, row in enumerate(A.sparse_rows)])
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
-    return Matrix(A.ext, n, n, tuple(x for row in R for x in row[n:]))
+    return Matrix(A.ext, n, n, tuple(row.get(n + j, zero) for row in R
+                                     for j in range(n)))
 
 
 def galois_matrix(L: CyclicExtension, A: Matrix, j: int) -> Matrix:
@@ -151,8 +155,11 @@ def as_scaled_permutation(A: Matrix) -> Optional[ScaledPermutation]:
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact field division."""
-    R, pivots = row_reduce(A.ext, A.as_rows())
-    return Matrix(A.ext, A.rows, A.cols, tuple(x for row in R for x in row)), pivots
+    R, pivots = row_reduce(A.ext, A.sparse_rows)
+    zero = A.ext.zero()
+    dense = [row.get(j, zero) for row in R for j in range(A.cols)]
+    dense += [zero] * ((A.rows - len(R)) * A.cols)
+    return Matrix(A.ext, A.rows, A.cols, tuple(dense)), pivots
 
 
 def rank(A: Matrix) -> int:

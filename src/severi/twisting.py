@@ -155,28 +155,28 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
     family = [F for F in family if not F.is_zero()]
     if not family:
         return []
-    R, pivots = row_reduce(L.base, _coordinate_rows(L, family, support))
+    R, _ = row_reduce(L.base, _coordinate_rows(L, family, support))
     nv = family[0].nvars
     return [MultiPoly(L, nv, tuple((support[j], L.from_base(c))
-                                   for j, c in enumerate(row) if c))
-            for row in R[:len(pivots)]]
+                                   for j, c in sorted(row.items())))
+            for row in R]
 
 
 def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
-                     support: Sequence[Exponents]) -> list[list[Scalar]]:
-    """The nonzero theta-coordinates F_i of every member, as rows over k on
-    the columns of `support`."""
+                     support: Sequence[Exponents]
+                     ) -> list[list[tuple[int, Scalar]]]:
+    """The theta-coordinates F_i of every member, as rows over k of
+    (column of `support`, nonzero entry) pairs."""
     col = {e: j for j, e in enumerate(support)}
-    zero = L.base.zero()
     rows = []
     for F in family:
-        parts = [[zero] * len(support) for _ in range(L.degree)]
+        parts = [[] for _ in range(L.degree)]
         for e, c in F.terms:
             j = col[e]
             for part, x in zip(parts, c.coeffs):
                 if x:
-                    part[j] = x
-        rows.extend(part for part in parts if any(part))
+                    part.append((j, x))
+        rows.extend(parts)
     return rows
 
 
@@ -312,8 +312,8 @@ def orbit_representatives(basis: MonomialBasis, quads: Sequence[MultiPoly]
 
 
 # n = 4 is refused: the k-reduction of its 1420 orbit representatives,
-# 7100 rows on 8001 columns, takes about a minute, and its dense rows in and
-# out of row_reduce peak near 1.9 GB
+# 7100 sparse rows on 8001 columns, takes about a minute, and the whole run
+# peaks near 0.5 GB RSS over F_{2^5} (README, "n = 4 by hand")
 SURFACE_MAX_N = 3
 
 

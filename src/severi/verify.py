@@ -120,7 +120,7 @@ def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
     for ent in D.entries:
         if not ent.in_base():
             raise InternalDescentFailure("base change matrix is not Galois-fixed")
-    rows = [[ent.base_value() for ent in row] for row in D.as_rows()]
+    rows = [[(j, ent.base_value()) for j, ent in row] for row in D.sparse_rows]
     if len(row_reduce(L.base, rows)[1]) != D.rows:
         raise InternalDescentFailure("base change matrix is singular")
     return D
@@ -185,7 +185,7 @@ def _jacobian_rank(partials, point: Sequence[int], p: int) -> int:
     fi = next((i for i, v in enumerate(point) if v % p), None)
     if fi is None:
         raise InputError("zero point")
-    rows = [[_eval_int(dF, point, p) for j, dF in enumerate(row) if j != fi]
+    rows = [[(j, _eval_int(dF, point, p)) for j, dF in enumerate(row) if j != fi]
             for row in partials]
     return len(row_reduce(GF(p), rows)[1])
 

@@ -413,6 +413,14 @@ def test_elements_of_equal_extensions_combine():
 # row_reduce against sympy
 # ---------------------------------------------------------------------------
 
+def _densify(field, R, nrows, ncols):
+    """The dense reduced form of row_reduce's result: its pivot rows, then
+    zero rows, every zero entry `field.zero()`."""
+    zero = field.zero()
+    dense = [[row.get(j, zero) for j in range(ncols)] for row in R]
+    return dense + [[zero] * ncols for _ in range(nrows - len(R))]
+
+
 def _sympy_scalar(x, p):
     if p is None:
         return Fraction(int(x.numerator), int(x.denominator))
@@ -457,20 +465,21 @@ def test_row_reduce_matches_sympy(p):
         r, c = len(rows), len(rows[0]) if rows else 0
         D = DomainMatrix([[K(int(x)) if p is not None else K(x.numerator, x.denominator)
                            for x in row] for row in rows], (r, c), K)
-        R, pivots = row_reduce(k, rows)
+        R, pivots = row_reduce(k, map(enumerate, rows))
         want_R, want_pivots = D.rref()
         assert pivots == list(want_pivots)
-        assert R == [[_sympy_scalar(x, p) for x in row] for row in want_R.to_list()]
+        assert _densify(k, R, r, c) == [[_sympy_scalar(x, p) for x in row]
+                                        for row in want_R.to_list()]
         if r != c:
             continue
         want_det = _sympy_scalar(D.det(), p)
         assert (len(pivots) == r) == (want_det != 0)
         eye = [[k.one() if i == j else k.zero() for j in range(r)] for i in range(r)]
-        R2, pivots2 = row_reduce(k, [row + e for row, e in zip(rows, eye)])
+        R2, pivots2 = row_reduce(k, [enumerate(row + e) for row, e in zip(rows, eye)])
         assert (pivots2[:r] == list(range(r))) == (want_det != 0)
         if want_det != 0:
             want_inv = [[_sympy_scalar(x, p) for x in row] for row in D.inv().to_list()]
-            assert [row[r:] for row in R2] == want_inv
+            assert [row[r:] for row in _densify(k, R2, r, 2 * r)] == want_inv
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +559,44 @@ def test_row_reduce_matches_dense_reference(name):
     for rows, cols in shapes:
         for density in (0.1, 0.3, 1.0):
             A = _random_rows(field, scalar, rng, rows, cols, density)
-            R, pivots = row_reduce(field, A)
+            R, pivots = row_reduce(field, map(enumerate, A))
             want_R, want_pivots = _dense_row_reduce(field, A)
             assert pivots == want_pivots
-            assert R == want_R
-            assert _entry_types(R) == _entry_types(want_R)
-            assert all(not x for row in R[len(pivots):] for x in row)
+            dense = _densify(field, R, rows, cols)
+            assert dense == want_R
+            assert _entry_types(dense) == _entry_types(want_R)
+            assert len(R) == len(pivots)
+            assert all(x for row in R for x in row.values())
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "shanks1"])
+def test_row_reduce_input_forms_agree(name):
+    """The same rows given dense through `enumerate`, as shuffled pairs with
+    explicit zeros, and as generators reduce to the same nonzero rows, with
+    no zero entry and no zero row."""
+    rng = random.Random(3)
+    if name == "Q":
+        field = QQ
+        scalar = lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    elif name == "F7":
+        field = GF(7)
+        scalar = lambda: rng.randrange(1, 7)
+    else:
+        field = make_shanks_cubic(1)
+        scalar = lambda: field.el([rng.randint(-3, 3) for _ in range(3)]) or field.one()
+    for rows, cols in [(5, 8), (12, 6), (9, 9)]:
+        A = _random_rows(field, scalar, rng, rows, cols, 0.3)
+        A[0] = [field.zero()] * cols
+        shuffled = []
+        for row in A:
+            pairs = list(enumerate(row))
+            rng.shuffle(pairs)
+            shuffled.append(pairs)
+        forms = [map(enumerate, A), shuffled,
+                 ((p for p in pairs) for pairs in shuffled)]
+        want_R, want_pivots = row_reduce(field, forms[0])
+        assert want_R and len(want_R) == len(want_pivots) < rows
+        assert all(row and all(row.values()) for row in want_R)
+        for form in forms[1:]:
+            R, pivots = row_reduce(field, form)
+            assert pivots == want_pivots and R == want_R
