@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Run the `severi` command line on a fixed table of inputs and check each run.
+
+Each row gives the arguments, the exit code the run must return, the
+sha256 of its stdout (None when only the exit code is checked) and a time
+limit in seconds.  The two n = 3 digests are the pins of
+tests/test_acceptance.py, so a run under another interpreter is checked
+for byte identity, not only for success.  The exit-2 rows are inputs that
+must be refused at once, so their limits are short.  Uses the standard
+library only, and runs each row as `python -m severi` with the interpreter
+that runs this script.
+
+Usage:
+    python scripts/cli_checks.py
+"""
+import hashlib
+import subprocess
+import sys
+import time
+
+CHECKS = [
+    # (argv, exit code, stdout sha256 or None, time limit in s)
+    (["surface", "--field", "finite:p=3", "--a", "2", "--check"], 0, None, 120),
+    (["surface", "--field", "finite:p=5", "--n", "3", "--a", "2", "--check",
+      "--emit", "json"], 0,
+     "32635f4d8cdea2b98389f38874de7bf8740a90f5e581415bbccdc100ade8ca9f", 120),
+    (["surface", "--field", "poly:x^4+x^3+x^2+x+1;galois:x^2", "--n", "3",
+      "--a", "5", "--check"], 0,
+     "e236edd830dd2a2b74e1631d8ffd838c00048d2915ca05d50609d8e8ee2e46b9", 60),
+    (["verify", "--suite", "counts"], 0, None, 120),
+    (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2",
+      "--suite", "triviality"], 0, None, 120),
+    (["verify", "--suite", "picard", "--dprime", "4"], 0, None, 120),
+    (["verify"], 0, None, 120),
+    (["algebra"], 0, None, 120),
+    (["algebra", "--field", "finite:p=5", "--emit", "json"], 0, None, 120),
+    (["surface", "--field", "finite:p=5", "--n", "-1"], 2, None, 10),
+    (["surface", "--field", "poly:x^99999999999;galois:x"], 2, None, 10),
+    (["surface", "--field", "finite:p=5", "--a", "1e999999999"], 2, None, 10),
+    (["surface", "--field", "finite:p=2", "--n", "8"], 2, None, 10),
+    (["verify", "--field", "finite:p=2", "--n", "4", "--a", "1", "--suite",
+      "split"], 2, None, 10),
+    (["algebra", "--field", "finite:p=2", "--n", "6", "--a", "1"], 0, None, 10),
+]
+
+
+def run_check(argv, code, digest, limit):
+    """The failure of one row as a message, or None when it passes."""
+    try:
+        proc = subprocess.run([sys.executable, "-m", "severi", *argv],
+                              capture_output=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        return f"no exit within {limit} s"
+    if proc.returncode != code:
+        return (f"exit {proc.returncode}, expected {code}: "
+                f"{proc.stderr.decode(errors='replace').strip()[-500:]}")
+    got = hashlib.sha256(proc.stdout).hexdigest()
+    if digest is not None and got != digest:
+        return f"stdout sha256 {got}, expected {digest}"
+    return None
+
+
+def main() -> int:
+    failed = 0
+    for argv, code, digest, limit in CHECKS:
+        t0 = time.perf_counter()
+        error = run_check(argv, code, digest, limit)
+        status = "FAIL" if error else "ok"
+        print(f"{status:4} {time.perf_counter() - t0:5.1f}s  severi {' '.join(argv)}"
+              + (f"\n     {error}" if error else ""), flush=True)
+        failed += error is not None
+    print(f"{len(CHECKS)} checks, {failed} failed on Python {sys.version.split()[0]}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalDescentFailure, LengthMismatch, ZeroA
-from .fields import BaseField, CyclicExtension, Scalar, galois_apply, row_reduce
+from .fields import (BaseField, CyclicExtension, Scalar, galois_apply, row_reduce,
+                     scalar_to_json)
 
 Table = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
@@ -225,6 +226,5 @@ def left_multiplication_is_singular(A: CyclicAlgebra, x: Sequence[Scalar]) -> bo
 
 
 def table_to_json(A: CyclicAlgebra) -> list:
-    from .linalg import _scalar_to_json
-    return [[[_scalar_to_json(c) for c in A.table[i][j]]
+    return [[[scalar_to_json(c) for c in A.table[i][j]]
              for j in range(A.dim)] for i in range(A.dim)]

@@ -63,7 +63,7 @@ def make_cocycle(L: CyclicExtension, A: Matrix) -> Cocycle:
     for j in range(L.degree):
         values.append(mul(values[j], galois_matrix(L, A, j)))
     T = values.pop()
-    c = T.at(0, 0)
+    c = dict(T.sparse_rows[0]).get(0, L.zero())
     if c.is_zero():
         raise InputError("cocycle value is singular")
     if T != identity(L, A.rows).scale(c):
@@ -78,11 +78,8 @@ def cyclic_cocycle(L: CyclicExtension, a) -> Cocycle:
     if L.base.is_zero(a):
         raise ZeroA("a must be nonzero")
     n1 = L.degree
-    rows = [[0] * n1 for _ in range(n1)]
-    rows[0][n1 - 1] = a
-    for i in range(1, n1):
-        rows[i][i - 1] = 1
-    xi = make_cocycle(L, from_rows(L, rows))
+    rows = [((n1 - 1, L.from_base(a)),)] + [((i - 1, L.one()),) for i in range(1, n1)]
+    xi = make_cocycle(L, Matrix(L, n1, tuple(rows)))
     if xi.scalar_class != L.from_base(a):
         raise InternalDescentFailure("companion twisted product is not a * I")
     return xi
@@ -92,7 +89,7 @@ def lift_to_veronese(xi: Cocycle) -> Cocycle:
     """Induced cocycle on the degree-(n+1) monomial basis, divided by the
     scalar class so the lift is honest (twisted product exactly I)."""
     L = xi.extension
-    if any(not e.in_base() for e in xi.at_generator.entries):
+    if any(not e.in_base() for row in xi.at_generator.sparse_rows for _, e in row):
         raise InputError("lift requires cocycle entries in the base field")
     n = L.degree - 1
     basis = monomial_basis(n, n + 1)
@@ -125,19 +122,18 @@ def _average(xi: Cocycle, R: Matrix) -> Matrix:
     honest cocycle it satisfies xi(sigma) sigma(M) = M, because the sum
     is the same after the shift j -> j + 1 when xi(sigma^{n+1}) = I.
 
-    Only the nonzero products of the two factors' `sparse_rows` are
-    summed, into entries that start from L.zero()."""
+    Row i of M sums, over j, the nonzero entries v of row i of xi(sigma^j)
+    times the rows of sigma^j(R) they select."""
     L = xi.extension
-    size = xi.size
-    entries = [L.zero()] * (size * size)
+    acc: list[dict[int, ExtElement]] = [{} for _ in range(xi.size)]
     for j, value in enumerate(xi.values):
-        conj = [[(k, galois_apply(L, r, j)) for k, r in row]
-                for row in R.sparse_rows]
-        for i, row in enumerate(value.sparse_rows):
+        conj = galois_matrix(L, R, j).sparse_rows
+        for out, row in zip(acc, value.sparse_rows):
             for t, v in row:
                 for k, r in conj[t]:
-                    entries[i * size + k] += v * r
-    return Matrix(L, size, size, tuple(entries))
+                    cur = out.get(k)
+                    out[k] = v * r if cur is None else cur + v * r
+    return Matrix(L, R.cols, tuple(out.items() for out in acc))
 
 
 # pseudo-random trial matrices tried by split_generic
@@ -184,7 +180,7 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
     if xi.scalar_class != L.one():
         raise NotHonestCocycle("structured split requires an honest cocycle")
     labels = nb.elements
-    rows = [[L.zero()] * xi.size for _ in range(xi.size)]
+    rows: list[list[tuple[int, ExtElement]]] = [[] for _ in range(xi.size)]
     seen: set[int] = set()
     for j0 in range(xi.size):
         if j0 in seen:
@@ -194,11 +190,11 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
             orbit.append(sp.perm[orbit[-1]])
         seen.update(orbit)
         if len(orbit) == 1:
-            rows[j0][j0] = labels[0] * sum(labels, L.zero()).inverse()
+            rows[j0] = [(j0, labels[0] * sum(labels, L.zero()).inverse())]
         else:
-            for t, c in enumerate(sorted(orbit)):
-                rows[j0][c] = sp.scales[j0] * labels[t]
-    M = _average(xi, from_rows(L, rows))
+            rows[j0] = [(c, sp.scales[j0] * labels[t])
+                        for t, c in enumerate(sorted(orbit))]
+    M = _average(xi, Matrix(L, xi.size, tuple(rows)))
     if rank(M) < M.rows:
         raise InternalDescentFailure("structured split produced a singular matrix")
     check_split(xi, M)

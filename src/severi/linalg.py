@@ -1,104 +1,105 @@
-"""Exact dense matrices over cyclic-extension elements.
+"""Exact sparse matrices over cyclic-extension elements.
+
+A Matrix stores only its nonzero entries, row by row, as (column, entry)
+pairs in increasing column order; its constructor puts any pairs into that
+form, so equal matrices compare equal.  Products, conjugates and scalings
+touch nonzero entries only, and dense rows exist only at the edges: as
+input to `from_rows`, and as output of `as_rows` and `matrix_to_json`.
 
 Inverses, ranks and row echelon forms are all read off one sparse
 Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
 arithmetic in L (see severi.fields for the integer product kernel).  It is
 handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity
-pair each, and returns the nonzero reduced rows as dicts: `inverse` reads
-the right block from them, and `rref` alone pads them back into a dense
-Matrix.  A square matrix is invertible exactly when its rank is its size.
-A scaled-permutation recognizer supports the structured Hilbert 90 split,
-whose input matrices are monomial.
+pair each, and returns the nonzero reduced rows as dicts: `inverse` keeps
+their right block, and `rref` keeps them whole.  A square matrix is
+invertible exactly when its rank is its size.  A scaled-permutation
+recognizer supports the structured Hilbert 90 split, whose input matrices
+are monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
-from .fields import CyclicExtension, ExtElement, galois_apply, row_reduce
-from .fields import scalar_to_json as _scalar_to_json
+from .fields import (CyclicExtension, ExtElement, galois_apply, row_reduce,
+                     scalar_to_json)
+
+SparseRow = tuple[tuple[int, ExtElement], ...]
 
 
 @dataclass(frozen=True)
 class Matrix:
+    """Row i of `sparse_rows` holds the (column, entry) pairs of the nonzero
+    entries of row i, by increasing column.  The constructor takes each
+    row as pairs in any order, with or without zero entries."""
+
     ext: CyclicExtension
-    rows: int
     cols: int
-    entries: tuple[ExtElement, ...]
+    sparse_rows: tuple[SparseRow, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries")
+        rows = []
+        for pairs in self.sparse_rows:
+            row = tuple(sorted(((j, x) for j, x in pairs if x), key=itemgetter(0)))
+            if (len({j for j, _ in row}) < len(row)
+                    or any(not 0 <= j < self.cols for j, _ in row)):
+                raise ShapeMismatch(f"row pairs do not fit {self.cols} distinct columns")
+            rows.append(row)
+        object.__setattr__(self, "sparse_rows", tuple(rows))
 
-    def at(self, i: int, j: int) -> ExtElement:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[ExtElement, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    @cached_property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, ExtElement], ...], ...]:
-        """The nonzero entries of each row as (column, entry) pairs, by column."""
-        return tuple(tuple((j, a) for j, a in enumerate(self.row(i)) if not a.is_zero())
-                     for i in range(self.rows))
+    @property
+    def rows(self) -> int:
+        return len(self.sparse_rows)
 
     def as_rows(self) -> list[list[ExtElement]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        zero = self.ext.zero()
+        out = []
+        for pairs in self.sparse_rows:
+            row = [zero] * self.cols
+            for j, x in pairs:
+                row[j] = x
+            out.append(row)
+        return out
 
     def map(self, fn: Callable[[ExtElement], ExtElement]) -> "Matrix":
-        return Matrix(self.ext, self.rows, self.cols, tuple(fn(e) for e in self.entries))
+        """fn applied to the nonzero entries; fn must send zero to zero."""
+        return Matrix(self.ext, self.cols,
+                      tuple([(j, fn(x)) for j, x in row] for row in self.sparse_rows))
 
     def scale(self, c: ExtElement) -> "Matrix":
         return self.map(lambda e: e * c)
 
-    def __repr__(self) -> str:
-        rows = [" ".join(repr(self.at(i, j)) for j in range(self.cols))
-                for i in range(self.rows)]
-        return "[" + "; ".join(rows) + "]"
-
 
 def from_rows(ext: CyclicExtension, rows: Sequence[Sequence]) -> Matrix:
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    ent = []
-    for row in rows:
-        if len(row) != c:
-            raise ShapeMismatch("ragged rows")
-        for x in row:
-            ent.append(x if isinstance(x, ExtElement) else ext.from_base(x))
-    return Matrix(ext, r, c, tuple(ent))
+    """The matrix of dense rows, whose entries may also be base scalars."""
+    c = len(rows[0]) if rows else 0
+    if any(len(row) != c for row in rows):
+        raise ShapeMismatch("ragged rows")
+    return Matrix(ext, c, tuple(
+        [(j, x if isinstance(x, ExtElement) else ext.from_base(x))
+         for j, x in enumerate(row) if x] for row in rows))
 
 
 def identity(ext: CyclicExtension, n: int) -> Matrix:
-    one, zero = ext.one(), ext.zero()
-    return Matrix(ext, n, n,
-                  tuple(one if i == j else zero for i in range(n) for j in range(n)))
+    one = ext.one()
+    return Matrix(ext, n, tuple(((i, one),) for i in range(n)))
 
 
 def mul(A: Matrix, B: Matrix) -> Matrix:
     if A.cols != B.rows:
         raise ShapeMismatch(f"{A.rows}x{A.cols} times {B.rows}x{B.cols}")
-    ext = A.ext
-    zero = ext.zero()
-    Brows = B.as_rows()
     out = []
-    for i in range(A.rows):
-        arow = A.row(i)
-        acc = [zero] * B.cols
-        for t in range(A.cols):
-            x = arow[t]
-            if x.is_zero():
-                continue
-            brow = Brows[t]
-            for j in range(B.cols):
-                if not brow[j].is_zero():
-                    acc[j] = acc[j] + x * brow[j]
-        out.extend(acc)
-    return Matrix(ext, A.rows, B.cols, tuple(out))
+    for arow in A.sparse_rows:
+        acc: dict[int, ExtElement] = {}
+        for t, x in arow:
+            for j, b in B.sparse_rows[t]:
+                cur = acc.get(j)
+                acc[j] = x * b if cur is None else cur + x * b
+        out.append(acc.items())
+    return Matrix(A.ext, B.cols, tuple(out))
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -106,13 +107,13 @@ def inverse(A: Matrix) -> Matrix:
     (n + i, 1) pair on row i."""
     if A.rows != A.cols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    n, one, zero = A.rows, A.ext.one(), A.ext.zero()
+    n, one = A.rows, A.ext.one()
     R, pivots = row_reduce(A.ext, [row + ((n + i, one),)
                                    for i, row in enumerate(A.sparse_rows)])
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
-    return Matrix(A.ext, n, n, tuple(row.get(n + j, zero) for row in R
-                                     for j in range(n)))
+    return Matrix(A.ext, n, tuple([(j - n, x) for j, x in row.items() if j >= n]
+                                  for row in R))
 
 
 def galois_matrix(L: CyclicExtension, A: Matrix, j: int) -> Matrix:
@@ -135,31 +136,24 @@ class ScaledPermutation:
 
 
 def as_scaled_permutation(A: Matrix) -> Optional[ScaledPermutation]:
-    """Recognize a monomial matrix; None means not_monomial."""
+    """Recognize a monomial matrix, one nonzero entry in each row and in
+    each column; None means not_monomial."""
     if A.rows != A.cols:
         raise ShapeMismatch("scaled-permutation recognition needs a square matrix")
-    n = A.rows
-    perm = [-1] * n
-    scales: list[Optional[ExtElement]] = [None] * n
-    for j in range(n):
-        hits = [i for i in range(n) if not A.at(i, j).is_zero()]
-        if len(hits) != 1:
+    perm: dict[int, int] = {}
+    for i, row in enumerate(A.sparse_rows):
+        if len(row) != 1 or row[0][0] in perm:
             return None
-        i = hits[0]
-        if scales[i] is not None:
-            return None  # two nonzeros in row i
-        perm[j] = i
-        scales[i] = A.at(i, j)
-    return ScaledPermutation(tuple(perm), tuple(scales))  # type: ignore[arg-type]
+        perm[row[0][0]] = i
+    return ScaledPermutation(tuple(perm[j] for j in range(A.cols)),
+                             tuple(row[0][1] for row in A.sparse_rows))
 
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact field division."""
     R, pivots = row_reduce(A.ext, A.sparse_rows)
-    zero = A.ext.zero()
-    dense = [row.get(j, zero) for row in R for j in range(A.cols)]
-    dense += [zero] * ((A.rows - len(R)) * A.cols)
-    return Matrix(A.ext, A.rows, A.cols, tuple(dense)), pivots
+    return Matrix(A.ext, A.cols,
+                  tuple(row.items() for row in R) + ((),) * (A.rows - len(R))), pivots
 
 
 def rank(A: Matrix) -> int:
@@ -175,5 +169,6 @@ def matrix_to_json(A: Matrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[_scalar_to_json(c) for c in e.coeffs] for e in A.entries],
+        "entries": [[scalar_to_json(c) for c in e.coeffs]
+                    for row in A.as_rows() for e in row],
     }

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, MixedDegrees, ShapeMismatch
-from .fields import CyclicExtension, ExtElement
-from .linalg import Matrix, from_rows, rref
+from .fields import CyclicExtension, ExtElement, scalar_to_json
+from .linalg import Matrix, rref
 
 Exponents = tuple[int, ...]
 
@@ -245,16 +245,12 @@ def coefficient_matrix(S: Sequence[MultiPoly]) -> tuple[Matrix, list[Exponents]]
     """Rows = polynomials, columns = union monomial support in canonical order."""
     if not S:
         raise InputError("empty family")
-    ext = S[0].ext
     support = sorted({e for F in S for e, _ in F.terms}, reverse=True)
-    rows = []
-    for F in S:
-        d = F.terms_dict()
-        rows.append([d.get(e, ext.zero()) for e in support])
+    column = {e: j for j, e in enumerate(support)}
+    rows = tuple([(column[e], c) for e, c in F.terms] for F in S)
     if not support:
-        rows = [[ext.zero()] for _ in S]
         support = [(0,) * S[0].nvars]
-    return from_rows(ext, rows), support
+    return Matrix(S[0].ext, len(support), rows), support
 
 
 def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
@@ -266,13 +262,8 @@ def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
     _common_degree(S)
     A, support = coefficient_matrix(S)
     R, pivots = rref(A)
-    ext, nv = S[0].ext, S[0].nvars
-    out = []
-    for r in range(len(pivots)):
-        terms = {support[j]: R.at(r, j) for j in range(len(support))
-                 if not R.at(r, j).is_zero()}
-        out.append(make_poly(ext, nv, terms))
-    return out
+    return [make_poly(S[0].ext, S[0].nvars, {support[j]: c for j, c in row})
+            for row in R.sparse_rows[:len(pivots)]]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +271,5 @@ def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(F: MultiPoly) -> list:
-    from .fields import scalar_to_json
     return [[list(e), [scalar_to_json(c) for c in coeff.coeffs]]
             for e, coeff in F.terms]

@@ -18,7 +18,7 @@ from math import comb
 
 from .errors import DegreeTooSmall, InputError, Singular
 from .fields import CyclicExtension
-from .linalg import Matrix, from_rows, rank
+from .linalg import Matrix, rank
 from .polyring import MultiPoly, make_poly, monomial, substitute_linear
 
 
@@ -74,11 +74,10 @@ def induced_matrix(basis: MonomialBasis, A: Matrix) -> Matrix:
     ext = A.ext
     if rank(A) < A.rows:
         raise Singular("induced matrix of a singular matrix")
-    zero, rows = ext.zero(), []
-    for b in basis.list:
-        image = substitute_linear(monomial(ext, b), A).terms_dict()
-        rows.append([image.get(e, zero) for e in basis.list])
-    return from_rows(ext, rows)
+    column = {e: j for j, e in enumerate(basis.list)}
+    return Matrix(ext, basis.m, tuple(
+        [(column[e], c) for e, c in substitute_linear(monomial(ext, b), A).terms]
+        for b in basis.list))
 
 
 def ideal_quadric_count(n: int, degree: int) -> int:

@@ -45,10 +45,10 @@ def linear_forms(A):
     """Row i of the square matrix A as the linear form sum_j A[i][j] x_j."""
     xs = variables(A.ext, A.cols)
     forms = []
-    for i in range(A.rows):
+    for row in A.as_rows():
         form = zero_poly(A.ext, A.cols)
         for j in range(A.cols):
-            form = form + xs[j] * A.at(i, j)
+            form = form + xs[j] * row[j]
         forms.append(form)
     return forms
 
@@ -59,10 +59,10 @@ def plane_coordinates(basis, P):
     ext, nv = P.ext, basis.n + 1
     monos = [monomial(ext, b) for b in basis.list]
     coords = []
-    for i in range(P.rows):
+    for row in P.as_rows():
         acc = zero_poly(ext, nv)
         for j, mono in enumerate(monos):
-            acc = acc + mono * P.at(i, j)
+            acc = acc + mono * row[j]
         coords.append(acc)
     return coords
 

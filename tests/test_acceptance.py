@@ -131,7 +131,7 @@ def test_criterion_3_displayed_matrix_reproduction():
     for orbit in orbits:
         used_l = set()
         for i in orbit:
-            cols = {j for j in range(10) if not M.at(i, j).is_zero()}
+            cols = {j for j, _ in M.sparse_rows[i]}
             assert cols == set(orbit)
             used_l.add(_DISPLAY_PATTERN[i][orbit[0]][1])
         assert used_l == {1, 2, 3}  # circulant: each row starts a new l

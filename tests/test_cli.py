@@ -74,17 +74,26 @@ def test_surface_check_conic_over_q(capsys):
     # theta-power table of this field has denominator 8; digest of the
     # emission recorded before the integer product kernel
     (("--field", "poly:x^3 - 3/4*x + 1/8;galois:2*x^2 - 1", "--a", "5/3",
-      "--check"),
+      "--check", "--emit", "json"),
      "27fec3e1773d9adb47a153d0e2f9e345a81eb3667a8397e492382527d03b4867"),
     # pin what model_to_json writes of a, the normal basis and the
     # splitting matrix
-    (("--field", "finite:p=7", "--a", "3"),
+    (("--field", "finite:p=7", "--a", "3", "--emit", "json"),
      "a5aff49f17c935bd249d71f5d8355590cad29fc39bfa792f1f961d91891b5382"),
-    (("--field", "shanks:t=1", "--a", "2"),
+    (("--field", "shanks:t=1", "--a", "2", "--emit", "json"),
      "64bd6f336b568d3dc586977327dfb802c662e5d4c8fd2d48c74fe2127710bc28"),
-], ids=["denominator-8", "f7-a3", "shanks1-a2"])
+    # the same splitting matrices, and one at n = 3, in the text emitter's
+    # dense rows: a zero is written as in every other entry, rows in order
+    (("--field", "finite:p=7", "--a", "3", "--matrix"),
+     "221563f26c22a3e94a71e4f17041422a1eda76dd3af2190fc73d4ad311417215"),
+    (("--field", "shanks:t=1", "--a", "2", "--matrix"),
+     "ffcef751c10e3b16014300c03f9d53220d3280b11b444ff565f8a84e1c9ea268"),
+    (("--field", "finite:p=5", "--n", "3", "--a", "2", "--matrix"),
+     "9558f3b4d1ae78fcb297f9af364e89efb928b71a28ca154a9a66bc33670dff2b"),
+], ids=["denominator-8", "f7-a3", "shanks1-a2", "f7-a3-matrix",
+        "shanks1-a2-matrix", "f5-n3-a2-matrix"])
 def test_surface_json_digest(capsys, argv, digest):
-    code, out, _ = run(capsys, "surface", *argv, "--emit", "json")
+    code, out, _ = run(capsys, "surface", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

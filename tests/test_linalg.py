@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from severi import (
+    Matrix,
     as_scaled_permutation,
     cyclic_cocycle,
     from_rows,
+    galois_apply,
     galois_matrix,
     identity,
     inverse,
@@ -105,19 +107,78 @@ def test_rank_and_rref(shanks1):
     assert rank(A) == 2
     R, pivots = rref(A)
     assert len(pivots) == 2
-    assert R.at(0, pivots[0]) == shanks1.one()
+    assert R.as_rows()[0][pivots[0]] == shanks1.one()
 
 
-def test_sparse_rows_match_dense_entries(shanks1, f5):
+def _dense_rref(rows):
+    """Textbook Gauss-Jordan on dense rows: the reduced rows, zero rows
+    last, and the pivot columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def test_sparse_rows_match_dense_entries(shanks1, zeta5, f5, f7):
+    # the stored rows are the nonzero entries by increasing column, however
+    # the matrix is built, and every operation agrees with a dense
+    # computation on as_rows()
     rng = random.Random(3)
-    for L in (shanks1, f5):
-        for rows, cols in ((3, 3), (2, 4), (4, 1)):
-            A = from_rows(L, [[L.el([rng.randint(-1, 1) for _ in range(L.degree)])
-                               if rng.random() < 0.5 else 0 for _ in range(cols)]
-                              for _ in range(rows)])
+    inverted = 0
+    for L in (shanks1, zeta5, f5, f7):
+        zero, one, p = L.zero(), L.one(), L.base.p
+
+        def coord():
+            return (Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if p is None
+                    else rng.randrange(p))
+
+        def dense(rows, cols, density=0.6):
+            return [[L.el([coord() for _ in range(L.degree)])
+                     if rng.random() < density else zero for _ in range(cols)]
+                    for _ in range(rows)]
+
+        for rows, cols in ((3, 3), (2, 4), (4, 1), (4, 4), (4, 4), (3, 3)):
+            D = dense(rows, cols)
+            A = from_rows(L, D)
+            assert A.rows == rows and A.cols == cols and A.as_rows() == D
+            for row in A.sparse_rows:
+                assert all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+                assert all(not x.is_zero() for _, x in row)
             assert A.sparse_rows == tuple(
-                tuple((j, A.at(i, j)) for j in range(cols) if not A.at(i, j).is_zero())
-                for i in range(rows))
+                tuple((j, x) for j, x in enumerate(r) if not x.is_zero()) for r in D)
+            shuffled = [list(enumerate(r)) + [(0, zero)] for r in D]
+            for pairs in shuffled:
+                rng.shuffle(pairs)
+            assert Matrix(L, cols, tuple(shuffled)) == A
+            c = L.el([coord() for _ in range(L.degree)])
+            assert A.scale(c).as_rows() == [[x * c for x in r] for r in D]
+            for j in range(L.degree + 1):
+                assert galois_matrix(L, A, j).as_rows() == [
+                    [galois_apply(L, x, j) for x in r] for r in D]
+            E = dense(cols, 3)
+            assert mul(A, from_rows(L, E)).as_rows() == [
+                [sum((D[i][t] * E[t][j] for t in range(cols)), zero) for j in range(3)]
+                for i in range(rows)]
+            R, pivots = rref(A)
+            assert (R.as_rows(), pivots) == _dense_rref(D)
+            if rows == cols and len(pivots) == rows:
+                inverted += 1
+                aug, _ = _dense_rref([r + [one if i == j else zero for j in range(rows)]
+                                      for i, r in enumerate(D)])
+                assert inverse(A).as_rows() == [r[rows:] for r in aug]
+    assert inverted >= 8
     Z = from_rows(f5, [[0, 0], [0, 0]])
     assert Z.sparse_rows == ((), ())
     assert identity(f5, 3).sparse_rows == tuple(((i, f5.one()),) for i in range(3))
@@ -159,13 +220,13 @@ def test_inverse_involutive(seed):
 
 def _leibniz(A):
     """Signed sum over permutations; the 0x0 determinant is 1."""
-    total = A.ext.zero()
+    total, rows = A.ext.zero(), A.as_rows()
     for perm in itertools.permutations(range(A.rows)):
         inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                          if perm[i] > perm[j])
         term = A.ext.one()
         for i, j in enumerate(perm):
-            term = term * A.at(i, j)
+            term = term * rows[i][j]
         total = total + term if inversions % 2 == 0 else total - term
     return total
 

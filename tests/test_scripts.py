@@ -1,17 +1,20 @@
 """The example scripts run end to end and print what they promise."""
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, python=sys.executable):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    proc = subprocess.run([python, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -29,3 +32,24 @@ def test_count_survey():
     assert "p = 3  (expected 13)" in lines
     assert any(line.startswith("  a = 2: count 13, smooth-spot pass  [ok, ")
                for line in lines)
+
+
+def interpreter(version):
+    """A runnable python<version> from PATH, else from a pyenv install."""
+    name = f"python{version}"
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    for exe in [shutil.which(name), *sorted(root.glob(f"versions/{version}.*/bin/{name}"))]:
+        if exe and subprocess.run([str(exe), "-c", ""], capture_output=True).returncode == 0:
+            return str(exe)
+    return None
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.13"])
+def test_cli_checks_on_oldest_and_newest_python(version):
+    # the package's whole standard-library surface, with the n = 3 stdout
+    # digests, on the interpreters CI's no-extras job covers
+    python = interpreter(version)
+    if python is None:
+        pytest.skip(f"python{version} is not installed")
+    lines = run_script("cli_checks.py", python=python)
+    assert f" 0 failed on Python {version}." in lines[-1]

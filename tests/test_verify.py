@@ -258,7 +258,7 @@ def test_split_difference_in_k_either_way(L):
     Ms = split_structured(lift, find_normal_basis(L))
 
     def in_k(M):
-        return all(e.in_base() for e in M.entries)
+        return all(e.in_base() for row in M.sparse_rows for _, e in row)
 
     for seed in range(5):
         Mg = split_generic(lift, rng_seed=seed)

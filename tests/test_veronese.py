@@ -117,9 +117,9 @@ def test_induced_companion_entries(shanks1):
     A = cyclic_cocycle(shanks1, F(2)).at_generator
     B = induced_matrix(mb, A).scale(shanks1.from_base(Fraction(1, 2)))
     # X^3 -> (aZ)^3 = a^3 Z^3, normalized to a^2 on the Z^3 column
-    assert B.at(0, 9) == shanks1.from_base(F(4))
+    assert B.as_rows()[0][9] == shanks1.from_base(F(4))
     # XYZ -> aXYZ, normalized to 1
-    assert B.at(4, 4) == shanks1.one()
+    assert B.as_rows()[4][4] == shanks1.one()
 
 
 def test_induced_normalized_cube_is_identity(shanks1):
@@ -184,11 +184,10 @@ def test_induced_defining_property_symbolic(shanks1):
     lhs = [naive_substitute(monomial(shanks1, b), forms) for b in mb.list]
     B = induced_matrix(mb, A)
     vx = [monomial(shanks1, b) for b in mb.list]
-    for i in range(10):
+    for i, row in enumerate(B.sparse_rows):
         acc = zero_poly(shanks1, 3)
-        for j in range(10):
-            if not B.at(i, j).is_zero():
-                acc = acc + vx[j] * B.at(i, j)
+        for j, c in row:
+            acc = acc + vx[j] * c
         assert lhs[i] == acc
 
 
@@ -201,10 +200,10 @@ def test_parametrization_is_matrix_after_monomials(model_q):
     P = from_rows(L, [[L.el([F(rng.randint(-2, 2)) for _ in range(3)])
                        for _ in range(10)] for _ in range(10)])
     model = replace(model_q, parametrization=ParametrizationMap(mb, P))
-    for i, w in enumerate(variables(L, 10)):
+    for w, row in zip(variables(L, 10), P.as_rows()):
         acc = zero_poly(L, 3)
         for j, b in enumerate(mb.list):
-            acc = acc + monomial(L, b) * P.at(i, j)
+            acc = acc + monomial(L, b) * row[j]
         assert pullback_to_plane(model, w) == acc
 
 
@@ -251,8 +250,8 @@ def test_induced_matrix_matches_naive_expansion(n, field, seed):
             break
     B = induced_matrix(mb, A)
     forms = linear_forms(A)
-    for i, b in enumerate(mb.list):
+    for b, row in zip(mb.list, B.as_rows()):
         image = naive_substitute(monomial(L, b), forms)
         assert image.is_homogeneous() and image.degree() == n + 1
         coeffs = image.terms_dict()
-        assert [coeffs.get(e, L.zero()) for e in mb.list] == list(B.row(i))
+        assert [coeffs.get(e, L.zero()) for e in mb.list] == row
