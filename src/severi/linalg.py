@@ -1,10 +1,13 @@
 """Exact sparse matrices over cyclic-extension elements.
 
-A Matrix stores only its nonzero entries, row by row, as (column, entry)
-pairs in increasing column order; its constructor puts any pairs into that
-form, so equal matrices compare equal.  Products, conjugates and scalings
-touch nonzero entries only, and dense rows exist only at the edges: as
-input to `from_rows`, and as output of `as_rows` and `matrix_to_json`.
+A Matrix holds only its rows: its nonzero entries, row by row, as
+(column, entry) pairs in increasing column order; its constructor puts any
+pairs into that form, so equal matrices compare equal.  Products,
+conjugates and scalings touch nonzero entries only, and dense rows exist
+only at the edges: as input to `from_rows`, and as output of `as_rows` and
+`matrix_to_json`.  Besides its rows a Matrix carries one cache that is not
+a field, `product_memo`, where `polyring.substitute_linear` keeps the
+products it has formed with the matrix's entries.
 
 Inverses, ranks and row echelon forms are all read off one sparse
 Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
@@ -20,6 +23,7 @@ are monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -53,6 +57,15 @@ class Matrix:
     @property
     def rows(self) -> int:
         return len(self.sparse_rows)
+
+    @cached_property
+    def product_memo(self) -> dict[tuple[tuple, tuple], ExtElement]:
+        """(x.coeffs, entry.coeffs) -> x * entry for products already formed
+        with an entry of this matrix.  Not a field: equality, hashing and
+        the rows are unaffected.  Sound because the matrix is immutable and
+        a product depends only on the coordinates of its factors, once both
+        are known to lie in `ext`; its one user checks that."""
+        return {}
 
     def as_rows(self) -> list[list[ExtElement]]:
         zero = self.ext.zero()

@@ -10,6 +10,11 @@ is involved.
 `substitute_linear`, F(A x), is the only substitution: every composite the
 program needs (a twisted quadric, an induced Veronese matrix, a pullback
 through P o Ver) is linear, or linear followed by a relabelling of terms.
+Its products with entries of A are memoized on A (`Matrix.product_memo`):
+the splitting matrix of a model has few distinct entries and the Veronese
+quadrics have coefficients +-1, so the twists of a whole ideal repeat the
+same few products.  A Matrix is immutable and a product in L depends only
+on the coordinates of its factors, so a remembered product is the product.
 """
 
 from __future__ import annotations
@@ -168,10 +173,18 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     the indices j they have picked up (a multiset of size deg x^e) and
     summed over all terms in one dict; each distinct key becomes an
     exponent vector once, at the end.
+
+    Each product v * a of a coefficient or partial product v with a row
+    entry a is looked up in A's `product_memo` by the coordinates of v and
+    a, and stored there on a miss, so later calls with the same A reuse it.
+    Coordinates name an element only within one extension, so F and A are
+    checked to lie in the same extension first, memo or not.
     """
     if A.rows != A.cols or A.rows != F.nvars:
         raise ShapeMismatch(f"need a {F.nvars}x{F.nvars} matrix")
-    rows = A.sparse_rows
+    if F.ext is not A.ext and F.ext != A.ext:
+        raise InputError("elements of different extensions")
+    rows, memo = A.sparse_rows, A.product_memo
     acc: dict[tuple[int, ...], ExtElement] = {}
     for e, c in F.terms:
         partial = {(): c}
@@ -179,11 +192,15 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
             for _ in range(k):
                 grown: dict[tuple[int, ...], ExtElement] = {}
                 for key, v in partial.items():
+                    vc = v.coeffs
                     for j, a in rows[i]:
                         t = key + (j,)
                         if key and key[-1] > j:
                             t = tuple(sorted(t))
-                        prod = v * a
+                        pair = (vc, a.coeffs)
+                        prod = memo.get(pair)
+                        if prod is None:
+                            prod = memo[pair] = v * a
                         cur = grown.get(t)
                         grown[t] = prod if cur is None else cur + prod
                 partial = grown

@@ -19,7 +19,7 @@ from math import comb
 from .errors import DegreeTooSmall, InputError, Singular
 from .fields import CyclicExtension
 from .linalg import Matrix, rank
-from .polyring import MultiPoly, make_poly, monomial, substitute_linear
+from .polyring import MultiPoly, monomial, substitute_linear
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,17 @@ def veronese_ideal(basis: MonomialBasis, ext: CyclicExtension) -> list[MultiPoly
     Pairs (i <= j) are grouped by the exponent sum e_i + e_j; each group
     contributes the differences against its first pair.  The result is
     linearly independent: every non-leading pair appears in exactly one
-    generator.
+    generator.  The first pair has the smallest i of its group, so its
+    exponent vector is the lex-larger one and the two terms are built in
+    canonical order.
     """
     if basis.degree != basis.n + 1:
         raise InputError("quadric generators are defined for the degree-(n+1) basis")
-    quads = []
     one = ext.one()
-    for (i0, j0, i, j) in _ideal_pairs(basis):
-        e_lead = _pair_exp(basis.m, i0, j0)
-        e_other = _pair_exp(basis.m, i, j)
-        quads.append(make_poly(ext, basis.m, {e_lead: one, e_other: -one}))
-    return quads
+    minus_one = -one
+    return [MultiPoly(ext, basis.m, ((_pair_exp(basis.m, i0, j0), one),
+                                     (_pair_exp(basis.m, i, j), minus_one)))
+            for (i0, j0, i, j) in _ideal_pairs(basis)]
 
 
 def _pair_exp(m: int, i: int, j: int) -> tuple[int, ...]:

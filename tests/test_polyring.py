@@ -1,5 +1,6 @@
 """Sparse homogeneous polynomials: substitution, Jacobian, span comparison."""
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,15 +12,22 @@ from hypothesis import strategies as st
 from certificate_oracle import (evaluate, in_span, linear_forms,
                                naive_substitute, span_equal)
 from severi import (
+    ExtElement,
     cyclic_cocycle,
+    find_normal_basis,
+    format_poly,
     frobenius_extension,
     from_rows,
+    lift_to_veronese,
     make_poly,
     make_shanks_cubic,
+    monomial_basis,
     mul,
+    split_structured,
     substitute_linear,
+    veronese_ideal,
 )
-from severi.errors import MixedDegrees, ShapeMismatch
+from severi.errors import InputError, MixedDegrees, ShapeMismatch
 from severi.polyring import (
     jacobian,
     monomial,
@@ -234,4 +242,55 @@ def test_substitute_linear_matches_all_forms(seed, field, kind):
     m = 5
     Fp = rand_mixed_poly(L, rng, m)
     A = rand_twist_matrix(L, rng, m, kind)
-    assert substitute_linear(Fp, A) == naive_substitute(Fp, linear_forms(A))
+    forms = linear_forms(A)
+    assert substitute_linear(Fp, A) == naive_substitute(Fp, forms)
+    # a second polynomial through the same A reads the products the first
+    # one left in A's memo
+    Gp = rand_mixed_poly(L, rng, m)
+    assert substitute_linear(Gp, A) == naive_substitute(Gp, forms)
+
+
+def test_substitute_linear_rejects_other_extension_with_warm_memo():
+    # the same coordinates over Shanks t = 2 would hit products formed over
+    # t = 1; the extension check comes before the memo, warm or cold
+    L1, L2 = make_shanks_cubic(1), make_shanks_cubic(2)
+    rng = random.Random(7)
+    Fp = rand_mixed_poly(L1, rng, 3)
+    F2 = make_poly(L2, 3, {e: L2.el(c.coeffs) for e, c in Fp.terms})
+    rows = [[L1.el([rng.randint(-2, 2) for _ in range(3)]) for _ in range(3)]
+            for _ in range(3)]
+    A = from_rows(L1, rows)
+    with pytest.raises(InputError):
+        substitute_linear(F2, from_rows(L1, rows))
+    substitute_linear(Fp, A)
+    assert A.product_memo
+    with pytest.raises(InputError):
+        substitute_linear(F2, A)
+
+
+# sha256 of the format_poly lines of the 465 twists below, recorded before
+# substitute_linear memoized its products
+N3_TWIST_DIGEST = "9cbda39f28bbfe3d40660f5c18e0b2c2b2d90bb2383fad9606a9f188962ae1a3"
+
+
+def test_n3_twist_reuses_products(monkeypatch):
+    # M has 133 nonzero entries but few distinct values and every quadric
+    # coefficient is +-1: the whole family needs a few hundred products
+    L = frobenius_extension(5, 4)
+    M = split_structured(lift_to_veronese(cyclic_cocycle(L, 2)), find_normal_basis(L))
+    quads = veronese_ideal(monomial_basis(3, 4), L)
+    assert len(quads) == 465
+    calls = 0
+    plain_mul = ExtElement.__mul__
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return plain_mul(x, y)
+
+    monkeypatch.setattr(ExtElement, "__mul__", counted)
+    twisted = [substitute_linear(Q, M) for Q in quads]
+    monkeypatch.undo()
+    assert calls <= 600
+    text = "\n".join(format_poly(F) for F in twisted)
+    assert hashlib.sha256(text.encode()).hexdigest() == N3_TWIST_DIGEST

@@ -175,6 +175,19 @@ def test_ideal_vanishes_on_parametrization(shanks1):
         assert naive_substitute(q, coords).is_zero()
 
 
+@pytest.mark.parametrize("n, field", [(1, "f3"), (2, "f5"), (3, "f3"), (4, "f5"),
+                                      (2, "shanks1")])
+def test_ideal_binomials_are_canonical(n, field, request):
+    # the binomials are built term by term; each must be what the validating
+    # constructor makes of the same terms
+    from severi.polyring import make_poly
+    L = request.getfixturevalue(field)
+    gens = veronese_ideal(monomial_basis(n, n + 1), L)
+    assert len(gens) > 0
+    for q in gens:
+        assert q == make_poly(L, q.nvars, q.terms)
+
+
 def test_induced_defining_property_symbolic(shanks1):
     # Ver(A x) = induced(A) . Ver(x) as polynomial vectors
     from severi.polyring import zero_poly
