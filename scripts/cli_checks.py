@@ -5,10 +5,12 @@ Each row gives the arguments, the exit code the run must return, the
 sha256 of its stdout (None when only the exit code is checked) and a time
 limit in seconds.  The two n = 3 digests are the pins of
 tests/test_acceptance.py, so a run under another interpreter is checked
-for byte identity, not only for success.  The exit-2 rows are inputs that
-must be refused at once, so their limits are short.  Uses the standard
-library only, and runs each row as `python -m severi` with the interpreter
-that runs this script.
+for byte identity, not only for success.  The two digests over Shanks
+cubics with a fractional a pin n = 2 emissions over Q whose elements of L
+have denominators; apart from them only the seed-0 benchmark digests pin
+such an emission.  The exit-2 rows are inputs that must be refused at
+once, so their limits are short.  Uses the standard library only, and runs
+each row as `python -m severi` with the interpreter that runs this script.
 
 Usage:
     python scripts/cli_checks.py
@@ -27,6 +29,12 @@ CHECKS = [
     (["surface", "--field", "poly:x^4+x^3+x^2+x+1;galois:x^2", "--n", "3",
       "--a", "5", "--check"], 0,
      "e236edd830dd2a2b74e1631d8ffd838c00048d2915ca05d50609d8e8ee2e46b9", 60),
+    (["surface", "--field", "shanks:t=3", "--a=12/5", "--check", "--emit",
+      "json"], 0,
+     "4f0324f89488067ea783557cf1277485b65fd03f38c308da314092baa4f6e8cc", 60),
+    (["verify", "--field", "shanks:t=2", "--a=-9/2", "--suite", "split",
+      "--emit", "json"], 0,
+     "06b63027a90da62352cde8b7143db74593e6ba27ee0dbe5548649d0a9a3cb708", 60),
     (["verify", "--suite", "counts"], 0, None, 120),
     (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2",
       "--suite", "triviality"], 0, None, 120),

@@ -11,14 +11,19 @@ severi.grammar parses user input straight into them.  Every
 CyclicExtension checks f and g when it is constructed: degree >= 2, monic,
 irreducible, g a root of f that generates a cyclic group of order deg f.
 
-Products in L are computed in Python ints: over Q each operand is scaled
-by the lcm of its coordinate denominators (once per element, then cached
-on it), the two integer vectors are convolved, and the convolution is
-reduced mod f with an integer copy of the theta-power table (sparse rows
-over one common denominator).  Each output coordinate is then built once,
-as Fraction(v, d) over Q or v % p over F_p, so a product runs n+1 gcds
-instead of one per scalar operation.  Sums and differences work on the
-coordinate tuples directly.
+An element of L keeps integer coordinates: numerators `nums` over one
+denominator `den`, in a normal form (den >= 1, gcd(den, *nums) = 1, zero
+as all-zero nums over 1; over F_p den is 1 and nums are residues).  The
+form is canonical, so the dataclass's field equality and hash are value
+equality.  Sums, differences, negatives, products, inverses and Galois
+images are computed in Python ints and normalized once per result, by one
+gcd over Q and by reduction mod p over F_p: a product convolves the two
+integer vectors and reduces the convolution mod f with an integer copy of
+the theta-power table, and a Galois image reads an integer copy of the
+coordinate maps of sigma^j (both sparse rows over one common
+denominator).  The base-field view `coeffs` (Fractions over Q, residues
+over F_p) is what formatters, JSON writers and reductions over k read;
+over Q it is built once, on first read.
 
 All exact linear algebra of the package, over k and over L, is one
 sparse Gauss-Jordan elimination, `row_reduce`: rows go in as (column,
@@ -388,6 +393,17 @@ def poly_check_irreducible(field: BaseField, f) -> None:
 # cyclic extensions
 # ---------------------------------------------------------------------------
 
+def _integer_rows(base: BaseField, rows: Sequence[Sequence[Scalar]]
+                  ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """Rows of scalars over one common denominator d (1 over F_p): for each
+    row, the pairs (t, c) with c != 0 and row[t] = c / d."""
+    d = 1
+    if base.p is None:
+        d = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple((t, int(c * d)) for t, c in enumerate(row) if c)
+                 for row in rows), d
+
+
 class CyclicExtension:
     """k[x]/(f) with Galois generator sigma: theta |-> g(theta).
 
@@ -443,13 +459,7 @@ class CyclicExtension:
     def _int_theta_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
         """_theta_pow_table over one common denominator d: rows[k] lists the
         pairs (t, c) with c != 0 and theta^k = sum c * theta^t / d."""
-        table = self._theta_pow_table
-        d = 1
-        if self.base.p is None:
-            d = math.lcm(*(c.denominator for row in table for c in row))
-        rows = tuple(tuple((t, int(c * d)) for t, c in enumerate(row) if c)
-                     for row in table)
-        return rows, d
+        return _integer_rows(self.base, self._theta_pow_table)
 
     @cached_property
     def _galois_coord_maps(self) -> list[list[tuple[Scalar, ...]]]:
@@ -464,6 +474,12 @@ class CyclicExtension:
             maps.append(cols)
         return maps
 
+    @cached_property
+    def _int_galois_table(self) -> list[tuple[tuple[tuple[tuple[int, int], ...], ...], int]]:
+        """_galois_coord_maps[j] over one common denominator d_j, as
+        _int_theta_table holds the theta powers."""
+        return [_integer_rows(self.base, cols) for cols in self._galois_coord_maps]
+
     def _pad(self, c: Sequence[Scalar]) -> tuple[Scalar, ...]:
         c = list(c)
         return tuple(list(c) + [self.base.zero()] * (self.degree - len(c)))
@@ -474,10 +490,22 @@ class CyclicExtension:
         c = [self.base.coerce(x) for x in coeffs]
         if len(c) > self.degree:
             c = list(poly_mod(self.base, c, self.f))
-        return ExtElement(self, self._pad(c))
+        c = self._pad(c)
+        if self.base.p is not None:
+            return ExtElement(self, c, 1)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        d = math.lcm(*(x.denominator for x in c))
+        out = ExtElement(self, tuple(x.numerator * (d // x.denominator) for x in c), d)
+        _setattr(out, "coeffs", c)  # the view is at hand: fill its cache
+        return out
 
     def from_base(self, x) -> "ExtElement":
-        return self.el([x])
+        """x in L, built in normal form: x over its own denominator."""
+        x = self.base.coerce(x)
+        zeros = (0,) * (self.degree - 1)
+        if self.base.p is not None:
+            return ExtElement(self, (x,) + zeros, 1)
+        return ExtElement(self, (x.numerator,) + zeros, x.denominator)
 
     def zero(self) -> "ExtElement":
         return self.el([])
@@ -526,15 +554,44 @@ class CyclicExtension:
         return f"CyclicExtension({self.base}, f={format_univariate(self.f)})"
 
 
-@dataclass(frozen=True)
+# writes an attribute of a frozen instance, as dataclasses' own __init__ does
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class ExtElement:
-    """Element of a cyclic extension in power-basis coordinates."""
+    """Element of a cyclic extension in power-basis coordinates: coordinate
+    i is nums[i] / den.
+
+    Every element is built in the normal form of the module docstring:
+    den >= 1 and gcd(den, *nums) = 1, zero as all-zero nums over 1, and
+    over F_p den = 1 with residues in 0..p-1.  Each value has exactly one
+    such (nums, den), so the dataclass's field equality and hash are value
+    equality.
+    """
 
     ext: CyclicExtension
-    coeffs: tuple[Scalar, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        assert len(self.coeffs) == self.ext.degree
+    def __init__(self, ext: CyclicExtension, nums: tuple[int, ...], den: int):
+        # the generated __init__ plus a __post_init__ for the F_p view costs
+        # a fifth more per element; reading self.__dict__ instead would give
+        # every instance a materialized dict, slower to read and larger
+        assert len(nums) == ext.degree
+        _setattr(self, "ext", ext)
+        _setattr(self, "nums", nums)
+        _setattr(self, "den", den)
+        if ext.base.p is not None:
+            _setattr(self, "coeffs", nums)
+
+    @cached_property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coordinates as base scalars: over F_p the stored residues
+        (set at construction, so reading them is a field read), over Q
+        Fractions, built once on first read."""
+        d = self.den
+        return tuple(Fraction(v, d) for v in self.nums)
 
     # -- ring structure -----------------------------------------------------
 
@@ -547,23 +604,36 @@ class ExtElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        p = self.ext.base.p
-        if p is None:
-            return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return ExtElement(self.ext, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ext = self.ext
+        p = ext.base.p
+        if p is not None:
+            nums = tuple([(a + b) % p for a, b in zip(self.nums, other.nums)])
+            return ExtElement(ext, nums, 1)
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced(ext, [a + b for a, b in zip(self.nums, other.nums)], d)
+        g = math.gcd(d, e)
+        s, t = e // g, d // g
+        return _reduced(ext, [a * s + b * t for a, b in zip(self.nums, other.nums)], d * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.ext.base
-        return ExtElement(self.ext, tuple(k.neg(a) for a in self.coeffs))
+        return _reduced(self.ext, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        p = self.ext.base.p
-        if p is None:
-            return ExtElement(self.ext, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-        return ExtElement(self.ext, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ext = self.ext
+        p = ext.base.p
+        if p is not None:
+            nums = tuple([(a - b) % p for a, b in zip(self.nums, other.nums)])
+            return ExtElement(ext, nums, 1)
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced(ext, [a - b for a, b in zip(self.nums, other.nums)], d)
+        g = math.gcd(d, e)
+        s, t = e // g, d // g
+        return _reduced(ext, [a * s - b * t for a, b in zip(self.nums, other.nums)], d * s)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -571,16 +641,10 @@ class ExtElement:
     def __mul__(self, other):
         other = self._coerce(other)
         ext = self.ext
-        p = ext.base.p
-        if p is None:
-            xs, dx = self._integer_coords
-            ys, dy = other._integer_coords
-        else:
-            xs, ys = self.coeffs, other.coeffs
         conv = [0] * (2 * ext.degree - 1)
-        for i, x in enumerate(xs):
+        for i, x in enumerate(self.nums):
             if x:
-                for j, y in enumerate(ys, i):
+                for j, y in enumerate(other.nums, i):
                     if y:
                         conv[j] += x * y
         rows, dt = ext._int_theta_table
@@ -589,18 +653,9 @@ class ExtElement:
             if v:
                 for t, c in row:
                     acc[t] += v * c
-        if p is None:
-            d = dx * dy * dt
-            return ExtElement(ext, tuple(Fraction(v, d) for v in acc))
-        return ExtElement(ext, tuple(v % p for v in acc))
+        return _reduced(ext, acc, self.den * other.den * dt)
 
     __rmul__ = __mul__
-
-    @cached_property
-    def _integer_coords(self) -> tuple[tuple[int, ...], int]:
-        """Over Q: integers xs and a denominator d with coeffs[i] == xs[i] / d."""
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (d // c.denominator) for c in self.coeffs), d
 
     def inverse(self) -> "ExtElement":
         """The product of the other conjugates sigma^j(x), j = 1..n, divided
@@ -611,7 +666,13 @@ class ExtElement:
         rest = galois_apply(ext, self, 1)
         for j in range(2, ext.degree):
             rest = rest * galois_apply(ext, self, j)
-        return rest * ext.base.inv((self * rest).coeffs[0])
+        nx = self * rest  # the norm c / nx.den, in k
+        c, p = nx.nums[0], ext.base.p
+        if p is not None:
+            s = pow(c, -1, p)
+            return _reduced(ext, [v * s for v in rest.nums], 1)
+        s = nx.den if c > 0 else -nx.den
+        return _reduced(ext, [v * s for v in rest.nums], rest.den * abs(c))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -634,22 +695,36 @@ class ExtElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def in_base(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def base_value(self) -> Scalar:
         if not self.in_base():
             raise InternalDescentFailure(
                 f"element {self.coeffs} has a nonzero theta-coordinate")
-        return self.coeffs[0]
+        if self.ext.base.p is not None:
+            return self.nums[0]
+        return Fraction(self.nums[0], self.den)
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
+
+
+def _reduced(ext: CyclicExtension, nums: Sequence[int], den: int) -> ExtElement:
+    """nums / den (den >= 1) in normal form: over Q divided by one
+    gcd(den, *nums), over F_p (den = 1) reduced mod p."""
+    p = ext.base.p
+    if p is not None:
+        return ExtElement(ext, tuple([v % p for v in nums]), 1)
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return ExtElement(ext, tuple(nums), den)
+    return ExtElement(ext, tuple(v // g for v in nums), den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -693,17 +768,13 @@ def galois_apply(L: CyclicExtension, x: ExtElement, j: int) -> ExtElement:
     j %= L.degree
     if j == 0 or not x:
         return x
-    k = L.base
-    cols = L._galois_coord_maps[j]
-    acc = [k.zero()] * L.degree
-    for i, c in enumerate(x.coeffs):
-        if k.is_zero(c):
-            continue
-        col = cols[i]
-        for t in range(L.degree):
-            if not k.is_zero(col[t]):
-                acc[t] = k.add(acc[t], k.mul(c, col[t]))
-    return ExtElement(L, tuple(acc))
+    cols, d = L._int_galois_table[j]
+    acc = [0] * L.degree
+    for c, col in zip(x.nums, cols):
+        if c:
+            for t, v in col:
+                acc[t] += c * v
+    return _reduced(L, acc, x.den * d)
 
 
 def conjugates(L: CyclicExtension, x: ExtElement) -> list[ExtElement]:

@@ -11,7 +11,8 @@ products it has formed with the matrix's entries.
 
 Inverses, ranks and row echelon forms are all read off one sparse
 Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
-arithmetic in L (see severi.fields for the integer product kernel).  It is
+arithmetic in L, whose elements keep integer coordinates over one
+denominator (see severi.fields for their normal form and kernels).  It is
 handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity
 pair each, and returns the nonzero reduced rows as dicts: `inverse` keeps
 their right block, and `rref` keeps them whole.  A square matrix is
@@ -59,12 +60,14 @@ class Matrix:
         return len(self.sparse_rows)
 
     @cached_property
-    def product_memo(self) -> dict[tuple[tuple, tuple], ExtElement]:
-        """(x.coeffs, entry.coeffs) -> x * entry for products already formed
-        with an entry of this matrix.  Not a field: equality, hashing and
-        the rows are unaffected.  Sound because the matrix is immutable and
-        a product depends only on the coordinates of its factors, once both
-        are known to lie in `ext`; its one user checks that."""
+    def product_memo(self) -> dict[tuple[tuple, int, tuple, int], ExtElement]:
+        """(x.nums, x.den, entry.nums, entry.den) -> x * entry for products
+        already formed with an entry of this matrix; the integer coordinates
+        are in normal form, so equal factors give equal keys and no Fraction
+        is hashed.  Not a field: equality, hashing and the rows are
+        unaffected.  Sound because the matrix is immutable and a product
+        depends only on the coordinates of its factors, once both are known
+        to lie in `ext`; its one user checks that."""
         return {}
 
     def as_rows(self) -> list[list[ExtElement]]:

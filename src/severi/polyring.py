@@ -175,8 +175,9 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     exponent vector once, at the end.
 
     Each product v * a of a coefficient or partial product v with a row
-    entry a is looked up in A's `product_memo` by the coordinates of v and
-    a, and stored there on a miss, so later calls with the same A reuse it.
+    entry a is looked up in A's `product_memo` by the integer coordinates
+    of v and a (`nums` and `den`), and stored there on a miss, so later
+    calls with the same A reuse it.
     Coordinates name an element only within one extension, so F and A are
     checked to lie in the same extension first, memo or not.
     """
@@ -192,12 +193,12 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
             for _ in range(k):
                 grown: dict[tuple[int, ...], ExtElement] = {}
                 for key, v in partial.items():
-                    vc = v.coeffs
+                    vn, vd = v.nums, v.den
                     for j, a in rows[i]:
                         t = key + (j,)
                         if key and key[-1] > j:
                             t = tuple(sorted(t))
-                        pair = (vc, a.coeffs)
+                        pair = (vn, vd, a.nums, a.den)
                         prod = memo.get(pair)
                         if prod is None:
                             prod = memo[pair] = v * a

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_structured
@@ -168,14 +169,15 @@ def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
     """The theta-coordinates F_i of every member, as rows over k of
     (column of `support`, nonzero entry) pairs."""
     col = {e: j for j, e in enumerate(support)}
+    over_q = L.base.p is None
     rows = []
     for F in family:
         parts = [[] for _ in range(L.degree)]
         for e, c in F.terms:
             j = col[e]
-            for part, x in zip(parts, c.coeffs):
+            for part, x in zip(parts, c.nums):
                 if x:
-                    part.append((j, x))
+                    part.append((j, Fraction(x, c.den) if over_q else x))
         rows.extend(parts)
     return rows
 
@@ -188,10 +190,12 @@ def vanishes_on_image(equations: Sequence[MultiPoly], basis: MonomialBasis,
 
     N_ab, the theta-coordinates of the product of coordinates a and b of
     P Ver(x) keyed by x-monomial, is computed once per call for each pair
-    the equations use, from P's nonzero entries as integer numerators over
-    one common denominator and the integer theta-power table.  Each
-    equation's coefficients are cleared to integers by their lcm, and
-    sum c_ab N_ab is tested for zero, or for zero mod p over F_p.
+    the equations use, from the integer coordinates (`nums` over `den`) of
+    P's nonzero entries, brought to their common denominator, and the
+    integer theta-power table.  Each equation's coefficients, integers
+    over their own denominators, are brought to their lcm the same way,
+    and sum c_ab N_ab is tested for zero, or for zero mod p over F_p (where
+    every denominator is 1).
     """
     L = P.ext
     p = L.base.p
@@ -202,19 +206,11 @@ def vanishes_on_image(equations: Sequence[MultiPoly], basis: MonomialBasis,
     # the code of a product of two basis monomials is the sum of their codes
     radix = 2 * basis.degree + 1
     codes = [sum(k * radix ** i for i, k in enumerate(e)) for e in basis.list]
-    if p is None:
-        denom = math.lcm(*(c._integer_coords[1] for row in P.sparse_rows
-                           for _, c in row))
-
-        def numerators(c: ExtElement) -> Sequence[int]:
-            xs, d = c._integer_coords
-            return [x * (denom // d) for x in xs]
-    else:
-        def numerators(c: ExtElement) -> Sequence[int]:
-            return c.coeffs
+    denom = math.lcm(*(c.den for row in P.sparse_rows for _, c in row))
     # row i of P: (code of basis monomial j, nonzero (s, numerator of
     # theta^s)) for each nonzero entry P[i][j]
-    rows = [[(codes[j], [(s, x) for s, x in enumerate(numerators(c)) if x])
+    rows = [[(codes[j], [(s, x * (denom // c.den))
+                         for s, x in enumerate(c.nums) if x])
              for j, c in row] for row in P.sparse_rows]
     images: dict[Exponents, dict[int, int]] = {}
 
@@ -243,10 +239,8 @@ def vanishes_on_image(equations: Sequence[MultiPoly], basis: MonomialBasis,
         return out
 
     for F in equations:
-        cs = [c.coeffs[0] for _, c in F.terms]
-        if p is None:
-            lcm = math.lcm(*(c.denominator for c in cs))
-            cs = [c.numerator * (lcm // c.denominator) for c in cs]
+        lcm = math.lcm(*(c.den for _, c in F.terms))
+        cs = [c.nums[0] * (lcm // c.den) for _, c in F.terms]
         acc: dict[int, int] = {}
         for (e, _), c in zip(F.terms, cs):
             for slot, v in image(e).items():

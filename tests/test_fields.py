@@ -1,4 +1,5 @@
 """Base fields, cyclic extensions, Galois action, norm/trace, witnesses."""
+import math
 import random
 from fractions import Fraction
 
@@ -377,21 +378,57 @@ def _same_scalars(got, want):
     return got == want and all(type(g) is type(w) for g, w in zip(got, want))
 
 
+def _schoolbook_galois(L, x, j):
+    """sigma^j(x) in base scalars, from the coordinate maps of sigma^j."""
+    k = L.base
+    acc = [k.zero()] * L.degree
+    for a, col in zip(x.coeffs, L._galois_coord_maps[j]):
+        for t, r in enumerate(col):
+            acc[t] = k.add(acc[t], k.mul(a, r))
+    return tuple(acc)
+
+
+def _in_normal_form(z):
+    """den >= 1 and gcd(den, *nums) = 1 (so zero is over 1); over F_p
+    den = 1 and the nums are residues."""
+    p = z.ext.base.p
+    if p is not None and not (z.den == 1 and all(0 <= v < p for v in z.nums)):
+        return False
+    return (all(type(v) is int for v in (z.den, *z.nums)) and z.den >= 1
+            and math.gcd(z.den, *z.nums) == 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS), st.data())
 def test_arithmetic_matches_schoolbook(L, data):
     if L.base.p is None:
-        scalars = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+        scalars = st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6)
     else:
         scalars = st.integers(min_value=-40, max_value=40)
     vec = st.lists(scalars, min_size=L.degree, max_size=L.degree)
     x, y = L.el(data.draw(vec)), L.el(data.draw(vec))
     k = L.base
+    results = [x, y, x * y, x + y, x - y, -x, (x + y) - y, x - x]
     assert _same_scalars((x * y).coeffs, _schoolbook_mul(x, y))
     assert _same_scalars((x + y).coeffs,
                          tuple(k.add(a, b) for a, b in zip(x.coeffs, y.coeffs)))
     assert _same_scalars((x - y).coeffs,
                          tuple(k.sub(a, b) for a, b in zip(x.coeffs, y.coeffs)))
+    assert _same_scalars((-x).coeffs, tuple(k.neg(a) for a in x.coeffs))
+    for j in range(L.degree):
+        img = galois_apply(L, x, j)
+        assert _same_scalars(img.coeffs, _schoolbook_galois(L, x, j))
+        results.append(img)
+    if x:
+        results.append(x.inverse())
+        assert x * results[-1] == L.one()
+    assert all(_in_normal_form(z) for z in results)
+    # normal form makes field equality and hashing value equality
+    for u, v in [(x, y), ((x + y) - y, x), (x - x, L.zero()), (L.el(x.coeffs), x)]:
+        assert (u == v) == (u.coeffs == v.coeffs)
+        assert u != v or hash(u) == hash(v)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x - x == L.zero() and hash(x - x) == hash(L.zero())
 
 
 def test_arithmetic_with_base_scalars(shanks1):
