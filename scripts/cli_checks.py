@@ -5,12 +5,16 @@ Each row gives the arguments, the exit code the run must return, the
 sha256 of its stdout (None when only the exit code is checked) and a time
 limit in seconds.  The two n = 3 digests are the pins of
 tests/test_acceptance.py, so a run under another interpreter is checked
-for byte identity, not only for success.  The two digests over Shanks
+for byte identity, not only for success.  The four digests over Shanks
 cubics with a fractional a pin n = 2 emissions over Q whose elements of L
-have denominators; apart from them only the seed-0 benchmark digests pin
-such an emission.  The exit-2 rows are inputs that must be refused at
-once, so their limits are short.  Uses the standard library only, and runs
-each row as `python -m severi` with the interpreter that runs this script.
+have denominators: one with an a of six-digit numerator and denominator,
+whose model runs large denominators through the integer row reduction of
+the descent and the JSON writers, and one of the `algebra` suite, whose
+center rank is a row reduction over Q.  Apart from them only the seed-0
+benchmark digests pin such an emission.  The exit-2 rows are inputs that
+must be refused at once, so their limits are short.  Uses the standard
+library only, and runs each row as `python -m severi` with the
+interpreter that runs this script.
 
 Usage:
     python scripts/cli_checks.py
@@ -35,6 +39,12 @@ CHECKS = [
     (["verify", "--field", "shanks:t=2", "--a=-9/2", "--suite", "split",
       "--emit", "json"], 0,
      "06b63027a90da62352cde8b7143db74593e6ba27ee0dbe5548649d0a9a3cb708", 60),
+    (["surface", "--field", "shanks:t=6", "--a=-1000003/999983", "--check",
+      "--emit", "json"], 0,
+     "362940362e1c4d8a1685d0fd8ed1d88d79e6d4187441a011dad098c8714a71df", 60),
+    (["verify", "--field", "shanks:t=4", "--a=-7/3", "--suite", "algebra",
+      "--emit", "json"], 0,
+     "182b6c80b5906cd9062149a6483e0a1496e36fa90eddb626602708cfe2f3368c", 60),
     (["verify", "--suite", "counts"], 0, None, 120),
     (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2",
       "--suite", "triviality"], 0, None, 120),

@@ -22,14 +22,17 @@ integer vectors and reduces the convolution mod f with an integer copy of
 the theta-power table, and a Galois image reads an integer copy of the
 coordinate maps of sigma^j (both sparse rows over one common
 denominator).  The base-field view `coeffs` (Fractions over Q, residues
-over F_p) is what formatters, JSON writers and reductions over k read;
-over Q it is built once, on first read.
+over F_p) is what the text formatters and the k-rows of other modules
+read; over Q it is built once, on first read.  The descent's rows over k
+and the JSON writer `element_to_json` read `nums` and `den` instead.
 
 All exact linear algebra of the package, over k and over L, is one
 sparse Gauss-Jordan elimination, `row_reduce`: rows go in as (column,
 entry) pairs and come out as the nonzero reduced rows alone, each a dict
-of its nonzero entries, so no dense matrix is built around it.  A
-CyclicExtension offers the BaseField operations it uses, `zero` and `inv`.
+of its nonzero entries, so no dense matrix is built around it.  Over Q
+it eliminates in primitive integer rows and builds Fractions only for
+the rows it returns.  A CyclicExtension offers the BaseField operations
+it uses, `zero` and `inv`.
 The plain-text term joiner `format_terms` is shared with severi.grammar.
 
 Scalars, elements and extensions have JSON writers (`scalar_to_json`,
@@ -144,7 +147,7 @@ class BaseField:
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
@@ -804,16 +807,32 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
     column.  The reduced row echelon form is unique, so the pivot choice
     changes no entry.  Zero tests use truthiness, which is false for
     Fraction(0), the int 0 and a zero ExtElement.
+
+    Over Q the elimination runs in integers and no pivot is inverted.  Each
+    input row, of Fraction or int entries, is scaled by the lcm of its
+    denominators and divided by the gcd of the numerators; a row that holds
+    the pivot column becomes pv * row - row[c] * prow (both factors first
+    divided by their gcd) and is divided by the gcd of its entries again.
+    Each stored row is then a nonzero multiple of the row the Fraction
+    elimination would hold, so the sparsity, the pivots and the rows chosen
+    are the same, and dividing each reduced row once by its pivot entry
+    gives the same rows, as dicts of Fraction; those divisions build the
+    only Fractions of the call.
     """
     p = field.p if isinstance(field, BaseField) else None
-    zero = field.zero()
+    over_q = isinstance(field, BaseField) and p is None
     sparse = [{j: x for j, x in r if x} for r in rows]
+    if over_q:
+        sparse = [_primitive(row) for row in sparse]
+        zero = 0
+    else:
+        zero = field.zero()
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(sparse):
         for j in row:
             holders.setdefault(j, set()).add(i)
     free = {i for i, row in enumerate(sparse) if row}
-    reduced: list[dict] = []
+    order: list[int] = []
     pivots: list[int] = []
     for c in sorted(holders):
         if not free:
@@ -823,12 +842,21 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
                 key=lambda i: (len(sparse[i]), i), default=None)
         if r is None:
             continue
-        inv = field.inv(sparse[r][c])
-        prow = sparse[r] = {j: (x * inv) % p if p else x * inv
-                            for j, x in sparse[r].items()}
+        if over_q:
+            prow = sparse[r]
+            pv = prow[c]
+        else:
+            inv = field.inv(sparse[r][c])
+            prow = sparse[r] = {j: (x * inv) % p if p else x * inv
+                                for j, x in sparse[r].items()}
         for i in [i for i in held if i != r]:
             row = sparse[i]
             f = row[c]
+            if over_q:
+                g = math.gcd(pv, f)
+                s, f = pv // g, f // g
+                if s != 1:
+                    row = sparse[i] = {j: x * s for j, x in row.items()}
             for j, y in prow.items():
                 x = row.get(j)
                 v = (zero if x is None else x) - f * y
@@ -841,10 +869,26 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
                 elif x is not None:
                     del row[j]
                     holders[j].discard(i)
+            if over_q:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    sparse[i] = {j: x // g for j, x in row.items()}
         free.discard(r)
-        reduced.append(prow)
+        order.append(r)
         pivots.append(c)
-    return reduced, pivots
+    if over_q:
+        return [{j: Fraction(x, sparse[r][c]) for j, x in sparse[r].items()}
+                for r, c in zip(order, pivots)], pivots
+    return [sparse[r] for r in order], pivots
+
+
+def _primitive(row: dict) -> dict:
+    """A row of Fraction or int entries scaled to coprime integers: times
+    the lcm of its denominators, divided by the gcd of the numerators."""
+    d = math.lcm(*(x.denominator for x in row.values()))
+    row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 @dataclass(frozen=True)
@@ -1041,7 +1085,17 @@ def scalar_to_json(x: Scalar):
 
 
 def element_to_json(x: ExtElement) -> list:
-    return [scalar_to_json(c) for c in x.coeffs]
+    """The coordinates as scalar_to_json writes them, read from the integer
+    form: over Q each nums[i] / den is reduced by one gcd, with no Fraction
+    built; over F_p the residues."""
+    if x.ext.base.p is not None:
+        return list(x.nums)
+    d = x.den
+    out = []
+    for v in x.nums:
+        g = math.gcd(v, d)
+        out.append(str(v // g) if g == d else f"{v // g}/{d // g}")
+    return out
 
 
 def extension_to_json(L: CyclicExtension) -> dict:

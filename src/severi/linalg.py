@@ -29,8 +29,8 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ShapeMismatch, Singular
-from .fields import (CyclicExtension, ExtElement, galois_apply, row_reduce,
-                     scalar_to_json)
+from .fields import (CyclicExtension, ExtElement, element_to_json, galois_apply,
+                     row_reduce)
 
 SparseRow = tuple[tuple[int, ExtElement], ...]
 
@@ -185,6 +185,5 @@ def matrix_to_json(A: Matrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[scalar_to_json(c) for c in e.coeffs]
-                    for row in A.as_rows() for e in row],
+        "entries": [element_to_json(e) for row in A.as_rows() for e in row],
     }

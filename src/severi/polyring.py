@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, MixedDegrees, ShapeMismatch
-from .fields import CyclicExtension, ExtElement, scalar_to_json
+from .fields import CyclicExtension, ExtElement, element_to_json
 from .linalg import Matrix, rref
 
 Exponents = tuple[int, ...]
@@ -289,5 +289,4 @@ def span_reduce(S: Sequence[MultiPoly]) -> list[MultiPoly]:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(F: MultiPoly) -> list:
-    return [[list(e), [scalar_to_json(c) for c in coeff.coeffs]]
-            for e, coeff in F.terms]
+    return [[list(e), element_to_json(coeff)] for e, coeff in F.terms]

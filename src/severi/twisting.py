@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cohomology import cyclic_cocycle, lift_to_veronese, split_structured
@@ -148,6 +147,9 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
     descends only one exponent-sum group per rotation orbit, whose
     sigma-closure is the whole twisted ideal, and certifies each model by
     `image_defect`.  A member over another extension raises InputError.
+
+    The rows handed to `row_reduce` are integers (`_coordinate_rows`), so
+    over Q the reduction builds Fractions only for the rows it returns.
     """
     for F in family:
         if F.ext is not L and F.ext != L:
@@ -165,19 +167,21 @@ def descend_to_base(L: CyclicExtension, family: Sequence[MultiPoly]
 
 def _coordinate_rows(L: CyclicExtension, family: Sequence[MultiPoly],
                      support: Sequence[Exponents]
-                     ) -> list[list[tuple[int, Scalar]]]:
-    """The theta-coordinates F_i of every member, as rows over k of
-    (column of `support`, nonzero entry) pairs."""
+                     ) -> list[list[tuple[int, int]]]:
+    """The theta-coordinates F_i of every member, as rows of (column of
+    `support`, nonzero entry) pairs with integer entries: each member is
+    scaled by the lcm of its coefficients' denominators (1 over F_p), which
+    leaves the k-span of its F_i, and so the reduced basis, unchanged."""
     col = {e: j for j, e in enumerate(support)}
-    over_q = L.base.p is None
     rows = []
     for F in family:
+        d = math.lcm(*(c.den for _, c in F.terms))
         parts = [[] for _ in range(L.degree)]
         for e, c in F.terms:
-            j = col[e]
+            j, s = col[e], d // c.den
             for part, x in zip(parts, c.nums):
                 if x:
-                    part.append((j, Fraction(x, c.den) if over_q else x))
+                    part.append((j, x * s))
         rows.extend(parts)
     return rows
 

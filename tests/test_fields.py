@@ -20,8 +20,8 @@ from severi import (
     norm_witness,
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroA
-from severi.fields import (BaseField, NormalBasis, conjugates,
-                           poly_check_irreducible, row_reduce)
+from severi.fields import (BaseField, NormalBasis, conjugates, element_to_json,
+                           poly_check_irreducible, row_reduce, scalar_to_json)
 
 
 def F(x):
@@ -249,6 +249,15 @@ def test_base_field_coerce_fraction_mod_p():
     assert k.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
 
 
+def test_base_field_inverse_over_q_is_a_fraction():
+    # an int input must give a Fraction, not the float 1 / a
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert all(type(QQ.inv(a)) is Fraction for a in (3, -4, F(3), F(-2) / 5))
+    R, pivots = row_reduce(QQ, [[(0, 3), (1, 1)]])
+    assert pivots == [0] and R == [{0: Fraction(1), 1: Fraction(1, 3)}]
+    assert all(type(x) is Fraction for x in R[0].values())
+
+
 def test_base_field_prime_required():
     with pytest.raises(InputError):
         GF(6)
@@ -423,6 +432,9 @@ def test_arithmetic_matches_schoolbook(L, data):
         results.append(x.inverse())
         assert x * results[-1] == L.one()
     assert all(_in_normal_form(z) for z in results)
+    # the JSON writer reads nums and den as scalar_to_json reads coeffs
+    assert all(_same_scalars(element_to_json(z), [scalar_to_json(c) for c in z.coeffs])
+               for z in results)
     # normal form makes field equality and hashing value equality
     for u, v in [(x, y), ((x + y) - y, x), (x - x, L.zero()), (L.el(x.coeffs), x)]:
         assert (u == v) == (u.coeffs == v.coeffs)
@@ -592,10 +604,16 @@ def test_row_reduce_matches_dense_reference(name):
         else:
             coord = lambda: rng.randrange(7)
         scalar = lambda: field.el([coord() for _ in range(3)]) or field.one()
-    shapes = [(1, 1), (4, 4), (6, 3), (3, 7), (12, 12), (20, 9), (9, 25)]
-    for rows, cols in shapes:
+    shapes = [(rows, cols, scalar) for rows, cols in
+              [(1, 1), (4, 4), (6, 3), (3, 7), (12, 12), (20, 9), (9, 25)]]
+    if name == "Q":
+        # entries near 2^70 / 3^40, so that the integer rows over Q are big
+        # and have a content to divide out
+        shapes.append((8, 10, lambda: Fraction(2 ** 70 + rng.randint(-99, 99),
+                                                3 ** 40 + rng.randint(0, 99))))
+    for rows, cols, entry in shapes:
         for density in (0.1, 0.3, 1.0):
-            A = _random_rows(field, scalar, rng, rows, cols, density)
+            A = _random_rows(field, entry, rng, rows, cols, density)
             R, pivots = row_reduce(field, map(enumerate, A))
             want_R, want_pivots = _dense_row_reduce(field, A)
             assert pivots == want_pivots
@@ -604,6 +622,12 @@ def test_row_reduce_matches_dense_reference(name):
             assert _entry_types(dense) == _entry_types(want_R)
             assert len(R) == len(pivots)
             assert all(x for row in R for x in row.values())
+            if name == "Q":
+                # each row times a nonzero rational spans the same rows
+                scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
+                                   rng.randint(1, 50)) for _ in A]
+                scaled = [[x * c for x in row] for row, c in zip(A, scales)]
+                assert row_reduce(field, map(enumerate, scaled)) == (R, pivots)
 
 
 @pytest.mark.parametrize("name", ["Q", "F7", "shanks1"])
@@ -637,3 +661,16 @@ def test_row_reduce_input_forms_agree(name):
         for form in forms[1:]:
             R, pivots = row_reduce(field, form)
             assert pivots == want_pivots and R == want_R
+        if name == "Q":
+            # A itself is all Fraction; the same rows with each integral
+            # entry an int, and cleared of denominators as ints alone
+            mixed = [[int(x) if x.denominator == 1 else x for x in row] for row in A]
+            ints = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row]
+                    for row in A]
+            assert any(type(x) is int for row in mixed for x in row)
+            want_types = _entry_types([list(row.values()) for row in want_R])
+            assert {t for row in want_types for t, _ in row} == {Fraction}
+            for B in (mixed, ints):
+                R, pivots = row_reduce(field, map(enumerate, B))
+                assert pivots == want_pivots and R == want_R
+                assert _entry_types([list(row.values()) for row in R]) == want_types

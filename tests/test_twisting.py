@@ -43,13 +43,16 @@ from severi import (
     verify_theorem1_equations,
 )
 from severi.errors import InputError, InternalDescentFailure, ShapeMismatch, ZeroA
+from severi.fields import row_reduce
 from severi.grammar import plane_names
 from severi.polyring import (
+    family_support,
     poly_to_json,
     span_reduce,
     zero_poly,
 )
 from severi.twisting import (
+    _coordinate_rows,
     _displayed_forms,
     _displayed_relations,
     _equation7_reconstruction,
@@ -183,11 +186,32 @@ def _twisted_family(L, a):
             for Q in veronese_ideal(monomial_basis(n, n + 1), L)]
 
 
+def _fraction_descent(L, family):
+    """The descent's k-reduction on theta-coordinates read from `coeffs`,
+    Fraction rows as the descent built them before its rows were integer:
+    each reduced row as a dict from exponents to entry."""
+    support = family_support(family)
+    col = {e: j for j, e in enumerate(support)}
+    rows = []
+    for F in family:
+        parts = [[] for _ in range(L.degree)]
+        for e, c in F.terms:
+            for part, x in zip(parts, c.coeffs):
+                part.append((col[e], x))
+        rows.extend(parts)
+    return [{support[j]: x for j, x in row.items()} for row in row_reduce(QQ, rows)[0]]
+
+
 def _assert_descent_matches_reference(L, a):
     family = _twisted_family(L, a)
     full = descend_to_base(L, family)
     assert full == _descend_over_L(L, family)
     assert _descend_representatives(L, a) == full
+    if L.base.p is None:
+        assert [{e: c.base_value() for e, c in F.terms} for F in full] == \
+            _fraction_descent(L, family)
+        rows = _coordinate_rows(L, family, family_support(family))
+        assert rows and all(type(x) is int for row in rows for _, x in row)
 
 
 def _descend_representatives(L, a):
