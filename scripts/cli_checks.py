@@ -3,9 +3,10 @@
 
 Each row gives the arguments, the exit code the run must return, the
 sha256 of its stdout (None when only the exit code is checked) and a time
-limit in seconds.  The two n = 3 digests are the pins of
+limit in seconds.  Two of the n = 3 digests are the pins of
 tests/test_acceptance.py, so a run under another interpreter is checked
-for byte identity, not only for success.  The four digests over Shanks
+for byte identity, not only for success; the third, over F_3, is the one
+n = 3 run with p <= SMOOTHNESS_MAX_P, so it runs the Jacobian spot check.  The four digests over Shanks
 cubics with a fractional a pin n = 2 emissions over Q whose elements of L
 have denominators: one with an a of six-digit numerator and denominator,
 whose model runs large denominators through the integer row reduction of
@@ -27,6 +28,8 @@ import time
 CHECKS = [
     # (argv, exit code, stdout sha256 or None, time limit in s)
     (["surface", "--field", "finite:p=3", "--a", "2", "--check"], 0, None, 120),
+    (["surface", "--field", "finite:p=3", "--n", "3", "--a", "2", "--check"], 0,
+     "d4aeecf1573d9ee5d1e6085729169e07b4e9d24673e2d3e419453dbdc5d8ba6e", 60),
     (["surface", "--field", "finite:p=5", "--n", "3", "--a", "2", "--check",
       "--emit", "json"], 0,
      "32635f4d8cdea2b98389f38874de7bf8740a90f5e581415bbccdc100ade8ca9f", 120),

@@ -73,7 +73,6 @@ from .linalg import (
 from .polyring import (
     MultiPoly,
     coefficient_matrix,
-    jacobian,
     make_poly,
     monomial,
     span_reduce,

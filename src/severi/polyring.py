@@ -218,20 +218,6 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     return _canonical(F.ext, m, terms)
 
 
-def jacobian(F: MultiPoly) -> tuple[MultiPoly, ...]:
-    out = []
-    for i in range(F.nvars):
-        acc: dict[Exponents, ExtElement] = {}
-        for e, c in F.terms:
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            acc[tuple(de)] = c * F.ext.from_base(e[i])
-        out.append(make_poly(F.ext, F.nvars, acc))
-    return tuple(out)
-
-
 def _one_ring(S: Sequence[MultiPoly]) -> None:
     if len({F.nvars for F in S}) > 1:
         raise ShapeMismatch("family mixes polynomials in different rings")

@@ -2,9 +2,9 @@
 
 Point counts over prime fields, Jacobian smoothness spot checks, genus
 formulas, and suite runners producing machine-readable reports.  Over F_p
-a norm witness gives a parametrization D o Ver with D in GL_m(k); the
-points are the image of P^n(F_p) under it, once an exact check shows that
-the equations cut out exactly that image, so the count is a theorem.
+a norm witness gives a parametrization D o Ver with D in GL_m(k); it has
+the image of P o Ver, which `surface_model` certified the equations cut
+out, so the points are the image of P^n(F_p) and the count is a theorem.
 
 A suite reports an identity that a constructor certifies (twisted products
 in `make_cocycle`, split residuals in `check_split`, associativity and
@@ -30,7 +30,7 @@ from .errors import InputError, InternalDescentFailure, SearchExhausted
 from .fields import (GF, CyclicExtension, find_normal_basis, frobenius_extension,
                      norm_witness, row_reduce)
 from .linalg import Matrix, inverse, mul
-from .polyring import MultiPoly, jacobian, make_poly
+from .polyring import MultiPoly, make_poly
 from .twisting import (SURFACE_MAX_N, SurfaceModel, appendix_model, fermat,
                        image_defect, picard_generator, proportional,
                        pullback_to_plane, surface_model,
@@ -127,16 +127,18 @@ def base_change_matrix(model: SurfaceModel, lam=None) -> Matrix:
 
 def rational_points(model: SurfaceModel, p: int) -> list[tuple[int, ...]]:
     """The F_p-points of the model, as the image of P^n(F_p) under D o Ver
-    with D = base_change_matrix(model).  The image is all of them because
-    the equations cut it out (`image_defect`), which is checked first;
-    injectivity is checked on the way."""
+    with D = base_change_matrix(model); injectivity is checked on the way.
+
+    The image is all of them without a second certificate.  D = P * Mw with
+    Mw = s * induced_matrix(basis, Pw), and `induced_matrix` raises
+    `Singular` unless Pw is invertible, so D o Ver(x) = s * P o Ver(Pw x)
+    has the image of P o Ver.  `surface_model` returned the model only
+    after `image_defect(equations, basis, P)` proved that the equations
+    cut out that image.  D has entries in F_p and D o Ver is injective, so
+    an F_p-point of the image comes from a Frobenius-fixed x in P^n(F_p)."""
     _require_prime_model(model, p)
     D = base_change_matrix(model)
     basis = model.parametrization.basis
-    defect = image_defect(model.equations_over_k, basis, D)
-    if defect is not None:
-        raise InternalDescentFailure(
-            f"model equations do not cut out the image of P^n: {defect}")
     dint = [[int(c.base_value()) % p for c in row] for row in D.as_rows()]
     pts: set[tuple[int, ...]] = set()
     for u in _plane_reps(p, basis.n + 1):
@@ -163,29 +165,35 @@ def _int_polys(polys: Sequence[MultiPoly], p: int
     return [[(e, k.coerce(c.base_value())) for e, c in F.terms] for F in polys]
 
 
-def _eval_int(eq: list[tuple[tuple[int, ...], int]], pt: Sequence[int], p: int) -> int:
-    total = 0
-    for e, c in eq:
-        t = c
-        for i, k in enumerate(e):
-            if k:
-                t = t * pow(pt[i], k, p)
-        total += t
-    return total % p
+def _quadric_terms(equations: Sequence[MultiPoly], p: int
+                   ) -> list[list[tuple[int, int, int]]]:
+    """Each term c w_a w_b (a <= b) of each quadric as (a, b, c mod p)."""
+    out = []
+    for eq in _int_polys(equations, p):
+        row = []
+        for e, c in eq:
+            if sum(e) != 2:
+                raise InputError(f"term of degree {sum(e)} in a quadric")
+            a, b = [i for i, k in enumerate(e) for _ in range(k)]
+            row.append((a, b, c))
+        out.append(row)
+    return out
 
 
-def _int_jacobians(equations: Sequence[MultiPoly], p: int
-                   ) -> list[list[list[tuple[tuple[int, ...], int]]]]:
-    """The partial derivatives of each equation, in the form _eval_int reads."""
-    return [_int_polys(jacobian(F), p) for F in equations]
-
-
-def _jacobian_rank(partials, point: Sequence[int], p: int) -> int:
+def _jacobian_rank(quadrics, point: Sequence[int], p: int) -> int:
+    """Rank mod p of the Jacobian of `_quadric_terms` at `point`, without
+    the column of its first nonzero coordinate: c w_a w_b adds c pt_b at
+    column a and c pt_a at column b, which for a = b is 2c pt_a."""
     fi = next((i for i, v in enumerate(point) if v % p), None)
     if fi is None:
         raise InputError("zero point")
-    rows = [[(j, _eval_int(dF, point, p)) for j, dF in enumerate(row) if j != fi]
-            for row in partials]
+    rows = []
+    for eq in quadrics:
+        acc: dict[int, int] = {}
+        for a, b, c in eq:
+            acc[a] = acc.get(a, 0) + c * point[b]
+            acc[b] = acc.get(b, 0) + c * point[a]
+        rows.append([(j, v % p) for j, v in acc.items() if j != fi])
     return len(row_reduce(GF(p), rows)[1])
 
 
@@ -196,10 +204,10 @@ def smoothness_spot(model: SurfaceModel, p: int,
     lists."""
     _require_prime_model(model, p)
     target = model.m - 1 - model.n
-    partials = _int_jacobians(model.equations_over_k, p)
+    quadrics = _quadric_terms(model.equations_over_k, p)
     checks = []
     for pt in points:
-        r = _jacobian_rank(partials, pt, p)
+        r = _jacobian_rank(quadrics, pt, p)
         label = "jacobian-rank@(" + ",".join(str(v) for v in pt) + ")"
         if r == target:
             checks.append(Check(label, "pass"))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from point_oracle import solve_points_exhaustive
+from point_oracle import jacobian_ranks, solve_points_exhaustive
 from severi import (
     Check,
     Report,
@@ -32,6 +32,7 @@ from severi import verify
 from severi.cli import main
 from severi.errors import InputError, InternalDescentFailure
 from severi.polyring import make_poly
+from severi.twisting import image_defect
 from severi.verify import base_change_matrix
 
 
@@ -106,13 +107,26 @@ def _tampered(model):
               for first in (square, eqs[1], eqs[0] * L.theta())))
 
 
+@pytest.mark.parametrize("name", ["model_f2", "model_f3", "model_f7"])
+def test_base_change_matrix_passes_the_certificate(name, request):
+    # the check `rational_points` no longer runs: D o Ver has the image of
+    # P o Ver, so the equations cut out the image of D o Ver as well
+    model = request.getfixturevalue(name)
+    assert image_defect(model.equations_over_k, model.parametrization.basis,
+                        base_change_matrix(model)) is None
+
+
 @pytest.mark.parametrize("name", ["model_f3", "model_f7"])
 def test_tampered_models_raise(name, request):
+    # `surface_model` rejects each by `image_defect` against P, and the
+    # certificate against D agrees
     model = request.getfixturevalue(name)
-    p = model.extension.base.p
+    basis = model.parametrization.basis
+    D = base_change_matrix(model)
     for bad in _tampered(model):
-        with pytest.raises(InternalDescentFailure, match="do not cut out"):
-            count_points(bad, p)
+        assert image_defect(bad.equations_over_k, basis,
+                            model.parametrization.matrix) is not None
+        assert image_defect(bad.equations_over_k, basis, D) is not None
 
 
 def test_oracle_sees_the_cut_model(model_f3):
@@ -165,8 +179,16 @@ def test_smoothness_p3(model_f3):
     assert len(rep.checks) == 13
 
 
+def test_smoothness_fails_on_the_cut_model(model_f3):
+    # 3 of the 27 quadrics have Jacobian rank at most 3 < 7 at every point;
+    # one swapped equation would not show, as the other 26 still give rank 7
+    pts = rational_points(model_f3, 3)
+    rep = smoothness_spot(_tampered(model_f3)[0], 3, pts)
+    assert [c.status for c in rep.checks] == ["fail"] * len(pts)
+
+
 def jacobian_rank_at(equations, point, p):
-    return verify._jacobian_rank(verify._int_jacobians(equations, p), point, p)
+    return verify._jacobian_rank(verify._quadric_terms(equations, p), point, p)
 
 
 def test_jacobian_rank_detects_singularity(f2):
@@ -182,6 +204,42 @@ def test_jacobian_rank_reads_rational_coefficients_mod_p(shanks1):
     # (1/2) w0 w1 at (0, 1): the w0-partial is 1/2 = 2 mod 3, not int(1/2) = 0
     q = make_poly(shanks1, 2, {(1, 1): shanks1.from_base(Fraction(1, 2))})
     assert jacobian_rank_at([q], (0, 1), 3) == 1
+
+
+def test_jacobian_rank_doubles_a_square(f3):
+    # w1^2 + w0 w1 at (1, 1) over F_3: the w1-partial 2 w1 + w0 is 0, and
+    # the w0-partial goes with the first coordinate; 2 w1 read as w1 gives 2
+    q = make_poly(f3, 2, {(0, 2): f3.one(), (1, 1): f3.one()})
+    assert jacobian_rank_at([q], (1, 1), 3) == 0
+    assert jacobian_ranks([q], [(1, 1)], 3) == [0]
+
+
+def test_jacobian_rank_rejects_a_cubic(f2):
+    cubic = make_poly(f2, 3, {(2, 1, 0): f2.one(), (0, 0, 2): f2.one()})
+    with pytest.raises(InputError, match="degree 3"):
+        jacobian_rank_at([cubic], (1, 0, 0), 2)
+
+
+def test_jacobian_rank_rejects_the_zero_point(f2):
+    q = make_poly(f2, 3, {(1, 1, 0): f2.one()})
+    with pytest.raises(InputError, match="zero point"):
+        jacobian_rank_at([q], (0, 0, 0), 2)
+
+
+@pytest.fixture(scope="module")
+def model_n3_f16():
+    return surface_model(frobenius_extension(2, 4), 1)
+
+
+@pytest.mark.parametrize("name", ["model_f2", "model_f3", "model_n3_f16"])
+def test_termwise_rank_matches_the_polynomial_jacobian(name, request):
+    model = request.getfixturevalue(name)
+    p = model.extension.base.p
+    pts = rational_points(model, p)
+    quadrics = verify._quadric_terms(model.equations_over_k, p)
+    ranks = [verify._jacobian_rank(quadrics, pt, p) for pt in pts]
+    assert ranks == jacobian_ranks(model.equations_over_k, pts, p)
+    assert ranks == [model.m - 1 - model.n] * len(pts)
 
 
 # ---------------------------------------------------------------------------
