@@ -6,16 +6,20 @@ sha256 of its stdout (None when only the exit code is checked) and a time
 limit in seconds.  Two of the n = 3 digests are the pins of
 tests/test_acceptance.py, so a run under another interpreter is checked
 for byte identity, not only for success; the third, over F_3, is the one
-n = 3 run with p <= SMOOTHNESS_MAX_P, so it runs the Jacobian spot check.  The four digests over Shanks
-cubics with a fractional a pin n = 2 emissions over Q whose elements of L
-have denominators: one with an a of six-digit numerator and denominator,
-whose model runs large denominators through the integer row reduction of
-the descent and the JSON writers, and one of the `algebra` suite, whose
-center rank is a row reduction over Q.  Apart from them only the seed-0
-benchmark digests pin such an emission.  The exit-2 rows are inputs that
-must be refused at once, so their limits are short.  Uses the standard
-library only, and runs each row as `python -m severi` with the
-interpreter that runs this script.
+n = 3 run with p <= SMOOTHNESS_MAX_P, so it runs the Jacobian spot check.
+The four digests over Shanks cubics with a fractional a pin n = 2
+emissions over Q whose elements of L have denominators: one with an a of
+six-digit numerator and denominator, whose model runs large denominators
+through the integer row reduction of the descent and the JSON writers,
+and one of the `algebra` suite, whose center rank is a row reduction over
+Q.  Apart from them only the seed-0 benchmark digests pin such an
+emission.  The `algebra` and the two `picard` JSON digests complete the
+set: every JSON emitter (surface, verify, algebra, picard) has a pinned
+row, so each interpreter is checked for byte identity of the JSON writer
+`severi.cli.dumps`.  The exit-2 rows are inputs that must be refused at
+once, so their limits are short; one is a d' far above
+`PICARD_MAX_DPRIME`.  Uses the standard library only, and runs each row
+as `python -m severi` with the interpreter that runs this script.
 
 Usage:
     python scripts/cli_checks.py
@@ -54,13 +58,20 @@ CHECKS = [
     (["verify", "--suite", "picard", "--dprime", "4"], 0, None, 120),
     (["verify"], 0, None, 120),
     (["algebra"], 0, None, 120),
-    (["algebra", "--field", "finite:p=5", "--emit", "json"], 0, None, 120),
+    (["algebra", "--field", "finite:p=5", "--emit", "json"], 0,
+     "69628254f20bf079a51fe635db8b7747df09fbd0a4ff59fafb2630ee0885a2c9", 120),
+    (["picard", "--emit", "json"], 0,
+     "b997bd5a59ee23b3ed5e371b858b2923679a4c81d07c84d6f88c2b6fec6648c9", 60),
+    (["picard", "--field", "finite:p=7", "--a", "3", "--emit", "json"], 0,
+     "8250f1efabd9feb9f1dc031eec4e4c99cd82dd4fedb7220ae5da7e3195bac683", 60),
     (["surface", "--field", "finite:p=5", "--n", "-1"], 2, None, 10),
     (["surface", "--field", "poly:x^99999999999;galois:x"], 2, None, 10),
     (["surface", "--field", "finite:p=5", "--a", "1e999999999"], 2, None, 10),
     (["surface", "--field", "finite:p=2", "--n", "8"], 2, None, 10),
     (["verify", "--field", "finite:p=2", "--n", "4", "--a", "1", "--suite",
       "split"], 2, None, 10),
+    (["picard", "--field", "finite:p=7", "--a", "3", "--dprime", "100000"], 2,
+     None, 10),
     (["algebra", "--field", "finite:p=2", "--n", "6", "--a", "1"], 0, None, 10),
 ]
 

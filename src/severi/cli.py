@@ -2,19 +2,24 @@
 
 Subcommands: surface, picard, algebra, verify.  Emissions are UTF-8 text or
 JSON (stamped "schema": 1) and are byte-identical for identical config and
-seed; timings therefore go to stderr, never into emissions.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+seed; timings therefore go to stderr, never into emissions.  Every JSON
+emission is written by `dumps`: the bytes of `json.dumps` with indent=2,
+with each innermost list encoded by one call of json's C encoder.  Exit
+codes: 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
+import functools
 import os
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import (JSONEncoder, c_make_encoder,
+                          encode_basestring_ascii)
 from typing import Optional
 
 from .algebra import build_algebra, table_to_json
@@ -30,7 +35,64 @@ from .verify import (ALL_SUITES, Check, Report, count_and_smoothness,
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _c_encoder(indent: str):
+    """json's C encoder for scalars and for lists of scalars whose items sit
+    at `indent`: it writes such a list as "[" + its items joined by "," +
+    newline + indent + "]"."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", ",\n" + indent, False, False, True)
+
+
+def _write_json(obj, indent: str, out: list) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if any(map(isinstance, obj, repeat(_CONTAINERS))):
+            sep = "[\n" + inner
+            for x in obj:
+                out.append(sep)
+                _write_json(x, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+        else:  # a leaf: one C call writes "[" + items + "]"
+            body = "".join(_c_encoder(inner)(obj, 0))
+            out += ("[\n", inner, body[1:-1], "\n", indent, "]")
+    else:
+        out += _c_encoder(indent)(obj, 0)
+
+
+def dumps(obj) -> str:
+    """What `json.dumps` writes with indent=2, byte for byte, for documents
+    with str keys; containers are walked here, and each list or tuple with
+    no container item is one call of json's C encoder."""
+    out: list[str] = []
+    _write_json(obj, "", out)
+    return "".join(out)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `severi` parser, built once per process; `parse_args` gives each
+    call its own namespace, so no value carries over between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="shanks:t=1",
                         help="shanks:t=T | finite:p=P | poly:<f>;galois:<g>")
@@ -138,7 +200,7 @@ def cmd_surface(args, L, a, seed: int) -> tuple[str, int]:
         obj["seed"] = seed
         if report is not None:
             obj["report"] = report_to_json(report)
-        return json.dumps(obj, indent=2) + "\n", code
+        return dumps(obj) + "\n", code
     names = omega_names(model.m)
     lines = [f"surface model ({model.provenance})"]
     lines += _field_header(L)
@@ -163,7 +225,7 @@ def cmd_picard(args, L, a, seed: int) -> tuple[str, int]:
     if args.emit == "json":
         obj = picard_to_json(g, L)
         obj["seed"] = seed
-        return json.dumps(obj, indent=2) + "\n", 0
+        return dumps(obj) + "\n", 0
     names = omega_names(g.equation.nvars)
     lines = [f"picard generator (d' = {g.dprime})"]
     lines += _field_header(L)
@@ -192,7 +254,7 @@ def cmd_algebra(args, L, a, seed: int) -> tuple[str, int]:
             "table": table_to_json(A),
             "seed": seed,
         }
-        return json.dumps(obj, indent=2) + "\n", 0
+        return dumps(obj) + "\n", 0
     lines = ["cyclic algebra"]
     lines += _field_header(L)
     lines += [f"a: {format_scalar(a)}", f"seed: {seed}", f"dim: {A.dim}",
@@ -214,7 +276,7 @@ def cmd_verify(args, L, a, seed: int) -> tuple[str, int]:
     if args.emit == "json":
         obj = report_to_json(rep)
         obj["seed"] = seed
-        return json.dumps(obj, indent=2) + "\n", code
+        return dumps(obj) + "\n", code
     return "\n".join(_report_lines(rep)) + "\n", code
 
 

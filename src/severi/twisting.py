@@ -92,8 +92,7 @@ def fermat(L: CyclicExtension, dprime: int, a) -> FermatHypersurface:
     Construction checks the defining invariance: substituting the cyclic
     map (a X_n, X_0, ..., X_{n-1}) multiplies the polynomial by a^{d'}.
     """
-    if dprime < 1:
-        raise InputError("d' must be >= 1")
+    check_dprime(dprime)
     a = L.base.coerce(a)
     if L.base.is_zero(a):
         raise ZeroA("a must be nonzero")
@@ -314,6 +313,22 @@ def orbit_representatives(basis: MonomialBasis, quads: Sequence[MultiPoly]
 # peaks near 0.5 GB RSS over F_{2^5} (README, "n = 4 by hand")
 SURFACE_MAX_N = 3
 
+# d' above 8 is refused: the cost of the `picard` suite grows steeply in the
+# plane degree (n+1) d'.  Measured with `severi verify --suite picard` on a
+# 2-core machine, CPython 3.11: over Q(zeta_5) at n = 3 and a = 5, d' = 8
+# takes 3.2 s, 10 takes 9.3 s and 12 takes 28.5 s; over the Shanks cubic
+# t = 1, d' = 8 takes 0.4 s, 12 takes 1.2 s and 16 takes 4.5 s.  Over F_7 at
+# a = 3, `severi picard --dprime 100000` had not returned after 70 s.
+PICARD_MAX_DPRIME = 8
+
+
+def check_dprime(dprime: int) -> None:
+    if dprime < 1:
+        raise InputError("d' must be >= 1")
+    if dprime > PICARD_MAX_DPRIME:  # refused before any work
+        raise InputError(f"d' = {dprime} is out of reach: Picard generators "
+                         f"go up to d' = {PICARD_MAX_DPRIME}")
+
 
 def surface_model(L: CyclicExtension, a) -> SurfaceModel:
     """Main pipeline: companion cocycle, Veronese lift, structured split on
@@ -373,8 +388,7 @@ def picard_generator(L: CyclicExtension, a, dprime: int) -> PicardGenerator:
 
     The normal basis l_1, ..., l_{n+1} fixes those coordinates; it is
     `find_normal_basis(L)`, the basis every model is built on."""
-    if dprime < 1:
-        raise InputError("d' must be >= 1")
+    check_dprime(dprime)
     if L.base.is_zero(L.base.coerce(a)):
         raise ZeroA("a must be nonzero")
     n = L.degree - 1

@@ -31,9 +31,9 @@ from .fields import (GF, CyclicExtension, find_normal_basis, frobenius_extension
                      norm_witness, row_reduce)
 from .linalg import Matrix, inverse, mul
 from .polyring import MultiPoly, make_poly
-from .twisting import (SURFACE_MAX_N, SurfaceModel, appendix_model, fermat,
-                       image_defect, picard_generator, proportional,
-                       pullback_to_plane, surface_model,
+from .twisting import (SURFACE_MAX_N, SurfaceModel, appendix_model,
+                       check_dprime, fermat, image_defect, picard_generator,
+                       proportional, pullback_to_plane, surface_model,
                        verify_theorem1_equations)
 from .veronese import induced_matrix
 
@@ -410,6 +410,8 @@ def run_all(L: CyclicExtension, a, suites: Sequence[str] = ALL_SUITES,
     for name in suites:
         if name not in _SUITE_RUNNERS:
             raise InputError(f"unknown suite {name!r}")
+    if "picard" in suites:  # refused before the first suite runs
+        check_dprime(dprime)
     a = L.base.coerce(a)
     model_of = functools.lru_cache(maxsize=None)(surface_model)
     checks: list[Check] = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,14 @@ from severi import (algebra, cohomology, fermat, find_normal_basis,
                     frobenius_extension, make_shanks_cubic, picard_generator,
                     pullback_to_plane, surface_model, twisting, verify)
 from severi import cli
+from severi.algebra import build_algebra, table_to_json
 from severi.cli import main
+from severi.errors import InputError
 from severi.fields import extension_to_json
 from severi.polyring import poly_to_json
-from severi.twisting import proportional
+from severi.twisting import (PICARD_MAX_DPRIME, model_to_json, picard_to_json,
+                             proportional)
+from severi.verify import report_to_json, run_all
 
 
 def run(capsys, *argv):
@@ -347,6 +352,33 @@ def test_picard_dprime_0_exit_2(capsys):
     assert err == "input error: InputError: d' must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("picard", "--field", "finite:p=7", "--a", "3", "--dprime", "100000"),
+    ("picard", "--dprime", str(PICARD_MAX_DPRIME + 1)),
+    ("verify", "--suite", "picard", "--dprime", "40"),
+    ("verify", "--dprime", "40"),
+], ids=["picard-f7", "picard-q", "verify-picard", "verify-all"])
+def test_dprime_beyond_reach_exit_2_at_once(capsys, argv):
+    # before the bound, the first did not return and the third took
+    # more than a minute
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"input error: InputError: d' = {argv[-1]} is out of "
+                   f"reach: Picard generators go up to d' = {PICARD_MAX_DPRIME}\n")
+
+
+def test_dprime_bound_is_in_the_library():
+    L = make_shanks_cubic(1)
+    for build in (picard_generator, lambda L, a, d: fermat(L, d, a)):
+        with pytest.raises(InputError, match="out of reach"):
+            build(L, 2, PICARD_MAX_DPRIME + 1)
+    assert picard_generator(L, 2, PICARD_MAX_DPRIME).degree_in_plane == \
+        3 * PICARD_MAX_DPRIME
+
+
 def test_algebra_text(capsys):
     code, out, _ = run(capsys, "algebra", "--field", "shanks:t=1", "--a", "2")
     assert code == 0
@@ -479,3 +511,71 @@ def test_verify_picard_n2_emission_pinned(capsys):
     assert "PASS picard:dprime2-genus-formula" in out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "a0732fcb3a086d053446dd0af07a62de6585e72e80c71742ee81b34986e1fa2b"
+
+
+DUMPS_CASES = {
+    "empty-containers": [[], {}, [[]], [{}], {"a": []}, {"b": {}},
+                         [[[]], {"c": {}}]],
+    "tuples": [(1, 2), [(), (3, (4, "x"))], {"t": (5,)}],
+    "mixed-leaf": [1, "a", None, True, False, -7, ""],
+    "big-ints": [2 ** 200, -(2 ** 200) + 1, {"n": 3 ** 130}],
+    "escapes": ['", "', "\n", '"', "\\", "\x01\x1f", "caf\u00e9 \u2603",
+                "\ud834\udd1e"],
+    "escaped-keys": {'", "': 1, "\n": [2], "caf\u00e9": {"\\": None}},
+    "floats": [0.1, -2.5, 1e300, float("nan"), float("inf"), -float("inf")],
+    "deep": {"a": [[1, [2, [3, {"b": [4, (5, 6)]}]]], "s"]},
+    "scalar-int": 12345678901234567890,
+    "scalar-str": "top\tlevel",
+    "scalar-null": None,
+    "scalar-float": float("nan"),
+}
+
+
+@pytest.mark.parametrize("obj", DUMPS_CASES.values(), ids=DUMPS_CASES.keys())
+def test_dumps_equals_json_dumps_indent_2(obj):
+    assert cli.dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("L,a", [(make_shanks_cubic(3), Fraction(-12, 5)),
+                                 (frobenius_extension(7, 3), 3)],
+                         ids=["shanks-t3", "f7"])
+def test_dumps_equals_json_dumps_on_emitted_documents(L, a):
+    docs = [model_to_json(surface_model(L, a)),
+            picard_to_json(picard_generator(L, a, 2), L),
+            report_to_json(run_all(L, a, ("cocycle", "algebra"))),
+            extension_to_json(L),
+            table_to_json(build_algebra(L, a))]
+    for doc in docs:
+        assert cli.dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_refuses_non_str_keys_and_non_json_values():
+    # json.dumps would write the key 1 as "1"; no emitter has such a key
+    with pytest.raises(TypeError):
+        cli.dumps({"a": [{1: 2}]})
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        cli.dumps({"a": [1, Fraction(1, 2)]})
+
+
+PARSER_REUSE_RUNS = [
+    ("verify", "--suite", "split", "--suite", "cocycle"),
+    ("verify",),
+    ("surface", "--field", "finite:p=5", "--a", "2"),
+    ("surface", "--field", "finite:p=5", "--a", "2", "--emit", "json"),
+    ("verify", "--suite", "split"),
+]
+
+
+def test_parser_built_once_leaks_nothing_between_calls(capsys):
+    # the parser is cached, so a repeated `--suite` list or an `--emit`
+    # choice of one call must not reach the next
+    first = []
+    for argv in PARSER_REUSE_RUNS:
+        cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv)[:2])
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    for argv, expected in zip(PARSER_REUSE_RUNS, first):
+        assert run(capsys, *argv)[:2] == expected
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["verify"]).suite is None
