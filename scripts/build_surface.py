@@ -14,7 +14,6 @@ Usage:
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from severi import (
     fermat,
@@ -27,6 +26,8 @@ from severi import (
     surface_model,
     verify_theorem1_equations,
 )
+from severi.cli import _parse_a
+from severi.errors import InputError
 from severi.fields import format_element, format_scalar, format_univariate
 from severi.twisting import proportional
 
@@ -37,9 +38,16 @@ def main() -> int:
     ap.add_argument("--a", default="2")
     ap.add_argument("--dprime", type=int, default=1)
     args = ap.parse_args()
+    try:
+        return build(args)
+    except InputError as e:  # the exit code and message of `severi`
+        print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
+
+def build(args) -> int:
     L = parse_field_spec(args.field)
-    a = L.base.coerce(Fraction(args.a))
+    a = _parse_a(L, args.a)
     base_name = "Q" if L.base.p is None else f"F_{L.base.p}"
     print(f"field    {base_name}[x]/({format_univariate(L.f)})")
     print(f"galois   x -> {format_univariate(L.g)}")

@@ -7,12 +7,12 @@ is a scalar matrix; the cocycle is honest when that scalar is 1, and only
 honest cocycles split as xi(sigma) = M * sigma(M)^{-1}.
 
 Both splits are Hilbert 90's average M = sum_j xi(sigma^j) sigma^j(R),
-which splits an honest cocycle whenever it is invertible.  The structured
-split averages a matrix R written down on a normal basis; every certified
-path uses it, for the Veronese lift (the classical 10x10 matrix for n = 2,
-entry for entry) and for the companion value divided by a norm witness.
-The randomized split averages pseudo-random R and is the `split` suite's
-independent reference.
+which splits an honest cocycle whenever it is invertible, as one
+elimination of M proves.  The structured split averages a matrix R written
+down on a normal basis; every certified path uses it, for the Veronese
+lift (the classical 10x10 matrix for n = 2, entry for entry) and for the
+companion value divided by a norm witness.  The randomized split averages
+pseudo-random R and is the `split` suite's independent reference.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
     of sigma^d, d the orbit size, and a fixed index gets 1.  Otherwise it is
     Hilbert 90's row for L over the fixed field of sigma^d, which exists for
     every honest cocycle; the average is then certified like any other, by
-    its rank and `check_split`.
+    `check_split`, and proven invertible by the `inverse` of its caller.
     """
     L = xi.extension
     if nb.extension != L:
@@ -195,8 +195,6 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
             rows[j0] = [(c, sp.scales[j0] * labels[t])
                         for t, c in enumerate(sorted(orbit))]
     M = _average(xi, Matrix(L, xi.size, tuple(rows)))
-    if rank(M) < M.rows:
-        raise InternalDescentFailure("structured split produced a singular matrix")
     check_split(xi, M)
     return M
 
@@ -206,15 +204,17 @@ def coboundary_from_witness(L: CyclicExtension, a, lam: ExtElement) -> Matrix:
     cocycle value for a and norm(lam) = a.
 
     A_sigma / lam is an honest cocycle (twisted product a / norm(lam) = 1)
-    with one orbit, and P is its structured split, whose own check is the
-    identity above: A_sigma = lam * P * sigma(P)^{-1} in PGL_{n+1}(L).
+    with one orbit, and P is its structured split: its check and rank test
+    prove A_sigma = lam * P * sigma(P)^{-1} in PGL_{n+1}(L), as above.
     """
     a = L.base.coerce(a)
     if norm(L, lam) != a:
         raise NotAWitness(f"norm of the witness is {norm(L, lam)}, not {a}")
-    A = cyclic_cocycle(L, a).at_generator
-    return split_structured(make_cocycle(L, A.scale(lam.inverse())),
-                            find_normal_basis(L))
+    A = cyclic_cocycle(L, a).at_generator.scale(lam.inverse())
+    P = split_structured(make_cocycle(L, A), find_normal_basis(L))
+    if rank(P) < P.rows:  # callers need not invert P
+        raise InternalDescentFailure("structured split produced a singular matrix")
+    return P
 
 
 def witness_split_scalar(L: CyclicExtension, lam: ExtElement) -> ExtElement:

@@ -15,10 +15,10 @@ arithmetic in L, whose elements keep integer coordinates over one
 denominator (see severi.fields for their normal form and kernels).  It is
 handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity
 pair each, and returns the nonzero reduced rows as dicts: `inverse` keeps
-their right block, and `rref` keeps them whole.  A square matrix is
-invertible exactly when its rank is its size.  A scaled-permutation
-recognizer supports the structured Hilbert 90 split, whose input matrices
-are monomial.
+their right block, and `rref` keeps them whole.  `inverse` raises
+`Singular` unless A is invertible, so the elimination that inverts a
+matrix proves it invertible, with no rank test before it.  Monomial
+matrices are recognized for the structured Hilbert 90 split.
 """
 
 from __future__ import annotations

@@ -347,10 +347,10 @@ def surface_model(L: CyclicExtension, a) -> SurfaceModel:
     lifted = lift_to_veronese(xi)
     nb = find_normal_basis(L)
     M = split_structured(lifted, nb)
+    P = inverse(M)  # the one proof that M is invertible: Singular if not
     quads = orbit_representatives(basis, veronese_ideal(basis, L))
     twisted = [substitute_linear(Q, M) for Q in quads]
     equations = tuple(descend_to_base(L, twisted))
-    P = inverse(M)
     defect = image_defect(equations, basis, P)
     if defect is not None:
         raise InternalDescentFailure(defect)

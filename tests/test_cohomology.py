@@ -32,7 +32,8 @@ from severi import (
     surface_model,
     witness_split_scalar,
 )
-from severi import cohomology
+from severi import cohomology, linalg, twisting
+from severi.cli import main
 from severi.cohomology import check_split
 from severi.linalg import matrix_to_json
 from severi.twisting import image_defect
@@ -44,6 +45,7 @@ from severi.errors import (
     NotAWitness,
     NotHonestCocycle,
     NotMonomialCocycle,
+    Singular,
     VerificationError,
     ZeroA,
 )
@@ -283,14 +285,53 @@ def test_companion_scalar_class_is_checked(shanks1, monkeypatch):
         cyclic_cocycle(shanks1, F(2))
 
 
-def test_splits_reject_singular_matrices(shanks1, monkeypatch):
-    """Both splitters test full rank: labels that are all 1 make the
-    structured rows dependent, and zero trial matrices make every
-    averaging attempt singular."""
-    lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
-    ones = SimpleNamespace(extension=shanks1, elements=(shanks1.one(),) * 3)
+def _all_ones_labels(L):
+    # labels that are all 1 make the structured rows dependent
+    return SimpleNamespace(extension=L, elements=(L.one(),) * L.degree)
+
+
+def test_surface_model_rejects_a_singular_split(shanks1, monkeypatch, capsys):
+    """The structured split certifies its residual only; `inverse`, right
+    after the split, is the proof that M is invertible, so a singular
+    split stops the model with `Singular` before the twist, exit 1."""
+    monkeypatch.setattr(twisting, "find_normal_basis", _all_ones_labels)
+    monkeypatch.setattr(twisting, "substitute_linear",
+                        lambda Q, M: pytest.fail("a singular split was twisted"))
+    with pytest.raises(Singular):
+        surface_model(shanks1, F(2))
+    assert main(["surface", "--field", "shanks:t=1", "--a", "2"]) == 1
+    assert "error: Singular:" in capsys.readouterr().err
+
+
+def test_coboundary_rejects_a_singular_split(shanks1, monkeypatch):
+    # no caller need invert the witness coboundary, so it tests its own rank
+    monkeypatch.setattr(cohomology, "find_normal_basis", _all_ones_labels)
     with pytest.raises(InternalDescentFailure, match="singular"):
-        split_structured(lift, ones)
+        coboundary_from_witness(shanks1, F(-1), shanks1.one() + shanks1.theta())
+
+
+def test_surface_model_eliminates_its_split_once(shanks1, monkeypatch):
+    """One elimination of the 10 x 10 splitting matrix per model, its
+    inverse.  The other linalg elimination is `induced_matrix`'s rank
+    guard on the 3 x 3 companion value; the descent reduces over k
+    without linalg."""
+    calls = []
+    reduce_rows = linalg.row_reduce
+
+    def counting(ext, rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return reduce_rows(ext, rows)
+
+    monkeypatch.setattr(linalg, "row_reduce", counting)
+    surface_model(shanks1, F(2))
+    assert calls == [3, 10]
+
+
+def test_splits_reject_singular_matrices(shanks1, monkeypatch):
+    # the randomized split tests full rank: zero trial matrices make every
+    # averaging attempt singular
+    lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
     monkeypatch.setattr(cohomology, "_random_matrix",
                         lambda L, size, rng: from_rows(L, [[0] * size] * size))
     with pytest.raises(AllAttemptsSingular):

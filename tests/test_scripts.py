@@ -10,14 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, python=sys.executable):
+def run_script(name, *args, python=sys.executable, code=0, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([python, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    assert proc.returncode == code, proc.stderr
+    return proc.stdout.splitlines() if code == 0 else proc.stderr
 
 
 def test_build_surface():
@@ -25,6 +26,20 @@ def test_build_surface():
     assert "27 quadrics over Q (every one vanishes on the parametrization):" in lines
     assert ("  pullback through the parametrization = "
             "(1/4) * [X^3 + 2*Y^3 + 4*Z^3]") in lines
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--a", "1e99999999"], "GrammarError: scalar '1e99999999' uses exponent"),
+    (["--a", "x"], "GrammarError: cannot parse scalar 'x'"),
+    (["--a", "0"], "ZeroA: a must be nonzero"),
+    (["--field", "bogus"], "GrammarError: field spec needs a kind prefix"),
+    (["--dprime", "0"], "InputError: d' must be >= 1"),
+])
+def test_build_surface_refuses_bad_input(args, error):
+    # the CLI's reader and exit code: no hang on an exponent, no traceback
+    err = run_script("build_surface.py", *args, code=2, timeout=10)
+    assert err.startswith("input error: " + error)
+    assert "Traceback" not in err
 
 
 def test_count_survey():
