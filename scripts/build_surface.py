@@ -38,58 +38,62 @@ def main() -> int:
     ap.add_argument("--a", default="2")
     ap.add_argument("--dprime", type=int, default=1)
     args = ap.parse_args()
+    lines: list[str] = []
     try:
-        return build(args)
-    except InputError as e:  # the exit code and message of `severi`
+        code = build(args, lines.append)
+    except InputError as e:  # the exit code, message and empty stdout of `severi`
         print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
-def build(args) -> int:
+def build(args, emit) -> int:
+    """Walk the construction, passing each line of the report to `emit`."""
     L = parse_field_spec(args.field)
     a = _parse_a(L, args.a)
     base_name = "Q" if L.base.p is None else f"F_{L.base.p}"
-    print(f"field    {base_name}[x]/({format_univariate(L.f)})")
-    print(f"galois   x -> {format_univariate(L.g)}")
-    print(f"a        {format_scalar(a)}")
+    emit(f"field    {base_name}[x]/({format_univariate(L.f)})")
+    emit(f"galois   x -> {format_univariate(L.g)}")
+    emit(f"a        {format_scalar(a)}")
 
     t0 = time.perf_counter()
     model = surface_model(L, a)
     nb = model.normal_basis
-    print(f"normal basis  l1 = {format_element(nb.elements[0])}, orbit under "
+    emit(f"normal basis  l1 = {format_element(nb.elements[0])}, orbit under "
           f"sigma, trace {format_scalar(nb.trace_value)}")
-    print(f"\nsplitting matrix (10x10, entries in L), built in "
+    emit(f"\nsplitting matrix (10x10, entries in L), built in "
           f"{time.perf_counter() - t0:.2f}s:")
     for row in model.splitting_matrix.as_rows():
         cells = [format_element(e) if not e.is_zero() else "." for e in row]
-        print("  [" + " | ".join(f"{c:>14}" for c in cells) + "]")
+        emit("  [" + " | ".join(f"{c:>14}" for c in cells) + "]")
 
     names = omega_names(model.m)
-    print(f"\n{len(model.equations_over_k)} quadrics over {base_name} "
+    emit(f"\n{len(model.equations_over_k)} quadrics over {base_name} "
           f"(every one vanishes on the parametrization):")
     for eq in model.equations_over_k:
-        print(f"  {format_poly(eq, names)} = 0")
+        emit(f"  {format_poly(eq, names)} = 0")
 
     gen = picard_generator(L, a, args.dprime)
-    print(f"\nPicard generator (d' = {args.dprime}, plane degree "
+    emit(f"\nPicard generator (d' = {args.dprime}, plane degree "
           f"{gen.degree_in_plane}):")
-    print(f"  {format_poly(gen.equation, names)} = 0")
+    emit(f"  {format_poly(gen.equation, names)} = 0")
 
     target = fermat(L, args.dprime, a).poly
     c = proportional(pullback_to_plane(model, gen.equation), target)
     if c is None:
-        print("  pullback through the parametrization is not a Fermat multiple")
+        emit("  pullback through the parametrization is not a Fermat multiple")
         return 1
-    print(f"  pullback through the parametrization = "
+    emit(f"  pullback through the parametrization = "
           f"({format_element(c)}) * [{format_poly(target, plane_names(2))}]")
 
     if L.degree == 3:
-        print("\nequation report (paper-eqs suite):")
+        emit("\nequation report (paper-eqs suite):")
         for row in verify_theorem1_equations(model):
             status = row["status"].upper()
             note = f"  ({row['note']})" if row.get("note") else ""
-            print(f"  {status:4} {row['name']}{note}")
-    print(f"\ntotal {time.perf_counter() - t0:.2f}s")
+            emit(f"  {status:4} {row['name']}{note}")
+    emit(f"\ntotal {time.perf_counter() - t0:.2f}s")
     return 0
 
 

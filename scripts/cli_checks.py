@@ -3,7 +3,7 @@
 
 Each row gives the arguments, the exit code the run must return, the
 sha256 of its stdout (None when only the exit code is checked) and a time
-limit in seconds.  Two of the n = 3 digests are the pins of
+limit in seconds.  Two of the n = 3 `surface` digests are the pins of
 tests/test_acceptance.py, so a run under another interpreter is checked
 for byte identity, not only for success; the third, over F_3, is the one
 n = 3 run with p <= SMOOTHNESS_MAX_P, so it runs the Jacobian spot check.
@@ -13,7 +13,12 @@ six-digit numerator and denominator, whose model runs large denominators
 through the integer row reduction of the descent and the JSON writers,
 and one of the `algebra` suite, whose center rank is a row reduction over
 Q.  Apart from them only the seed-0 benchmark digests pin such an
-emission.  The `algebra` and the two `picard` JSON digests complete the
+emission.  The `split` suite has one digest for every field and n, since
+its report names no field; it is pinned at n = 2 over a Shanks cubic and
+at n = 3 over F_{5^4} and over Q(zeta_5), where it proves six 35x35
+splits invertible, and five quotients of them in GL_35(k), by eliminations
+over k.  The
+`algebra` and the two `picard` JSON digests complete the
 set: every JSON emitter (surface, verify, algebra, picard) has a pinned
 row, so each interpreter is checked for byte identity of the JSON writer
 `severi.cli.dumps`.  The exit-2 rows are inputs that must be refused at
@@ -46,6 +51,12 @@ CHECKS = [
     (["verify", "--field", "shanks:t=2", "--a=-9/2", "--suite", "split",
       "--emit", "json"], 0,
      "06b63027a90da62352cde8b7143db74593e6ba27ee0dbe5548649d0a9a3cb708", 60),
+    (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2", "--suite",
+      "split", "--emit", "json"], 0,
+     "06b63027a90da62352cde8b7143db74593e6ba27ee0dbe5548649d0a9a3cb708", 20),
+    (["verify", "--field", "poly:x^4+x^3+x^2+x+1;galois:x^2", "--n", "3",
+      "--a", "5", "--suite", "split", "--emit", "json"], 0,
+     "06b63027a90da62352cde8b7143db74593e6ba27ee0dbe5548649d0a9a3cb708", 20),
     (["surface", "--field", "shanks:t=6", "--a=-1000003/999983", "--check",
       "--emit", "json"], 0,
      "362940362e1c4d8a1685d0fd8ed1d88d79e6d4187441a011dad098c8714a71df", 60),

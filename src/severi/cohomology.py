@@ -7,16 +7,25 @@ is a scalar matrix; the cocycle is honest when that scalar is 1, and only
 honest cocycles split as xi(sigma) = M * sigma(M)^{-1}.
 
 Both splits are Hilbert 90's average M = sum_j xi(sigma^j) sigma^j(R),
-which splits an honest cocycle whenever it is invertible, as one
-elimination of M proves.  The structured split averages a matrix R written
-down on a normal basis; every certified path uses it, for the Veronese
-lift (the classical 10x10 matrix for n = 2, entry for entry) and for the
-companion value divided by a norm witness.  The randomized split averages
-pseudo-random R and is the `split` suite's independent reference.
+which splits an honest cocycle whenever it is invertible.  The structured
+split averages a matrix R written down on a normal basis; every certified
+path uses it, for the Veronese lift (the classical 10x10 matrix for n = 2,
+entry for entry) and for the companion value divided by a norm witness.
+The randomized split averages pseudo-random R and is the `split` suite's
+independent reference.
+
+Invertibility is proven over k, by Galois descent.  For an honest cocycle
+V = {v in L^m : xi(sigma) sigma(v) = v} is a k-form of L^m: L (x)_k V -> L^m
+is an isomorphism (Hilbert 90; Gille-Szamuely, Central Simple Algebras and
+Galois Cohomology, ch. 2).  A matrix that passes `check_split` has its
+columns in V, so it is invertible over L exactly when its m columns are
+linearly independent over k, which `k_rank` decides by one elimination
+over k of their theta-coordinates.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -31,15 +40,13 @@ from .errors import (
     ZeroA,
 )
 from .fields import (CyclicExtension, ExtElement, find_normal_basis,
-                     galois_apply, norm)
+                     galois_apply, norm, row_reduce)
 from .linalg import (
     Matrix,
     as_scaled_permutation,
-    from_rows,
     galois_matrix,
     identity,
     mul,
-    rank,
 )
 from .veronese import induced_matrix, monomial_basis
 
@@ -101,13 +108,41 @@ def lift_to_veronese(xi: Cocycle) -> Cocycle:
 
 
 def _random_matrix(L: CyclicExtension, size: int, rng: random.Random) -> Matrix:
+    """Entries with integer coordinates, in -3..3 over Q and residues over
+    F_p, built in normal form over the denominator 1."""
     if L.base.p is None:
         coords = lambda: rng.randint(-3, 3)
     else:
         coords = lambda: rng.randrange(L.base.p)
-    rows = [[L.el([coords() for _ in range(L.degree)]) for _ in range(size)]
-            for _ in range(size)]
-    return from_rows(L, rows)
+    return Matrix(L, size, tuple(
+        [(j, ExtElement(L, tuple([coords() for _ in range(L.degree)]), 1))
+         for j in range(size)] for _ in range(size)))
+
+
+def k_rank(*matrices: Matrix) -> int:
+    """The k-rank of the columns of `matrices`, all over one L, taken
+    together.  Each column is one row of its theta-coordinates, coordinate t
+    of entry r in column r * (n+1) + t, scaled by the lcm of its entries'
+    denominators (1 over F_p) so that its entries are integers, which
+    leaves its k-span unchanged; the rows are reduced once over k.
+
+    For columns of splits of one honest cocycle this is their rank over L
+    (module docstring)."""
+    L = matrices[0].ext
+    deg = L.degree
+    rows = []
+    for M in matrices:
+        if M.ext != L:
+            raise InputError("matrices are over different extensions")
+        cols: list[list[tuple[int, ExtElement]]] = [[] for _ in range(M.cols)]
+        for r, row in enumerate(M.sparse_rows):
+            for c, x in row:
+                cols[c].append((r, x))
+        for col in cols:
+            d = math.lcm(*(x.den for _, x in col))
+            rows.append([(r * deg + t, v * (d // x.den))
+                         for r, x in col for t, v in enumerate(x.nums) if v])
+    return len(row_reduce(L.base, rows)[1])
 
 
 def check_split(xi: Cocycle, M: Matrix) -> None:
@@ -142,7 +177,9 @@ _SPLIT_ATTEMPTS = 32
 
 def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
     """The average of pseudo-random R, retried until invertible.  Requires
-    an honest cocycle."""
+    an honest cocycle.  Each average passes `check_split`, so its k-rank is
+    its rank over L (module docstring): an average is invertible when its
+    columns are independent over k."""
     L = xi.extension
     if xi.scalar_class != L.one():
         raise NotHonestCocycle(
@@ -150,8 +187,8 @@ def split_generic(xi: Cocycle, rng_seed: int = 0) -> Matrix:
     rng = random.Random(rng_seed)
     for _ in range(_SPLIT_ATTEMPTS):
         M = _average(xi, _random_matrix(L, xi.size, rng))
-        if rank(M) == M.rows:
-            check_split(xi, M)
+        check_split(xi, M)
+        if k_rank(M) == M.rows:
             return M
     raise AllAttemptsSingular(
         f"all {_SPLIT_ATTEMPTS} averaging attempts were singular (seed {rng_seed})")
@@ -169,7 +206,8 @@ def split_structured(xi: Cocycle, nb) -> Matrix:
     of sigma^d, d the orbit size, and a fixed index gets 1.  Otherwise it is
     Hilbert 90's row for L over the fixed field of sigma^d, which exists for
     every honest cocycle; the average is then certified like any other, by
-    `check_split`, and proven invertible by the `inverse` of its caller.
+    `check_split`, and proven invertible by its caller: by the `inverse`
+    that `surface_model` needs anyway, or by its k-rank.
     """
     L = xi.extension
     if nb.extension != L:
@@ -204,15 +242,16 @@ def coboundary_from_witness(L: CyclicExtension, a, lam: ExtElement) -> Matrix:
     cocycle value for a and norm(lam) = a.
 
     A_sigma / lam is an honest cocycle (twisted product a / norm(lam) = 1)
-    with one orbit, and P is its structured split: its check and rank test
-    prove A_sigma = lam * P * sigma(P)^{-1} in PGL_{n+1}(L), as above.
+    with one orbit, and P is its structured split: its check proves
+    A_sigma sigma(P) = lam P, and its k-rank n+1 proves P invertible (module
+    docstring), so A_sigma = lam * P * sigma(P)^{-1} in PGL_{n+1}(L).
     """
     a = L.base.coerce(a)
     if norm(L, lam) != a:
         raise NotAWitness(f"norm of the witness is {norm(L, lam)}, not {a}")
     A = cyclic_cocycle(L, a).at_generator.scale(lam.inverse())
     P = split_structured(make_cocycle(L, A), find_normal_basis(L))
-    if rank(P) < P.rows:  # callers need not invert P
+    if k_rank(P) < P.rows:  # callers need not invert P
         raise InternalDescentFailure("structured split produced a singular matrix")
     return P
 

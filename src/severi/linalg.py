@@ -17,8 +17,10 @@ handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity
 pair each, and returns the nonzero reduced rows as dicts: `inverse` keeps
 their right block, and `rref` keeps them whole.  `inverse` raises
 `Singular` unless A is invertible, so the elimination that inverts a
-matrix proves it invertible, with no rank test before it.  Monomial
-matrices are recognized for the structured Hilbert 90 split.
+matrix proves it invertible, with no rank test before it.  `rank` has one
+program caller, the guard of `veronese.induced_matrix`: splits of a
+cocycle are proven invertible over k instead (`cohomology.k_rank`).
+Monomial matrices are recognized for the structured Hilbert 90 split.
 """
 
 from __future__ import annotations

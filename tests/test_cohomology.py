@@ -1,6 +1,7 @@
 """Cocycles for the cyclic Galois group and constructive splittings."""
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -32,10 +33,10 @@ from severi import (
     surface_model,
     witness_split_scalar,
 )
-from severi import cohomology, linalg, twisting
+from severi import cohomology, linalg, twisting, verify
 from severi.cli import main
 from severi.cohomology import check_split
-from severi.linalg import matrix_to_json
+from severi.linalg import Matrix, matrix_to_json
 from severi.twisting import image_defect
 from severi.verify import base_change_matrix
 from severi.veronese import ParametrizationMap
@@ -175,6 +176,71 @@ def test_split_generic_seed_determinism(shanks1):
     assert split_generic(lift, rng_seed=3) != split_generic(lift, rng_seed=4)
 
 
+@pytest.mark.parametrize("L", [make_shanks_cubic(1), frobenius_extension(5, 4)],
+                         ids=["shanks1", "f625"])
+def test_random_matrix_entries_are_the_el_entries(L):
+    # built from their integer coordinates, the entries are the elements
+    # `L.el` makes of the same draws, in the same order
+    size, coords = 6, random.Random(7)
+    draw = ((lambda: coords.randint(-3, 3)) if L.base.p is None
+            else (lambda: coords.randrange(L.base.p)))
+    by_el = from_rows(L, [[L.el([draw() for _ in range(L.degree)])
+                           for _ in range(size)] for _ in range(size)])
+    R = cohomology._random_matrix(L, size, random.Random(7))
+    assert R == by_el
+    assert all(x.den == 1 for row in R.sparse_rows for _, x in row)
+
+
+# (field, a): the cubic fields at n = 2 and the quartic ones at n = 3
+K_RANK_CASES = {
+    "f8": (lambda: frobenius_extension(2, 3), 1),
+    "f27": (lambda: frobenius_extension(3, 3), 2),
+    "f625": (lambda: frobenius_extension(5, 4), 2),
+    "f16": (lambda: frobenius_extension(2, 4), 1),
+    "shanks1": (lambda: make_shanks_cubic(1), F(2)),
+    "shanks2": (lambda: make_shanks_cubic(2), Fraction(-9, 2)),
+    "zeta5": (lambda: make_extension(QQ, [1, 1, 1, 1, 1], [0, 0, 1]), F(5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_RANK_CASES))
+def test_k_rank_of_split_columns_is_their_rank_over_L(case):
+    """The averages of an honest cocycle pass `check_split`, so their
+    columns lie in a k-form of L^m and their k-rank is their rank over L.
+    The averages are a generic split, which has rank m, and those of a
+    pseudo-random R, of R with one repeated row, and of R with its first
+    two columns zeroed, which has rank at most m - 2."""
+    make, a = K_RANK_CASES[case]
+    L = make()
+    lift = lift_to_veronese(cyclic_cocycle(L, a))
+    m, rng = lift.size, random.Random(1)
+    averages = [split_generic(lift)]
+    for trial in range(3):
+        rows = list(cohomology._random_matrix(L, m, rng).sparse_rows)
+        if trial == 1:
+            rows[1] = rows[0]
+        elif trial == 2:
+            rows = [[(j, x) for j, x in row if j >= 2] for row in rows]
+        averages.append(cohomology._average(lift, Matrix(L, m, tuple(rows))))
+    ranks = []
+    for M in averages:
+        check_split(lift, M)
+        ranks.append(rank(M))
+        assert cohomology.k_rank(M) == ranks[-1]
+    assert ranks[0] == m and ranks[-1] <= m - 2
+
+
+def test_k_rank_counts_columns_off_the_k_form(shanks1, nb1):
+    # theta times a column of a split leaves the k-form, so it adds one to
+    # the k-rank though it adds nothing to the rank over L
+    lift = lift_to_veronese(cyclic_cocycle(shanks1, F(2)))
+    Ms = split_structured(lift, nb1)
+    bent = Matrix(shanks1, 1, tuple(
+        [(0, x * shanks1.theta()) for j, x in row if j == 0] for row in Ms.sparse_rows))
+    assert cohomology.k_rank(Ms) == cohomology.k_rank(Ms, Ms) == 10
+    assert cohomology.k_rank(Ms, bent) == 11 and rank(Ms) == 10
+
+
 # ---------------------------------------------------------------------------
 # structured split
 # ---------------------------------------------------------------------------
@@ -310,6 +376,13 @@ def test_coboundary_rejects_a_singular_split(shanks1, monkeypatch):
         coboundary_from_witness(shanks1, F(-1), shanks1.one() + shanks1.theta())
 
 
+def test_split_suite_rejects_a_singular_structured_split(shanks1, monkeypatch):
+    # the suite inverts no split: the k-rank of Ms is its invertibility proof
+    monkeypatch.setattr(verify, "find_normal_basis", _all_ones_labels)
+    with pytest.raises(InternalDescentFailure, match="singular"):
+        verify._suite_split(shanks1, F(2), 1, None)
+
+
 def test_surface_model_eliminates_its_split_once(shanks1, monkeypatch):
     """One elimination of the 10 x 10 splitting matrix per model, its
     inverse.  The other linalg elimination is `induced_matrix`'s rank
@@ -326,6 +399,25 @@ def test_surface_model_eliminates_its_split_once(shanks1, monkeypatch):
     monkeypatch.setattr(linalg, "row_reduce", counting)
     surface_model(shanks1, F(2))
     assert calls == [3, 10]
+
+
+def test_split_suite_eliminates_over_k_only(monkeypatch):
+    """The `split` suite proves its six splits invertible, and the five
+    differences in GL_m(k), by k-ranks, which reduce over k without
+    linalg; its one linalg elimination is `induced_matrix`'s rank guard
+    on the 3 x 3 companion value."""
+    calls = []
+    reduce_rows = linalg.row_reduce
+
+    def counting(ext, rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return reduce_rows(ext, rows)
+
+    monkeypatch.setattr(linalg, "row_reduce", counting)
+    checks = verify._suite_split(make_shanks_cubic(2), Fraction(-9, 2), 1, None)
+    assert calls == [3]
+    assert len(checks) == 11 and all(c.status == "pass" for c in checks)
 
 
 def test_splits_reject_singular_matrices(shanks1, monkeypatch):

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, python=sys.executable, code=0, timeout=120):
+def run(name, *args, python=sys.executable, code=0, timeout=120):
+    """The finished process of one script run, which must exit with `code`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -18,7 +19,11 @@ def run_script(name, *args, python=sys.executable, code=0, timeout=120):
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
     assert proc.returncode == code, proc.stderr
-    return proc.stdout.splitlines() if code == 0 else proc.stderr
+    return proc
+
+
+def run_script(name, *args, python=sys.executable, timeout=120):
+    return run(name, *args, python=python, timeout=timeout).stdout.splitlines()
 
 
 def test_build_surface():
@@ -36,10 +41,12 @@ def test_build_surface():
     (["--dprime", "0"], "InputError: d' must be >= 1"),
 ])
 def test_build_surface_refuses_bad_input(args, error):
-    # the CLI's reader and exit code: no hang on an exponent, no traceback
-    err = run_script("build_surface.py", *args, code=2, timeout=10)
-    assert err.startswith("input error: " + error)
-    assert "Traceback" not in err
+    # the CLI's reader, exit code and empty stdout: no hang on an exponent,
+    # no traceback, no partial report before a late refusal
+    proc = run("build_surface.py", *args, code=2, timeout=10)
+    assert proc.stderr.startswith("input error: " + error)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_count_survey():

@@ -29,6 +29,7 @@ from severi import (
     surface_model,
 )
 from severi import verify
+from severi.cohomology import k_rank
 from severi.cli import main
 from severi.errors import InputError
 from severi.polyring import make_poly
@@ -302,9 +303,10 @@ def test_run_all_builds_each_model_once(monkeypatch):
 @pytest.mark.parametrize("L", [make_shanks_cubic(1), frobenius_extension(3, 3)],
                          ids=["shanks1", "f27"])
 def test_split_difference_in_k_either_way(L):
-    # the `split` suite tests inverse(Ms) * Mg in k, with one inverse per
-    # run; it is in k exactly when inverse(Mg) * Ms is, for splits as built
-    # and for one whose column is scaled by theta
+    # inverse(Ms) * Mg is in k exactly when inverse(Mg) * Ms is, and exactly
+    # when the columns of Ms and Mg together have k-rank m, the `split`
+    # suite's test, for splits as built and for one whose column is scaled
+    # by theta
     lift = lift_to_veronese(cyclic_cocycle(L, 2))
     Ms = split_structured(lift, find_normal_basis(L))
 
@@ -317,6 +319,7 @@ def test_split_difference_in_k_either_way(L):
                               for j, e in enumerate(row)] for row in Mg.as_rows()])
         for G, fixed in ((Mg, True), (bent, False)):
             assert in_k(mul(inverse(G), Ms)) is in_k(mul(inverse(Ms), G)) is fixed
+            assert (k_rank(Ms, G) == Ms.rows) is fixed
 
 
 def test_run_all_rejects_unknown_suite():
