@@ -21,8 +21,10 @@ over k.  The
 `algebra` and the two `picard` JSON digests complete the
 set: every JSON emitter (surface, verify, algebra, picard) has a pinned
 row, so each interpreter is checked for byte identity of the JSON writer
-`severi.cli.dumps`.  The exit-2 rows are inputs that must be refused at
-once, so their limits are short; one is a d' far above
+`severi.cli.dumps`.  The text row over the real quintic field
+Q(zeta_11)^+ at n = 4 checks associativity and the center of a cyclic
+algebra of dimension 25 over Q.  The exit-2 rows are inputs that must be
+refused at once, so their limits are short; one is a d' far above
 `PICARD_MAX_DPRIME`.  Uses the standard library only, and runs each row
 as `python -m severi` with the interpreter that runs this script.
 
@@ -71,6 +73,10 @@ CHECKS = [
     (["algebra"], 0, None, 120),
     (["algebra", "--field", "finite:p=5", "--emit", "json"], 0,
      "69628254f20bf079a51fe635db8b7747df09fbd0a4ff59fafb2630ee0885a2c9", 120),
+    (["algebra", "--field",
+      "poly:x^5 + x^4 - 4*x^3 - 3*x^2 + 3*x + 1;galois:x^2 - 2", "--n", "4",
+      "--a", "2"], 0,
+     "e1842a904487fcbb51e68679fcd1e56931fb30e232b28ae68979aa47df21e266", 10),
     (["picard", "--emit", "json"], 0,
      "b997bd5a59ee23b3ed5e371b858b2923679a4c81d07c84d6f88c2b6fec6648c9", 60),
     (["picard", "--field", "finite:p=7", "--a", "3", "--emit", "json"], 0,

@@ -5,10 +5,17 @@ defining relations are e * lam = sigma'(lam) * e for lam in L, where
 sigma' is the Galois generator with chi(sigma') = 1, and e^{n+1} = a.
 The stored extension generator sigma has chi(sigma) = character_convention,
 so sigma' = sigma^u with u the inverse of that convention mod n+1.
+
+The associativity and center checks read the table T as D*T in Python
+ints, D the lcm of its denominators over Q and 1 over F_p.  Associativity
+is quadratic in T and the commutator rows of the center are linear in T,
+so neither verdict changes; the table itself, and its emissions, keep the
+base field's scalars.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,17 +152,20 @@ def table_is_associative(field: BaseField, table: Table) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple.  Each side is a
     combination of table rows, over their nonzero entries only:
     sum_t T[i][j][t] T[t][k] on the left and sum_t T[j][k][t] T[i][t] on
-    the right."""
+    the right.  Both sides are quadratic in T, so they agree for T exactly
+    when they agree for D*T (`_integer_table`); the sums run in Python
+    ints, reduced mod p before the comparison over F_p."""
     dim = len(table)
-    nonzero = [[[(t, c) for t, c in enumerate(v) if not field.is_zero(c)]
-                for v in row] for row in table]
+    p = field.p
+    nonzero = [[[(t, c) for t, c in enumerate(v) if c] for v in row]
+               for row in _integer_table(field, table)]
 
     def combine(coeffs, rows):
-        out = _vec(field, dim)
+        out = [0] * dim
         for t, c in coeffs:
             for s, x in rows[t]:
-                out[s] = field.add(out[s], field.mul(c, x))
-        return out
+                out[s] += c * x
+        return out if p is None else [x % p for x in out]
 
     columns = [[nonzero[t][k] for t in range(dim)] for k in range(dim)]
     for i in range(dim):
@@ -167,13 +177,26 @@ def table_is_associative(field: BaseField, table: Table) -> bool:
     return True
 
 
+def _integer_table(field: BaseField, table: Table) -> Sequence[Sequence[Sequence[int]]]:
+    """D*T as Python ints: over Q, D is the lcm of the denominators of the
+    entries; over F_p the entries are residues already and D = 1."""
+    if field.p is not None:
+        return table
+    d = math.lcm(*(c.denominator for row in table for v in row for c in v))
+    return [[[c.numerator * (d // c.denominator) for c in v] for v in row]
+            for row in table]
+
+
 def center_dimension(A: CyclicAlgebra) -> int:
     return table_center_dimension(A.extension.base, A.table)
 
 
 def table_center_dimension(field: BaseField, table: Table) -> int:
-    """Nullity of the linear system [x, b_i] = 0 over all basis elements."""
+    """Nullity of the linear system [x, b_i] = 0 over all basis elements.
+    Its rows are linear in T, so they are built from D*T
+    (`_integer_table`), whose rows have the same nullity."""
     dim = len(table)
+    table = _integer_table(field, table)
     rows: list[list[Scalar]] = []
     for g in range(dim):
         # commutator with basis g, as dim linear conditions on x

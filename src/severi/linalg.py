@@ -5,9 +5,10 @@ A Matrix holds only its rows: its nonzero entries, row by row, as
 pairs into that form, so equal matrices compare equal.  Products,
 conjugates and scalings touch nonzero entries only, and dense rows exist
 only at the edges: as input to `from_rows`, and as output of `as_rows` and
-`matrix_to_json`.  Besides its rows a Matrix carries one cache that is not
-a field, `product_memo`, where `polyring.substitute_linear` keeps the
-products it has formed with the matrix's entries.
+`matrix_to_json`.  Besides its rows a Matrix carries two caches that are
+not fields, both filled by `polyring.substitute_linear`: `product_memo`,
+the products it has formed with the matrix's entries, and
+`exponent_vectors`, the exponent vectors of the monomials it has built.
 
 Inverses, ranks and row echelon forms are all read off one sparse
 Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
@@ -70,6 +71,14 @@ class Matrix:
         unaffected.  Sound because the matrix is immutable and a product
         depends only on the coordinates of its factors, once both are known
         to lie in `ext`; its one user checks that."""
+        return {}
+
+    @cached_property
+    def exponent_vectors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Sorted index key -> exponent vector of length `rows`, for the
+        monomials `polyring.substitute_linear` has built through this
+        matrix, so its results share one tuple per monomial.  Not a field,
+        like `product_memo`."""
         return {}
 
     def as_rows(self) -> list[list[ExtElement]]:

@@ -15,6 +15,9 @@ the splitting matrix of a model has few distinct entries and the Veronese
 quadrics have coefficients +-1, so the twists of a whole ideal repeat the
 same few products.  A Matrix is immutable and a product in L depends only
 on the coordinates of its factors, so a remembered product is the product.
+The exponent vectors of its results are kept on A too
+(`Matrix.exponent_vectors`), so the twists of an ideal by one matrix share
+one tuple per monomial.
 """
 
 from __future__ import annotations
@@ -124,12 +127,6 @@ def make_poly(ext: CyclicExtension, nvars: int,
             raise InputError(f"bad exponent vector {e}")
         cur = acc.get(e)
         acc[e] = c if cur is None else cur + c
-    return _canonical(ext, nvars, acc)
-
-
-def _canonical(ext: CyclicExtension, nvars: int,
-               acc: Mapping[Exponents, ExtElement]) -> MultiPoly:
-    """The polynomial of an already validated exponent -> coefficient map."""
     cleaned = tuple(sorted(((e, c) for e, c in acc.items() if not c.is_zero()),
                            key=lambda t: t[0], reverse=True))
     return MultiPoly(ext, nvars, cleaned)
@@ -171,8 +168,16 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     it uses (`Matrix.sparse_rows`), starting from c, so c is multiplied in
     once per row entry.  Partial products are keyed by the sorted tuple of
     the indices j they have picked up (a multiset of size deg x^e) and
-    summed over all terms in one dict; each distinct key becomes an
-    exponent vector once, at the end.
+    summed over all terms in one dict, and the result is assembled from
+    those keys, dropping zero sums.
+
+    The keys are sorted once, by key + (m,): for exponent vectors e, e' of
+    any degrees, e > e' lexicographically exactly when key(e) + (m,) <
+    key(e') + (m,), since at the first variable i where e exceeds e', key(e)
+    repeats i where key(e') has a larger index or the sentinel m.  That is
+    the canonical order, so no dense vector is compared.  Each key becomes
+    its exponent vector through A's `exponent_vectors`, built on a miss, so
+    the results over one A share a tuple per monomial.
 
     Each product v * a of a coefficient or partial product v with a row
     entry a is looked up in A's `product_memo` by the integer coordinates
@@ -190,6 +195,8 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
     for e, c in F.terms:
         partial = {(): c}
         for i, k in enumerate(e):
+            if not k:
+                continue
             for _ in range(k):
                 grown: dict[tuple[int, ...], ExtElement] = {}
                 for key, v in partial.items():
@@ -209,13 +216,20 @@ def substitute_linear(F: MultiPoly, A: Matrix) -> MultiPoly:
             cur = acc.get(key)
             acc[key] = v if cur is None else cur + v
     m = F.nvars
-    terms: dict[Exponents, ExtElement] = {}
-    for key, v in acc.items():
-        e = [0] * m
-        for j in key:
-            e[j] += 1
-        terms[tuple(e)] = v
-    return _canonical(F.ext, m, terms)
+    vectors = A.exponent_vectors
+    terms = []
+    for key in sorted(acc, key=lambda key: key + (m,)):
+        v = acc[key]
+        if v.is_zero():
+            continue
+        e = vectors.get(key)
+        if e is None:
+            dense = [0] * m
+            for j in key:
+                dense[j] += 1
+            e = vectors[key] = tuple(dense)
+        terms.append((e, v))
+    return MultiPoly(F.ext, m, tuple(terms))
 
 
 def _one_ring(S: Sequence[MultiPoly]) -> None:

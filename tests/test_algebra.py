@@ -11,6 +11,7 @@ from severi import (
     galois_apply,
     is_associative,
     left_multiplication_is_singular,
+    make_shanks_cubic,
     multiply,
     norm_witness,
     zero_divisor_from_witness,
@@ -80,6 +81,42 @@ def test_length_mismatch(shanks1):
 def test_associativity_all_triples(shanks1):
     A = build_algebra(shanks1, F(2))
     assert is_associative(A)
+
+
+def field_is_associative(field, table):
+    # the reference: the check on T itself in the field's scalars (Fraction
+    # over Q), each side of every triple summed with field.add and field.mul
+    dim = len(table)
+    nonzero = [[[(t, c) for t, c in enumerate(v) if not field.is_zero(c)]
+                for v in row] for row in table]
+
+    def combine(coeffs, rows):
+        out = [field.zero()] * dim
+        for t, c in coeffs:
+            for s, x in rows[t]:
+                out[s] = field.add(out[s], field.mul(c, x))
+        return out
+
+    columns = [[nonzero[t][k] for t in range(dim)] for k in range(dim)]
+    return all(combine(nonzero[i][j], columns[k]) == combine(nonzero[j][k], nonzero[i])
+               for i in range(dim) for j in range(dim) for k in range(dim))
+
+
+@pytest.mark.parametrize("case", ["shanks2", "zeta5", "f5"])
+def test_integer_associativity_agrees_with_field_arithmetic(case, zeta5, f5):
+    L, a = {"shanks2": (make_shanks_cubic(2), F(-9) / 2),
+            "zeta5": (zeta5, F(5)), "f5": (f5, 2)}[case]
+    A = build_algebra(L, a)
+    k = L.base
+    assert table_is_associative(k, A.table)
+    assert field_is_associative(k, A.table)
+    # one nonzero structure constant of the last basis square, plus one
+    table = [[list(v) for v in row] for row in A.table]
+    cell = table[-1][-1]
+    t = next(t for t, c in enumerate(cell) if not k.is_zero(c))
+    cell[t] = k.add(cell[t], k.one())
+    assert not table_is_associative(k, table)
+    assert not field_is_associative(k, table)
 
 
 def test_center_dimension_f5(f5):

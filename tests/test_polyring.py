@@ -276,7 +276,8 @@ N3_TWIST_DIGEST = "9cbda39f28bbfe3d40660f5c18e0b2c2b2d90bb2383fad9606a9f188962ae
 
 def test_n3_twist_reuses_products(monkeypatch):
     # M has 133 nonzero entries but few distinct values and every quadric
-    # coefficient is +-1: the whole family needs a few hundred products
+    # coefficient is +-1: the whole family needs a few hundred products and
+    # a few hundred exponent vectors
     L = frobenius_extension(5, 4)
     M = split_structured(lift_to_veronese(cyclic_cocycle(L, 2)), find_normal_basis(L))
     quads = veronese_ideal(monomial_basis(3, 4), L)
@@ -293,5 +294,9 @@ def test_n3_twist_reuses_products(monkeypatch):
     twisted = [substitute_linear(Q, M) for Q in quads]
     monkeypatch.undo()
     assert calls <= 600
+    # the 12,936 terms share one exponent vector per monomial of degree 2
+    # in 35 variables, C(36, 2) = 630 at most
+    assert sum(len(F.terms) for F in twisted) == 12936
+    assert len({id(e) for F in twisted for e, _ in F.terms}) <= 630
     text = "\n".join(format_poly(F) for F in twisted)
     assert hashlib.sha256(text.encode()).hexdigest() == N3_TWIST_DIGEST
