@@ -16,16 +16,19 @@ Q.  Apart from them only the seed-0 benchmark digests pin such an
 emission.  The `split` suite has one digest for every field and n, since
 its report names no field; it is pinned at n = 2 over a Shanks cubic and
 at n = 3 over F_{5^4} and over Q(zeta_5), where it proves six 35x35
-splits invertible, and five quotients of them in GL_35(k), by eliminations
-over k.  The
-`algebra` and the two `picard` JSON digests complete the
-set: every JSON emitter (surface, verify, algebra, picard) has a pinned
-row, so each interpreter is checked for byte identity of the JSON writer
-`severi.cli.dumps`.  The text row over the real quintic field
-Q(zeta_11)^+ at n = 4 checks associativity and the center of a cyclic
-algebra of dimension 25 over Q.  The exit-2 rows are inputs that must be
-refused at once, so their limits are short; one is a d' far above
-`PICARD_MAX_DPRIME`.  Uses the standard library only, and runs each row
+splits invertible by eliminations over k.  The `counts` digest pins the
+suite whose Jacobian ranks at the F_2- and F_3-points stop at their
+ceiling m - 1 - n, and the `triviality` digest at n = 3 over F_{5^4}
+pins a witness coboundary proven invertible by its k-rank and the base
+change built on it.  The `algebra` and the two `picard` JSON digests
+complete the set: every JSON emitter (surface, verify, algebra, picard)
+has a pinned row, so each interpreter is checked for byte identity of
+the JSON writer `severi.cli.dumps`.  The text row over the real quintic
+field Q(zeta_11)^+ at n = 4 checks associativity and the center of a
+cyclic algebra of dimension 25 over Q.  The exit-2 rows are inputs that
+must be refused at once, so their limits are short; one is a d' far
+above `PICARD_MAX_DPRIME`.  Of the 26 rows, 15 pin a digest and 6 must
+exit 2.  Uses the standard library only, and runs each row
 as `python -m severi` with the interpreter that runs this script.
 
 Usage:
@@ -65,9 +68,11 @@ CHECKS = [
     (["verify", "--field", "shanks:t=4", "--a=-7/3", "--suite", "algebra",
       "--emit", "json"], 0,
      "182b6c80b5906cd9062149a6483e0a1496e36fa90eddb626602708cfe2f3368c", 60),
-    (["verify", "--suite", "counts"], 0, None, 120),
+    (["verify", "--suite", "counts", "--emit", "json"], 0,
+     "50f00f868b593b4a810ebecdee837ad21ea069e434cd393a5ef3802af390845f", 120),
     (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2",
-      "--suite", "triviality"], 0, None, 120),
+      "--suite", "triviality", "--emit", "json"], 0,
+     "fa7a433426bcda3b83d407c4b3fc089f212741dc7e7053a28c365900a3ab5a4e", 120),
     (["verify", "--suite", "picard", "--dprime", "4"], 0, None, 120),
     (["verify"], 0, None, 120),
     (["algebra"], 0, None, 120),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InternalDescentFailure, LengthMismatch, ZeroA
-from .fields import (BaseField, CyclicExtension, Scalar, galois_apply, row_reduce,
+from .fields import (BaseField, CyclicExtension, Scalar, galois_apply, rank,
                      scalar_to_json)
 
 Table = tuple[tuple[tuple[Scalar, ...], ...], ...]
@@ -205,7 +205,7 @@ def table_center_dimension(field: BaseField, table: Table) -> int:
             for i in range(dim):
                 row.append(field.sub(table[i][g][t], table[g][i][t]))
             rows.append(row)
-    return dim - len(row_reduce(field, map(enumerate, rows))[1])
+    return dim - rank(field, map(enumerate, rows))
 
 
 def diagonal_table(field: BaseField, copies: int) -> Table:
@@ -245,7 +245,7 @@ def zero_divisor_from_witness(A: CyclicAlgebra, lam) -> tuple[Scalar, ...]:
 
 def left_multiplication_is_singular(A: CyclicAlgebra, x: Sequence[Scalar]) -> bool:
     M = left_multiplication_matrix(A, x)
-    return len(row_reduce(A.extension.base, map(enumerate, M))[1]) < A.dim
+    return rank(A.extension.base, map(enumerate, M)) < A.dim
 
 
 def table_to_json(A: CyclicAlgebra) -> list:

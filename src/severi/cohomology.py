@@ -19,8 +19,8 @@ V = {v in L^m : xi(sigma) sigma(v) = v} is a k-form of L^m: L (x)_k V -> L^m
 is an isomorphism (Hilbert 90; Gille-Szamuely, Central Simple Algebras and
 Galois Cohomology, ch. 2).  A matrix that passes `check_split` has its
 columns in V, so it is invertible over L exactly when its m columns are
-linearly independent over k, which `k_rank` decides by one elimination
-over k of their theta-coordinates.
+linearly independent over k, which `k_rank` decides by one rank over k
+of their theta-coordinates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     ZeroA,
 )
 from .fields import (CyclicExtension, ExtElement, find_normal_basis,
-                     galois_apply, norm, row_reduce)
+                     galois_apply, norm, rank)
 from .linalg import (
     Matrix,
     as_scaled_permutation,
@@ -124,7 +124,8 @@ def k_rank(*matrices: Matrix) -> int:
     together.  Each column is one row of its theta-coordinates, coordinate t
     of entry r in column r * (n+1) + t, scaled by the lcm of its entries'
     denominators (1 over F_p) so that its entries are integers, which
-    leaves its k-span unchanged; the rows are reduced once over k.
+    leaves its k-span unchanged; `fields.rank` counts their rank over k,
+    row by row, with no reduced form built.
 
     For columns of splits of one honest cocycle this is their rank over L
     (module docstring)."""
@@ -142,7 +143,7 @@ def k_rank(*matrices: Matrix) -> int:
             d = math.lcm(*(x.den for _, x in col))
             rows.append([(r * deg + t, v * (d // x.den))
                          for r, x in col for t, v in enumerate(x.nums) if v])
-    return len(row_reduce(L.base, rows)[1])
+    return rank(L.base, rows)
 
 
 def check_split(xi: Cocycle, M: Matrix) -> None:

@@ -27,12 +27,17 @@ read; over Q it is built once, on first read.  The descent's rows over k
 and the JSON writer `element_to_json` read `nums` and `den` instead.
 
 All exact linear algebra of the package, over k and over L, is one
-sparse Gauss-Jordan elimination, `row_reduce`: rows go in as (column,
-entry) pairs and come out as the nonzero reduced rows alone, each a dict
-of its nonzero entries, so no dense matrix is built around it.  Over Q
-it eliminates in primitive integer rows and builds Fractions only for
-the rows it returns.  A CyclicExtension offers the BaseField operations
-it uses, `zero` and `inv`.
+sparse elimination kernel with two entries, built on one row update
+(`_clear`).  `row_reduce` returns the reduced row echelon form: rows go
+in as (column, entry) pairs and come out as the nonzero reduced rows
+alone, each a dict of its nonzero entries, so no dense matrix is built
+around it.  `rank` serves every caller that reads only a pivot count: it
+inserts rows one at a time into an echelon basis and returns once the
+basis reaches an optional ceiling, so it reads no row past it and clears
+nothing above a pivot.  Over Q both eliminate in primitive integer rows;
+`rank` builds no Fraction, and `row_reduce` builds them only for the rows
+it returns.  A CyclicExtension offers the BaseField operations the kernel
+uses, `zero` and `inv`.
 The plain-text term joiner `format_terms` is shared with severi.grammar.
 
 Scalars, elements and extensions have JSON writers (`scalar_to_json`,
@@ -804,29 +809,21 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
     Columns are taken in order; the pivot of a column is the unpivoted row
     with the fewest nonzeros that holds it (the lowest index on ties),
     scaled by one inverse and cleared from every other row that holds the
-    column.  The reduced row echelon form is unique, so the pivot choice
-    changes no entry.  Zero tests use truthiness, which is false for
-    Fraction(0), the int 0 and a zero ExtElement.
+    column, by `_clear`.  The reduced row echelon form is unique, so the
+    pivot choice changes no entry.  Zero tests use truthiness, which is
+    false for Fraction(0), the int 0 and a zero ExtElement.
 
-    Over Q the elimination runs in integers and no pivot is inverted.  Each
-    input row, of Fraction or int entries, is scaled by the lcm of its
-    denominators and divided by the gcd of the numerators; a row that holds
-    the pivot column becomes pv * row - row[c] * prow (both factors first
-    divided by their gcd) and is divided by the gcd of its entries again.
-    Each stored row is then a nonzero multiple of the row the Fraction
-    elimination would hold, so the sparsity, the pivots and the rows chosen
-    are the same, and dividing each reduced row once by its pivot entry
-    gives the same rows, as dicts of Fraction; those divisions build the
-    only Fractions of the call.
+    Over Q the elimination runs in primitive integer rows and no pivot is
+    inverted (`_clear`).  Each stored row is a nonzero multiple of the row
+    the Fraction elimination would hold, so the sparsity, the pivots and
+    the rows chosen are the same, and dividing each reduced row once by
+    its pivot entry gives the same rows, as dicts of Fraction; those
+    divisions build the only Fractions of the call.
     """
-    p = field.p if isinstance(field, BaseField) else None
-    over_q = isinstance(field, BaseField) and p is None
+    p, over_q, zero = _kernel_field(field)
     sparse = [{j: x for j, x in r if x} for r in rows]
     if over_q:
         sparse = [_primitive(row) for row in sparse]
-        zero = 0
-    else:
-        zero = field.zero()
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(sparse):
         for j in row:
@@ -842,37 +839,9 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
                 key=lambda i: (len(sparse[i]), i), default=None)
         if r is None:
             continue
-        if over_q:
-            prow = sparse[r]
-            pv = prow[c]
-        else:
-            inv = field.inv(sparse[r][c])
-            prow = sparse[r] = {j: (x * inv) % p if p else x * inv
-                                for j, x in sparse[r].items()}
+        prow = sparse[r] = _pivot_row(field, p, over_q, sparse[r], c)
         for i in [i for i in held if i != r]:
-            row = sparse[i]
-            f = row[c]
-            if over_q:
-                g = math.gcd(pv, f)
-                s, f = pv // g, f // g
-                if s != 1:
-                    row = sparse[i] = {j: x * s for j, x in row.items()}
-            for j, y in prow.items():
-                x = row.get(j)
-                v = (zero if x is None else x) - f * y
-                if p:
-                    v %= p
-                if v:
-                    row[j] = v
-                    if x is None:
-                        holders[j].add(i)
-                elif x is not None:
-                    del row[j]
-                    holders[j].discard(i)
-            if over_q:
-                g = math.gcd(*row.values())
-                if g > 1:
-                    sparse[i] = {j: x // g for j, x in row.items()}
+            sparse[i] = _clear(sparse[i], c, prow, p, over_q, zero, holders, i)
         free.discard(r)
         order.append(r)
         pivots.append(c)
@@ -880,6 +849,93 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
         return [{j: Fraction(x, sparse[r][c]) for j, x in sparse[r].items()}
                 for r, c in zip(order, pivots)], pivots
     return [sparse[r] for r in order], pivots
+
+
+def rank(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable],
+         ceiling: Optional[int] = None) -> int:
+    """The number of pivots `row_reduce(field, rows)` returns, or `ceiling`
+    when that is smaller, with no reduced row built.
+
+    The rows, given as in `row_reduce`, are inserted one at a time into an
+    echelon basis keyed by pivot column, the lowest column of each basis
+    row: a row is cleared by `_clear` at its lowest column while a basis
+    row pivots there, and then joins the basis or is dependent.  The rank
+    is the size of the basis.  Once it reaches `ceiling` no further row is
+    read, so a generator of rows is read only that far.  Over Q basis
+    rows stay primitive integer rows and no Fraction is built."""
+    if ceiling is not None and ceiling <= 0:
+        return 0
+    p, over_q, zero = _kernel_field(field)
+    basis: dict[int, dict] = {}
+    for pairs in rows:
+        row = {j: x for j, x in pairs if x}
+        if over_q and row:
+            row = _primitive(row)
+        while row:
+            c = min(row)
+            prow = basis.get(c)
+            if prow is None:
+                basis[c] = _pivot_row(field, p, over_q, row, c)
+                break
+            row = _clear(row, c, prow, p, over_q, zero)
+        if len(basis) == ceiling:
+            break
+    return len(basis)
+
+
+def _kernel_field(field) -> tuple[Optional[int], bool, object]:
+    """p (None over Q and over L), whether the field is Q, and the zero the
+    row update subtracts from: the int 0 over k, whose rows hold ints
+    (integer numerators over Q, residues over F_p), and L's zero."""
+    if isinstance(field, BaseField):
+        return field.p, field.p is None, 0
+    return None, False, field.zero()
+
+
+def _pivot_row(field, p: Optional[int], over_q: bool, row: dict, c: int) -> dict:
+    """A row as the kernel keeps it once it pivots at column c: divided by
+    its entry there over F_p and L, and as it is, a primitive integer row,
+    over Q."""
+    if over_q:
+        return row
+    inv = field.inv(row[c])
+    return {j: (x * inv) % p if p else x * inv for j, x in row.items()}
+
+
+def _clear(row: dict, c: int, prow: dict, p: Optional[int], over_q: bool,
+           zero, holders: Optional[dict[int, set[int]]] = None,
+           i: Optional[int] = None) -> dict:
+    """The kernel's one row update: `row` with column c cleared by the
+    pivot row `prow`.  Over F_p and L prow[c] is 1 and the row becomes
+    row - row[c] * prow.  Over Q both are primitive integer rows: the row
+    becomes pv * row - row[c] * prow, both factors first divided by their
+    gcd, and is then divided by the gcd of its entries.  With `holders`,
+    the columns the row gains or loses are recorded there as row i."""
+    f = row[c]
+    if over_q:
+        pv = prow[c]
+        g = math.gcd(pv, f)
+        s, f = pv // g, f // g
+        if s != 1:
+            row = {j: x * s for j, x in row.items()}
+    for j, y in prow.items():
+        x = row.get(j)
+        v = (zero if x is None else x) - f * y
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+            if x is None and holders is not None:
+                holders[j].add(i)
+        elif x is not None:
+            del row[j]
+            if holders is not None:
+                holders[j].discard(i)
+    if over_q:
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
+    return row
 
 
 def _primitive(row: dict) -> dict:
@@ -907,7 +963,7 @@ class NormalBasis:
             if galois_apply(L, self.elements[i], 1) != nxt:
                 raise InputError("orbit is not sigma-cyclic")
         coords = [enumerate(e.coeffs) for e in self.elements]
-        if len(row_reduce(L.base, coords)[1]) < L.degree:
+        if rank(L.base, coords) < L.degree:
             raise InputError("orbit is linearly dependent")
         if L.base.is_zero(self.trace_value):
             raise InputError("orbit has zero trace")

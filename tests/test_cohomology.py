@@ -402,10 +402,10 @@ def test_surface_model_eliminates_its_split_once(shanks1, monkeypatch):
 
 
 def test_split_suite_eliminates_over_k_only(monkeypatch):
-    """The `split` suite proves its six splits invertible, and the five
-    differences in GL_m(k), by k-ranks, which reduce over k without
-    linalg; its one linalg elimination is `induced_matrix`'s rank guard
-    on the 3 x 3 companion value."""
+    """The `split` suite proves its six splits invertible by k-ranks, which
+    reduce over k without linalg, and reports the five differences in
+    GL_m(k) from those proofs; its one linalg elimination is
+    `induced_matrix`'s rank guard on the 3 x 3 companion value."""
     calls = []
     reduce_rows = linalg.row_reduce
 

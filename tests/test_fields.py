@@ -21,7 +21,7 @@ from severi import (
 )
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroA
 from severi.fields import (BaseField, NormalBasis, conjugates, element_to_json,
-                           poly_check_irreducible, row_reduce, scalar_to_json)
+                           poly_check_irreducible, rank, row_reduce, scalar_to_json)
 
 
 def F(x):
@@ -674,3 +674,70 @@ def test_row_reduce_input_forms_agree(name):
                 R, pivots = row_reduce(field, map(enumerate, B))
                 assert pivots == want_pivots and R == want_R
                 assert _entry_types([list(row.values()) for row in R]) == want_types
+
+
+# ---------------------------------------------------------------------------
+# rank: the pivot count of row_reduce, by row insertion
+# ---------------------------------------------------------------------------
+
+RANK_FIELDS = {"Q": QQ, "F7": GF(7), "shanks1": make_shanks_cubic(1),
+               "F_5^4": frobenius_extension(5, 4)}
+
+
+def _rank_rows(field, rng, rows, cols, density):
+    """Random rows with dependent and zero rows among them, in random
+    order, as shuffled (column, entry) pairs."""
+    if field is QQ:
+        scalar = lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    elif isinstance(field, BaseField):
+        scalar = lambda: rng.randrange(1, field.p)
+    else:
+        k = field.base
+        coord = ((lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                 if k.p is None else (lambda: rng.randrange(k.p)))
+        scalar = lambda: field.el([coord() for _ in range(field.degree)]) or field.one()
+    A = _random_rows(field, scalar, rng, rows, cols, density)
+    A += [[field.zero()] * cols for _ in range(rng.randrange(3))]
+    rng.shuffle(A)
+    out = []
+    for row in A:
+        pairs = list(enumerate(row))
+        rng.shuffle(pairs)
+        out.append(pairs)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RANK_FIELDS)), st.integers(0, 12), st.integers(1, 12),
+       st.sampled_from([0.15, 0.4, 1.0]), st.integers(0, 10 ** 6))
+def test_rank_is_the_pivot_count_of_row_reduce(name, rows, cols, density, seed):
+    field = RANK_FIELDS[name]
+    A = _rank_rows(field, random.Random(seed), rows, cols, density)
+    want = len(row_reduce(field, A)[1])
+    assert rank(field, A) == want
+    assert rank(field, ((pair for pair in row) for row in A)) == want
+    assert rank(field, A[::-1]) == want
+
+
+@pytest.mark.parametrize("name", sorted(RANK_FIELDS))
+def test_rank_stops_at_its_ceiling(name):
+    field = RANK_FIELDS[name]
+    rng = random.Random(7)
+    for rows, cols in [(6, 4), (9, 9), (5, 12)]:
+        A = _rank_rows(field, rng, rows, cols, 0.4)
+        full = rank(field, A)
+        assert full == len(row_reduce(field, A)[1]) > 0
+        for ceiling in range(-1, full + 3):
+            read = []
+
+            def rows_read():
+                for row in A:
+                    read.append(row)
+                    yield row
+            assert rank(field, rows_read(), ceiling) == max(0, min(full, ceiling))
+            # below the full rank another independent row follows the one
+            # that reaches the ceiling, and it is not read
+            if ceiling < full:
+                assert len(read) < len(A)
+            elif ceiling > full:
+                assert len(read) == len(A)

@@ -8,6 +8,7 @@ import pytest
 
 from point_oracle import jacobian_ranks, solve_points_exhaustive
 from severi import (
+    QQ,
     Check,
     Report,
     count_points,
@@ -18,6 +19,7 @@ from severi import (
     genus_plane,
     inverse,
     lift_to_veronese,
+    make_extension,
     make_shanks_cubic,
     mul,
     rational_points,
@@ -177,8 +179,13 @@ def test_smoothness_fails_on_the_cut_model(model_f3):
     # 3 of the 27 quadrics have Jacobian rank at most 3 < 7 at every point;
     # one swapped equation would not show, as the other 26 still give rank 7
     pts = rational_points(model_f3, 3)
-    rep = smoothness_spot(_tampered(model_f3)[0], 3, pts)
+    cut = _tampered(model_f3)[0]
+    rep = smoothness_spot(cut, 3, pts)
     assert [c.status for c in rep.checks] == ["fail"] * len(pts)
+    # a point below the ceiling m - 1 - n reports its full rank
+    quadrics = verify._quadric_terms(cut.equations_over_k, 3)
+    assert [c.witness for c in rep.checks] == [
+        f"rank {verify._jacobian_rank(quadrics, pt, 3)}, expected 7" for pt in pts]
 
 
 def jacobian_rank_at(equations, point, p):
@@ -233,7 +240,10 @@ def test_termwise_rank_matches_the_polynomial_jacobian(name, request):
     quadrics = verify._quadric_terms(model.equations_over_k, p)
     ranks = [verify._jacobian_rank(quadrics, pt, p) for pt in pts]
     assert ranks == jacobian_ranks(model.equations_over_k, pts, p)
-    assert ranks == [model.m - 1 - model.n] * len(pts)
+    target = model.m - 1 - model.n
+    assert ranks == [target] * len(pts)
+    # the rank smoothness_spot takes, which stops at the target
+    assert [verify._jacobian_rank(quadrics, pt, p, target) for pt in pts] == ranks
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +310,41 @@ def test_run_all_builds_each_model_once(monkeypatch):
         == "96b6c304f5c0c61bcdfa2ad6c5d74589163fbeaed91649bd8088788ee4ab171a"
 
 
-@pytest.mark.parametrize("L", [make_shanks_cubic(1), frobenius_extension(3, 3)],
-                         ids=["shanks1", "f27"])
-def test_split_difference_in_k_either_way(L):
-    # inverse(Ms) * Mg is in k exactly when inverse(Mg) * Ms is, and exactly
-    # when the columns of Ms and Mg together have k-rank m, the `split`
-    # suite's test, for splits as built and for one whose column is scaled
-    # by theta
+SPLIT_DIFFERENCE_FIELDS = {
+    "shanks1": lambda: make_shanks_cubic(1),
+    "shanks2": lambda: make_shanks_cubic(2),
+    "f27": lambda: frobenius_extension(3, 3),
+    "f625": lambda: frobenius_extension(5, 4),
+    "zeta5": lambda: make_extension(QQ, [1, 1, 1, 1, 1], [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DIFFERENCE_FIELDS))
+def test_split_difference_in_k_either_way(name):
+    # every generic split Mg has its columns in the k-span of the structured
+    # split Ms: together they have k-rank m, which is why the `split` suite
+    # reports `differs-by-fixed-matrix` from the splits' own certificates;
+    # a column scaled by theta leaves the k-form and raises the k-rank.
+    # For n = 2, inverse(Ms) * Mg is in k exactly when inverse(Mg) * Ms is,
+    # and exactly when that k-rank is m
+    L = SPLIT_DIFFERENCE_FIELDS[name]()
     lift = lift_to_veronese(cyclic_cocycle(L, 2))
     Ms = split_structured(lift, find_normal_basis(L))
+    m = Ms.rows
+    assert k_rank(Ms) == m
 
     def in_k(M):
         return all(e.in_base() for row in M.sparse_rows for _, e in row)
 
     for seed in range(5):
         Mg = split_generic(lift, rng_seed=seed)
+        assert k_rank(Ms, Mg) == m
         bent = from_rows(L, [[e * L.theta() if j == 0 else e
                               for j, e in enumerate(row)] for row in Mg.as_rows()])
-        for G, fixed in ((Mg, True), (bent, False)):
-            assert in_k(mul(inverse(G), Ms)) is in_k(mul(inverse(Ms), G)) is fixed
-            assert (k_rank(Ms, G) == Ms.rows) is fixed
+        assert k_rank(Ms, bent) == m + 1
+        if L.degree == 3:
+            for G, fixed in ((Mg, True), (bent, False)):
+                assert in_k(mul(inverse(G), Ms)) is in_k(mul(inverse(Ms), G)) is fixed
 
 
 def test_run_all_rejects_unknown_suite():

@@ -24,6 +24,7 @@ from severi import (
     monomial_basis,
     mul,
     pullback_to_plane,
+    rank,
     veronese_ideal,
 )
 from severi.errors import DegreeTooSmall, InputError, Singular
@@ -136,6 +137,41 @@ def test_induced_singular_rejected(shanks1):
     mb = monomial_basis(2, 3)
     with pytest.raises(Singular):
         induced_matrix(mb, from_rows(shanks1, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+
+
+MULTIPLICATIVE_CASES = {
+    # entries in k = Q, in k = F_5, and in L over each
+    "Q": (make_shanks_cubic(1), False),
+    "F5": (frobenius_extension(5, 3), False),
+    "L-shanks1": (make_shanks_cubic(1), True),
+    "L-F125": (frobenius_extension(5, 3), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLICATIVE_CASES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_induced_matrix_is_multiplicative(n, case):
+    """Ver(AB) = Ver(A) Ver(B) and Ver(I) = I, so Ver(A) is invertible
+    when A is."""
+    L, in_L = MULTIPLICATIVE_CASES[case]
+    mb = monomial_basis(n, n + 1)
+    rng = random.Random(n)
+
+    def entry():
+        if in_L:
+            return L.el([rng.randint(-2, 2) for _ in range(L.degree)])
+        return L.from_base(L.base.coerce(rng.randint(-2, 2)))
+
+    def rand():
+        while True:
+            A = from_rows(L, [[entry() for _ in range(n + 1)] for _ in range(n + 1)])
+            if rank(A) == n + 1:
+                return A
+    A, B = rand(), rand()
+    VA, VB = induced_matrix(mb, A), induced_matrix(mb, B)
+    assert induced_matrix(mb, mul(A, B)) == mul(VA, VB)
+    assert induced_matrix(mb, identity(L, n + 1)) == identity(L, mb.m)
+    assert rank(VA) == mb.m
 
 
 def test_ideal_contains_exponent_identity(shanks1):
