@@ -89,10 +89,9 @@ def build(args, emit) -> int:
 
     if L.degree == 3:
         emit("\nequation report (paper-eqs suite):")
-        for row in verify_theorem1_equations(model):
-            status = row["status"].upper()
-            note = f"  ({row['note']})" if row.get("note") else ""
-            emit(f"  {status:4} {row['name']}{note}")
+        for name, status, note in verify_theorem1_equations(model):
+            note = f"  ({note})" if note else ""
+            emit(f"  {status.upper():4} {name}{note}")
     emit(f"\ntotal {time.perf_counter() - t0:.2f}s")
     return 0
 

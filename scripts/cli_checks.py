@@ -23,11 +23,14 @@ pins a witness coboundary proven invertible by its k-rank and the base
 change built on it.  The `algebra` and the two `picard` JSON digests
 complete the set: every JSON emitter (surface, verify, algebra, picard)
 has a pinned row, so each interpreter is checked for byte identity of
-the JSON writer `severi.cli.dumps`.  The text row over the real quintic
+the JSON writer `severi.cli.dumps`.  The text runs at the defaults are
+pinned too: the n = 2 `surface --check` over F_3, which counts points
+and spot-checks smoothness, `verify` with every suite, its `picard`
+suite at d' = 4, and `algebra`.  The text row over the real quintic
 field Q(zeta_11)^+ at n = 4 checks associativity and the center of a
 cyclic algebra of dimension 25 over Q.  The exit-2 rows are inputs that
 must be refused at once, so their limits are short; one is a d' far
-above `PICARD_MAX_DPRIME`.  Of the 26 rows, 15 pin a digest and 6 must
+above `PICARD_MAX_DPRIME`.  Of the 26 rows, 19 pin a digest and 6 must
 exit 2.  Uses the standard library only, and runs each row
 as `python -m severi` with the interpreter that runs this script.
 
@@ -41,7 +44,8 @@ import time
 
 CHECKS = [
     # (argv, exit code, stdout sha256 or None, time limit in s)
-    (["surface", "--field", "finite:p=3", "--a", "2", "--check"], 0, None, 120),
+    (["surface", "--field", "finite:p=3", "--a", "2", "--check"], 0,
+     "d50ad0ac4186149a001d459fb699eda369304ec4f463b3b43e154ad1d40b658d", 120),
     (["surface", "--field", "finite:p=3", "--n", "3", "--a", "2", "--check"], 0,
      "d4aeecf1573d9ee5d1e6085729169e07b4e9d24673e2d3e419453dbdc5d8ba6e", 60),
     (["surface", "--field", "finite:p=5", "--n", "3", "--a", "2", "--check",
@@ -73,9 +77,12 @@ CHECKS = [
     (["verify", "--field", "finite:p=5", "--n", "3", "--a", "2",
       "--suite", "triviality", "--emit", "json"], 0,
      "fa7a433426bcda3b83d407c4b3fc089f212741dc7e7053a28c365900a3ab5a4e", 120),
-    (["verify", "--suite", "picard", "--dprime", "4"], 0, None, 120),
-    (["verify"], 0, None, 120),
-    (["algebra"], 0, None, 120),
+    (["verify", "--suite", "picard", "--dprime", "4"], 0,
+     "d3bcb9ca614628e909fcc666246e078b461d02a11438fff03714657bd4084933", 120),
+    (["verify"], 0,
+     "0dee26c2f63337ec3841accdd8a85c1b5c1aaf6c9522b146219e6c376c9899f7", 120),
+    (["algebra"], 0,
+     "ba08b05069a455e91487f4cf77ebffcb70564542478afbfff9af2e39a66f1a14", 120),
     (["algebra", "--field", "finite:p=5", "--emit", "json"], 0,
      "69628254f20bf079a51fe635db8b7747df09fbd0a4ff59fafb2630ee0885a2c9", 120),
     (["algebra", "--field",

@@ -28,9 +28,10 @@ from .fields import (extension_to_json, format_element, format_scalar,
                      format_univariate, galois_apply, scalar_to_json)
 from .grammar import format_poly, omega_names, parse_field_spec
 from .twisting import (model_to_json, picard_generator, picard_to_json,
-                       surface_model, verify_theorem1_equations)
+                       surface_model)
 from .verify import (ALL_SUITES, Check, Report, count_and_smoothness,
-                     projective_point_count, report_to_json, run_all)
+                     paper_eqs_checks, projective_point_count, report_to_json,
+                     run_all)
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
@@ -165,8 +166,7 @@ def _check_report_for_surface(model) -> Report:
             checks.append(Check(f"smooth-p{p}",
                                 "pass" if rep.ok else "fail"))
     elif model.n == 2:
-        for row in verify_theorem1_equations(model):
-            checks.append(Check(row["name"], row["status"], row.get("note")))
+        checks += paper_eqs_checks(model)
     else:
         # surface_model returned, so `image_defect` accepted the model: it
         # has ideal_quadric_count equations, and each vanishes on the image

@@ -27,16 +27,18 @@ read; over Q it is built once, on first read.  The descent's rows over k
 and the JSON writer `element_to_json` read `nums` and `den` instead.
 
 All exact linear algebra of the package, over k and over L, is one
-sparse elimination kernel with two entries, built on one row update
-(`_clear`).  `row_reduce` returns the reduced row echelon form: rows go
+sparse elimination kernel: one forward pass (`_echelon`), which inserts
+rows one at a time into an echelon basis keyed by pivot column, and one
+row update (`_clear`).  It has two entries.  `rank` serves every caller
+that reads only a pivot count: it returns the size of the basis and
+reads no row once the basis reaches an optional ceiling.  `row_reduce`
+returns the reduced row echelon form: it inserts the rows sparsest
+first, then back-substitutes from the highest pivot down.  Its rows go
 in as (column, entry) pairs and come out as the nonzero reduced rows
 alone, each a dict of its nonzero entries, so no dense matrix is built
-around it.  `rank` serves every caller that reads only a pivot count: it
-inserts rows one at a time into an echelon basis and returns once the
-basis reaches an optional ceiling, so it reads no row past it and clears
-nothing above a pivot.  Over Q both eliminate in primitive integer rows;
-`rank` builds no Fraction, and `row_reduce` builds them only for the rows
-it returns.  A CyclicExtension offers the BaseField operations the kernel
+around it.  Over Q both eliminate in primitive integer rows; `rank`
+builds no Fraction, and `row_reduce` builds them only for the rows it
+returns.  A CyclicExtension offers the BaseField operations the kernel
 uses, `zero` and `inv`.
 The plain-text term joiner `format_terms` is shared with severi.grammar.
 
@@ -804,67 +806,59 @@ def row_reduce(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable
     Each row is given as (column, entry) pairs in any order; zero entries
     are dropped, so a dense row is passed as `enumerate(row)`.  Returns the
     nonzero rows of the reduced row echelon form in pivot order, each a
-    dict from column to nonzero entry, and their pivot columns.  Each row
-    is kept as such a dict, and each column as the set of rows holding it.
-    Columns are taken in order; the pivot of a column is the unpivoted row
-    with the fewest nonzeros that holds it (the lowest index on ties),
-    scaled by one inverse and cleared from every other row that holds the
-    column, by `_clear`.  The reduced row echelon form is unique, so the
-    pivot choice changes no entry.  Zero tests use truthiness, which is
-    false for Fraction(0), the int 0 and a zero ExtElement.
+    dict from column to nonzero entry, and their pivot columns.  The rows
+    are inserted, sparsest first, into the echelon basis of `rank`
+    (`_echelon`); then back-substitution walks the basis from the highest
+    pivot down and clears each higher pivot column from the row by the
+    row pivoting there, already reduced, with the same `_clear`.  The
+    reduced row echelon form is unique, so the insertion order changes no
+    entry; sparsest first keeps the basis rows short.  Zero tests use
+    truthiness, which is false for Fraction(0), the int 0 and a zero
+    ExtElement.
 
     Over Q the elimination runs in primitive integer rows and no pivot is
-    inverted (`_clear`).  Each stored row is a nonzero multiple of the row
-    the Fraction elimination would hold, so the sparsity, the pivots and
-    the rows chosen are the same, and dividing each reduced row once by
-    its pivot entry gives the same rows, as dicts of Fraction; those
-    divisions build the only Fractions of the call.
+    inverted (`_clear`).  Each reduced row is then a nonzero multiple of
+    its row in the reduced form, and dividing it once by its pivot entry
+    gives that row, as a dict of Fraction; those divisions build the only
+    Fractions of the call.
     """
     p, over_q, zero = _kernel_field(field)
-    sparse = [{j: x for j, x in r if x} for r in rows]
+    basis = _echelon(field, sorted(([(j, x) for j, x in r if x] for r in rows),
+                                   key=len))
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        for j in [j for j in row if j > c and j in basis]:
+            row = _clear(row, j, basis[j], p, over_q, zero)
+        basis[c] = row
+    pivots = sorted(basis)
     if over_q:
-        sparse = [_primitive(row) for row in sparse]
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(sparse):
-        for j in row:
-            holders.setdefault(j, set()).add(i)
-    free = {i for i, row in enumerate(sparse) if row}
-    order: list[int] = []
-    pivots: list[int] = []
-    for c in sorted(holders):
-        if not free:
-            break
-        held = holders[c]
-        r = min((i for i in held if i in free),
-                key=lambda i: (len(sparse[i]), i), default=None)
-        if r is None:
-            continue
-        prow = sparse[r] = _pivot_row(field, p, over_q, sparse[r], c)
-        for i in [i for i in held if i != r]:
-            sparse[i] = _clear(sparse[i], c, prow, p, over_q, zero, holders, i)
-        free.discard(r)
-        order.append(r)
-        pivots.append(c)
-    if over_q:
-        return [{j: Fraction(x, sparse[r][c]) for j, x in sparse[r].items()}
-                for r, c in zip(order, pivots)], pivots
-    return [sparse[r] for r in order], pivots
+        return [{j: Fraction(x, basis[c][c]) for j, x in basis[c].items()}
+                for c in pivots], pivots
+    return [basis[c] for c in pivots], pivots
 
 
 def rank(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable],
          ceiling: Optional[int] = None) -> int:
     """The number of pivots `row_reduce(field, rows)` returns, or `ceiling`
-    when that is smaller, with no reduced row built.
-
-    The rows, given as in `row_reduce`, are inserted one at a time into an
-    echelon basis keyed by pivot column, the lowest column of each basis
-    row: a row is cleared by `_clear` at its lowest column while a basis
-    row pivots there, and then joins the basis or is dependent.  The rank
-    is the size of the basis.  Once it reaches `ceiling` no further row is
-    read, so a generator of rows is read only that far.  Over Q basis
-    rows stay primitive integer rows and no Fraction is built."""
+    when that is smaller: the size of the echelon basis of the rows
+    (`_echelon`), with no row cleared above its pivot and no Fraction
+    built.  Once the basis reaches `ceiling` no further row is read, so a
+    generator of rows is read only that far."""
     if ceiling is not None and ceiling <= 0:
         return 0
+    return len(_echelon(field, rows, ceiling))
+
+
+def _echelon(field, rows: Iterable[Iterable], ceiling: Optional[int] = None
+             ) -> dict[int, dict]:
+    """An echelon basis of the rows, keyed by pivot column, the lowest
+    column of each basis row.
+
+    The rows, given as in `row_reduce`, are inserted one at a time: a row
+    is cleared by `_clear` at its lowest column while a basis row pivots
+    there, and then joins the basis (`_pivot_row`) or is dependent.  Once
+    the basis holds `ceiling` rows no further row is read.  Over Q basis
+    rows stay primitive integer rows."""
     p, over_q, zero = _kernel_field(field)
     basis: dict[int, dict] = {}
     for pairs in rows:
@@ -880,7 +874,7 @@ def rank(field: Union[BaseField, CyclicExtension], rows: Iterable[Iterable],
             row = _clear(row, c, prow, p, over_q, zero)
         if len(basis) == ceiling:
             break
-    return len(basis)
+    return basis
 
 
 def _kernel_field(field) -> tuple[Optional[int], bool, object]:
@@ -903,14 +897,12 @@ def _pivot_row(field, p: Optional[int], over_q: bool, row: dict, c: int) -> dict
 
 
 def _clear(row: dict, c: int, prow: dict, p: Optional[int], over_q: bool,
-           zero, holders: Optional[dict[int, set[int]]] = None,
-           i: Optional[int] = None) -> dict:
+           zero) -> dict:
     """The kernel's one row update: `row` with column c cleared by the
     pivot row `prow`.  Over F_p and L prow[c] is 1 and the row becomes
     row - row[c] * prow.  Over Q both are primitive integer rows: the row
     becomes pv * row - row[c] * prow, both factors first divided by their
-    gcd, and is then divided by the gcd of its entries.  With `holders`,
-    the columns the row gains or loses are recorded there as row i."""
+    gcd, and is then divided by the gcd of its entries."""
     f = row[c]
     if over_q:
         pv = prow[c]
@@ -925,12 +917,8 @@ def _clear(row: dict, c: int, prow: dict, p: Optional[int], over_q: bool,
             v %= p
         if v:
             row[j] = v
-            if x is None and holders is not None:
-                holders[j].add(i)
         elif x is not None:
             del row[j]
-            if holders is not None:
-                holders[j].discard(i)
     if over_q:
         g = math.gcd(*row.values())
         if g > 1:

@@ -10,8 +10,9 @@ not fields, both filled by `polyring.substitute_linear`: `product_memo`,
 the products it has formed with the matrix's entries, and
 `exponent_vectors`, the exponent vectors of the monomials it has built.
 
-Inverses, ranks and row echelon forms are all read off one sparse
-Gauss-Jordan elimination, severi.fields.row_reduce, with exact field
+Inverses, ranks and row echelon forms are all read off the reduced row
+echelon form of severi.fields.row_reduce, the package's one sparse
+elimination (row insertion, then back-substitution), with exact field
 arithmetic in L, whose elements keep integer coordinates over one
 denominator (see severi.fields for their normal form and kernels).  It is
 handed each matrix's `sparse_rows`, [A | I] as A's rows with one identity

@@ -54,7 +54,6 @@ from .fields import (
     row_reduce,
     scalar_to_json,
 )
-from .grammar import format_poly, omega_names, plane_names
 from .linalg import Matrix, inverse, matrix_to_json
 from .polyring import (
     Exponents,
@@ -510,13 +509,14 @@ def _equation7_reconstruction(forms: Sequence[MultiPoly]) -> MultiPoly:
     return F9 * F2 * F2 - F5 * F5 * F2
 
 
-def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
+def verify_theorem1_equations(model: SurfaceModel
+                              ) -> list[tuple[str, str, Optional[str]]]:
     """Substitute the model's parametrization into each displayed relation,
-    written on the model's normal basis, and report pass, fail, or flagged
-    per equation.  The seventh relation mixes degrees 3 and 4 and is
-    reported as printed, with the residual and a homogeneous
-    reconstruction: flagged when the reconstruction vanishes, failed when
-    it does not.
+    written on the model's normal basis, and report (name, status, note)
+    per equation, the status pass, fail or flagged.  The seventh relation
+    mixes degrees 3 and 4 and is reported as printed, with a note: flagged
+    when its homogeneous reconstruction, the cube lowered to a square,
+    vanishes, failed when it does not.
 
     Only the ten linear factors are pulled back, one `pullback_to_plane`
     each; each residual is then the same product of the pulled-back factors
@@ -528,27 +528,16 @@ def verify_theorem1_equations(model: SurfaceModel) -> list[dict]:
     the plane variables.
     """
     L = model.extension
-    forms = _displayed_forms(L, model.normal_basis)
-    pulled = [pullback_to_plane(model, F) for F in forms]
-    a_el = L.from_base(model.a)
+    pulled = [pullback_to_plane(model, F)
+              for F in _displayed_forms(L, model.normal_basis)]
     report = []
-    for name, residual in _displayed_relations(pulled, a_el):
-        homogeneous = residual.is_homogeneous()
-        entry: dict = {"name": name, "homogeneous": homogeneous}
-        if not homogeneous:
-            recon = _equation7_reconstruction(forms)
+    for name, residual in _displayed_relations(pulled, L.from_base(model.a)):
+        if not residual.is_homogeneous():
             vanishes = _equation7_reconstruction(pulled).is_zero()
-            entry["status"] = "flagged" if vanishes else "fail"
-            entry["note"] = "degree-inhomogeneous as printed (3 vs 4)"
-            entry["residual"] = format_poly(residual, plane_names(2))
-            entry["reconstruction"] = format_poly(recon, omega_names(10))
-            entry["reconstruction_vanishes"] = vanishes
-        elif residual.is_zero():
-            entry["status"] = "pass"
+            report.append((name, "flagged" if vanishes else "fail",
+                           "degree-inhomogeneous as printed (3 vs 4)"))
         else:
-            entry["status"] = "fail"
-            entry["residual"] = format_poly(residual, plane_names(2))
-        report.append(entry)
+            report.append((name, "pass" if residual.is_zero() else "fail", None))
     return report
 
 

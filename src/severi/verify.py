@@ -298,10 +298,12 @@ def _suite_split(L, a, dprime, model_of) -> list[Check]:
 def _suite_paper_eqs(L, a, dprime, model_of) -> list[Check]:
     if L.degree != 3:
         return [Check("skipped", "pass", "requires a cubic extension")]
-    checks = []
-    for row in verify_theorem1_equations(model_of(L, a)):
-        checks.append(Check(row["name"], row["status"], row.get("note")))
-    return checks
+    return paper_eqs_checks(model_of(L, a))
+
+
+def paper_eqs_checks(model) -> list[Check]:
+    """`verify_theorem1_equations` as checks, each note its witness."""
+    return [Check(*row) for row in verify_theorem1_equations(model)]
 
 
 def _suite_picard(L, a, dprime, model_of) -> list[Check]:

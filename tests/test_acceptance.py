@@ -158,12 +158,8 @@ def test_criterion_4_displayed_equations(shanks1, model_q):
     """First six displayed relations vanish symbolically; seventh flagged."""
     t0 = time.perf_counter()
     rows = verify_theorem1_equations(model_q)
-    assert len(rows) == 7
-    for r in rows[:6]:
-        assert r["status"] == "pass", f"{r['name']} residual: {r.get('residual')}"
-    assert rows[6]["status"] == "flagged"
-    assert not rows[6]["homogeneous"]
-    assert rows[6]["reconstruction_vanishes"] is True
+    assert [status for _, status, _ in rows] == ["pass"] * 6 + ["flagged"]
+    assert "inhomogeneous" in rows[6][2]
     dt = elapsed_under(t0, 30.0, "criterion 4")
     print(f"\n[criterion 4] PASS equations 1-6 vanish, 7 flagged inhomogeneous, "
           f"in {dt:.2f}s")

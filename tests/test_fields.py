@@ -22,6 +22,10 @@ from severi import (
 from severi.errors import NotGalois, NotIrreducible, WrongOrder, ZeroA
 from severi.fields import (BaseField, NormalBasis, conjugates, element_to_json,
                            poly_check_irreducible, rank, row_reduce, scalar_to_json)
+from severi.cohomology import cyclic_cocycle, lift_to_veronese, split_structured
+from severi.polyring import family_support, substitute_linear
+from severi.twisting import _coordinate_rows, orbit_representatives
+from severi.veronese import monomial_basis, veronese_ideal
 
 
 def F(x):
@@ -630,11 +634,34 @@ def test_row_reduce_matches_dense_reference(name):
                 assert row_reduce(field, map(enumerate, scaled)) == (R, pivots)
 
 
+def test_row_reduce_matches_dense_reference_on_descent_rows():
+    """The n = 3 descent's rows over F_7: the theta-coordinates of the
+    twisted orbit representatives over F_{7^4}, a = 3, 508 rows in 630
+    columns of rank 465."""
+    L, n = frobenius_extension(7, 4), 3
+    basis = monomial_basis(n, n + 1)
+    M = split_structured(lift_to_veronese(cyclic_cocycle(L, 3)), find_normal_basis(L))
+    family = [substitute_linear(Q, M)
+              for Q in orbit_representatives(basis, veronese_ideal(basis, L))]
+    support = family_support(family)
+    rows = _coordinate_rows(L, family, support)
+    A = [[0] * len(support) for _ in rows]
+    for dense, row in zip(A, rows):
+        for j, x in row:
+            dense[j] = x
+    R, pivots = row_reduce(L.base, rows)
+    want_R, want_pivots = _dense_row_reduce(L.base, A)
+    assert (len(rows), len(support), len(pivots)) == (508, 630, 465)
+    assert pivots == want_pivots
+    assert _densify(L.base, R, len(rows), len(support)) == want_R
+
+
 @pytest.mark.parametrize("name", ["Q", "F7", "shanks1"])
 def test_row_reduce_input_forms_agree(name):
     """The same rows given dense through `enumerate`, as shuffled pairs with
-    explicit zeros, and as generators reduce to the same nonzero rows, with
-    no zero entry and no zero row."""
+    explicit zeros, as generators, and in reversed and shuffled row order
+    reduce to the same nonzero rows, with no zero entry and no zero row:
+    the order the rows are inserted in changes no entry."""
     rng = random.Random(3)
     if name == "Q":
         field = QQ
@@ -653,8 +680,11 @@ def test_row_reduce_input_forms_agree(name):
             pairs = list(enumerate(row))
             rng.shuffle(pairs)
             shuffled.append(pairs)
+        reordered = shuffled[:]
+        rng.shuffle(reordered)
         forms = [map(enumerate, A), shuffled,
-                 ((p for p in pairs) for pairs in shuffled)]
+                 ((p for p in pairs) for pairs in shuffled),
+                 map(enumerate, A[::-1]), reordered]
         want_R, want_pivots = row_reduce(field, forms[0])
         assert want_R and len(want_R) == len(want_pivots) < rows
         assert all(row and all(row.values()) for row in want_R)
